@@ -26,7 +26,7 @@ from .inference import (
     m_step_gamma,
     m_step_pi,
 )
-from .medoids import distance_matrix, init_distance, kmedoid_init
+from .medoids import distance_matrix, kmedoid_init
 from .metrics import adjusted_rand_index, collapse_by_type, collapse_presence
 from .network import TypedNetwork, ValidationReport, presence_matrix, validate_network
 from .oracle import OracleLimits, exact_log_evidence
@@ -68,7 +68,6 @@ __all__ = [
     "expand_scenario",
     "fit",
     "fit_single",
-    "init_distance",
     "kmedoid_init",
     "m_step_alpha",
     "m_step_gamma",

@@ -10,43 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import TypedNetwork, presence_matrix
+from .network import TypedNetwork, offdiagonal
 
 # Cap on assignment/medoid alternations; stability is normally reached in a
 # handful of rounds.
 MAX_MEDOID_ROUNDS = 50
 
 
-def init_distance(net: TypedNetwork, i: int, j: int) -> int:
-    """Discordance between vertices i and j.
-
-    Counts third vertices h where both i->h and j->h exist but carry
-    different types, plus those where both h->i and h->j exist but carry
-    different types.  Symmetric, zero on the diagonal.
-    """
-    n = net.n_vertices
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"vertex index out of range for n_vertices={n}")
-    x = net.edge_types
-    a = presence_matrix(net)
-    out = int(np.sum((x[i] != x[j]) & (a[i] == 1) & (a[j] == 1)))
-    inc = int(np.sum((x[:, i] != x[:, j]) & (a[:, i] == 1) & (a[:, j] == 1)))
-    return out + inc
-
-
 def distance_matrix(net: TypedNetwork) -> np.ndarray:
-    """All-pairs discordance matrix, computed with integer matrix products."""
-    a = presence_matrix(net).astype(np.int64)
-    x = net.edge_types
-    shared_out = a @ a.T
-    shared_in = a.T @ a
-    agree_out = np.zeros_like(shared_out)
-    agree_in = np.zeros_like(shared_in)
+    """All-pairs discordance matrix as int64.
+
+    With A the presence indicator and M_c the indicator of type c, the count
+    is ``A Aᵀ + Aᵀ A`` (shared out- and in-neighbours) minus
+    ``M_c M_cᵀ + M_cᵀ M_c`` summed over types (those that agree).  A present
+    edge whose type lies outside ``1..n_types`` therefore agrees with
+    nothing.  The products run in float64 so that numpy hands them to BLAS;
+    every entry is an integer of at most 2(N - 2), far below 2**53, so the
+    float sums are exact in any order and the cast back to int64 is lossless.
+    """
+    x = offdiagonal(net.edge_types)
+    a = (x != 0).astype(np.float64)
+    d = a @ a.T
+    d += a.T @ a
     for c in range(1, net.n_types + 1):
-        m = ((x == c) & (a == 1)).astype(np.int64)
-        agree_out += m @ m.T
-        agree_in += m.T @ m
-    return (shared_out - agree_out) + (shared_in - agree_in)
+        m = (x == c).astype(np.float64)
+        d -= m @ m.T
+        d -= m.T @ m
+    return d.astype(np.int64)
 
 
 def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int) -> np.ndarray:
@@ -61,6 +51,10 @@ def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int) -> np.ndarray:
     distance to the cluster (ties to the lowest vertex index).  Alternation
     stops once centers and assignments are both stable, or after
     ``MAX_MEDOID_ROUNDS``.
+
+    Each step reads its per-cluster sums from one product of the distances
+    with the assignment indicator; the sums are integers below 2**53, so they
+    are exact and the tie-breaking above is unaffected.
 
     When ``n_clusters`` exceeds the number of vertices, every vertex becomes
     a center and the surplus clusters stay empty.
@@ -77,21 +71,14 @@ def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int) -> np.ndarray:
     d = distance_matrix(net).astype(np.float64)
     assign = np.argmin(d[:, centers], axis=1)
     for _ in range(MAX_MEDOID_ROUNDS):
-        cost = np.empty((n, k_used))
-        for k in range(k_used):
-            members = assign == k
-            if members.any():
-                cost[:, k] = d[:, members].mean(axis=1)
-            else:
-                cost[:, k] = d[:, centers[k]]
+        sums, sizes = _cluster_sums(d, assign, k_used)
+        cost = d[:, centers]
+        filled = sizes > 0
+        cost[:, filled] = sums[:, filled] / sizes[filled]
         new_assign = np.argmin(cost, axis=1)
-        new_centers = centers.copy()
-        for k in range(k_used):
-            members = np.nonzero(new_assign == k)[0]
-            if members.size == 0:
-                continue
-            within = d[np.ix_(members, members)].sum(axis=1)
-            new_centers[k] = members[np.argmin(within)]
+        sums, sizes = _cluster_sums(d, new_assign, k_used)
+        within = np.where(new_assign[:, None] == np.arange(k_used), sums, np.inf)
+        new_centers = np.where(sizes > 0, np.argmin(within, axis=0), centers)
         stable = (np.array_equal(np.sort(new_centers), np.sort(centers))
                   and np.array_equal(new_assign, assign))
         centers, assign = new_centers, new_assign
@@ -101,3 +88,12 @@ def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int) -> np.ndarray:
     tau = np.zeros((n, n_clusters))
     tau[np.arange(n), assign] = 1.0
     return tau
+
+
+def _cluster_sums(d: np.ndarray, assign: np.ndarray, n_clusters: int):
+    """Summed distance from every vertex to each cluster's members (N x K),
+    and the cluster sizes, from one product with the assignment indicator."""
+    n = len(assign)
+    onehot = np.zeros((n, n_clusters))
+    onehot[np.arange(n), assign] = 1.0
+    return d @ onehot, np.bincount(assign, minlength=n_clusters)

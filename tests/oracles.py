@@ -161,6 +161,81 @@ def bound_value(tau, chi, a, b, xi, chi0, a0, b0, xi0):
     return total
 
 
+def init_distance(net, i, j):
+    """Discordance between vertices i and j, by a loop over third vertices.
+
+    Counts each h where both i->h and j->h exist and do not share a type in
+    ``1..n_types``, plus each h where both h->i and h->j exist likewise; a
+    type outside that range agrees with nothing.  Diagonal entries of the
+    edge matrix are never read.
+    """
+    n = net.n_vertices
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"vertex index out of range for n_vertices={n}")
+    x = net.edge_types
+
+    def discordant(p, q):
+        agree = p == q and 1 <= p <= net.n_types
+        return p != 0 and q != 0 and not agree
+
+    total = 0
+    for h in range(n):
+        if h == i or h == j:
+            continue
+        total += discordant(x[i, h], x[j, h])
+        total += discordant(x[h, i], x[h, j])
+    return total
+
+
+def kmedoid_labels(net, n_clusters, seed, max_rounds=50):
+    """Hard k-medoid labels, cluster by cluster and member by member.
+
+    Follows the initializer's documented alternation: singleton clusters at
+    centers drawn without replacement, assignment to the smallest mean
+    distance to the members (to the center itself while a cluster is empty),
+    each nonempty cluster's center moved to the member with the smallest
+    summed distance to its fellow members, and a stop once centers (as a
+    set) and labels are both unchanged.  Every tie goes to the lowest index.
+    """
+    n = net.n_vertices
+    if n == 0:
+        return []
+    k_used = min(n_clusters, n)
+    rng = np.random.default_rng(seed)
+    centers = [int(c) for c in rng.choice(n, size=k_used, replace=False)]
+    d = [[init_distance(net, i, j) for j in range(n)] for i in range(n)]
+
+    def first_min(values):
+        best = 0
+        for idx in range(1, len(values)):
+            if values[idx] < values[best]:
+                best = idx
+        return best
+
+    labels = [first_min([d[i][c] for c in centers]) for i in range(n)]
+    for _ in range(max_rounds):
+        cost = [[0.0] * k_used for _ in range(n)]
+        for k in range(k_used):
+            members = [j for j in range(n) if labels[j] == k]
+            for i in range(n):
+                if members:
+                    cost[i][k] = sum(d[i][j] for j in members) / len(members)
+                else:
+                    cost[i][k] = float(d[i][centers[k]])
+        new_labels = [first_min(cost[i]) for i in range(n)]
+        new_centers = list(centers)
+        for k in range(k_used):
+            members = [j for j in range(n) if new_labels[j] == k]
+            if members:
+                within = [sum(d[i][j] for j in members) for i in members]
+                new_centers[k] = members[first_min(within)]
+        stable = sorted(new_centers) == sorted(centers) and new_labels == labels
+        centers, labels = new_centers, new_labels
+        if stable:
+            break
+    return labels
+
+
 def pair_counting_ari(labels_a, labels_b):
     """Adjusted Rand index straight from its definition over item pairs."""
     labels_a = list(labels_a)

@@ -5,12 +5,15 @@ entry point end to end.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsm
 from rsm import exact_log_evidence, PriorHyperparams
 from rsm.cli import main
 from rsm.io import load_network, write_labels_file
@@ -218,10 +221,13 @@ class TestModuleEntryPoint:
         main(["generate", "--scenario", "1", "--seed", "4",
               "--out", str(in_proc)])
         sub_proc = tmp_path / "sub_proc"
+        # the child imports the same rsm as this process
+        source = str(Path(rsm.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-m", "rsm.cli", "generate", "--scenario", "1",
              "--seed", "4", "--out", str(sub_proc)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert completed.returncode == 0
         assert "seed: 4" in completed.stdout
         for name in ("network.txt", "partition.txt", "true_labels.txt"):

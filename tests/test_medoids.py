@@ -2,24 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rsm import TypedNetwork, distance_matrix, init_distance, kmedoid_init
+import oracles
+from rsm import TypedNetwork, distance_matrix, kmedoid_init
 
 from builders import random_instance
-
-
-def pairwise_discordance(net, i, j):
-    """The distance by definition: loop over third vertices."""
-    x = net.edge_types
-    total = 0
-    for h in range(net.n_vertices):
-        if h == i or h == j:
-            continue
-        if x[i, h] != 0 and x[j, h] != 0 and x[i, h] != x[j, h]:
-            total += 1
-        if x[h, i] != 0 and x[h, j] != 0 and x[h, i] != x[h, j]:
-            total += 1
-    return total
 
 
 def two_block_net(block=6):
@@ -54,7 +44,7 @@ class TestInitDistance:
                              [1, 0, 1],
                              [2, 1, 0]])
         np.testing.assert_array_equal(distance_matrix(net), expected)
-        assert init_distance(net, 0, 2) == 2
+        assert oracles.init_distance(net, 0, 2) == 2
 
     def test_matches_definition_on_random_networks(self):
         rng = np.random.default_rng(0)
@@ -63,8 +53,7 @@ class TestInitDistance:
             d = distance_matrix(net)
             for i in range(net.n_vertices):
                 for j in range(net.n_vertices):
-                    assert d[i, j] == pairwise_discordance(net, i, j)
-                    assert d[i, j] == init_distance(net, i, j)
+                    assert d[i, j] == oracles.init_distance(net, i, j)
 
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(1)
@@ -83,7 +72,9 @@ class TestInitDistance:
     def test_index_out_of_range(self):
         net = distinct_rows_net(3)
         with pytest.raises(ValueError, match="out of range"):
-            init_distance(net, 0, 5)
+            oracles.init_distance(net, 0, 5)
+        with pytest.raises(ValueError, match="out of range"):
+            oracles.init_distance(net, -1, 0)
 
     def test_integer_dtype(self):
         net = distinct_rows_net(4)
@@ -145,3 +136,91 @@ class TestKmedoidInit:
             labels = np.argmax(kmedoid_init(net, 2, seed=seed), axis=1)
             # exact recovery up to cluster naming
             assert len(set(zip(group, labels))) == 2
+
+
+@st.composite
+def networks(draw, max_vertices=9):
+    """Small networks whose entries include absent edges, in-range types,
+    types outside ``1..n_types`` and arbitrary diagonal values."""
+    n = draw(st.integers(0, max_vertices))
+    n_types = draw(st.integers(1, 4))
+    entries = st.one_of(st.just(0), st.integers(1, n_types),
+                        st.integers(-2, n_types + 2))
+    x = draw(arrays(np.int64, (n, n), elements=entries))
+    return TypedNetwork(x, np.zeros(n, dtype=int), n_types=n_types, n_subgraphs=1)
+
+
+def loop_distances(net):
+    n = net.n_vertices
+    return np.array([[oracles.init_distance(net, i, j) for j in range(n)]
+                     for i in range(n)], dtype=np.int64).reshape(n, n)
+
+
+def assert_matches_loop_kmedoids(net, n_clusters, seed):
+    tau = kmedoid_init(net, n_clusters, seed=seed)
+    n = net.n_vertices
+    expected = np.zeros((n, n_clusters))
+    expected[np.arange(n), oracles.kmedoid_labels(net, n_clusters, seed)] = 1.0
+    np.testing.assert_array_equal(tau, expected)
+
+
+def edge_case_networks():
+    """Named shapes that random draws reach only by luck."""
+    def net(x, n_types):
+        x = np.asarray(x, dtype=np.int64)
+        return TypedNetwork(x, np.zeros(len(x), dtype=int), n_types=n_types,
+                            n_subgraphs=1)
+
+    rng = np.random.default_rng(11)
+    diagonal = rng.integers(0, 4, size=(6, 6))
+    np.fill_diagonal(diagonal, [1, 2, 3, 9, -1, 2])
+    out_of_range = rng.integers(0, 3, size=(6, 6))
+    out_of_range[out_of_range == 2] = -1
+    out_of_range[:2, 2:] = 7
+    return {
+        "empty": net(np.zeros((0, 0)), 2),
+        "single_vertex": net([[3]], 2),
+        "no_edges": net(np.zeros((5, 5)), 3),
+        "one_type": net(rng.integers(0, 2, size=(7, 7)), 1),
+        "nonzero_diagonal": net(diagonal, 3),
+        "out_of_range_types": net(out_of_range, 1),
+    }
+
+
+class TestAgainstLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(networks())
+    def test_distance_matrix_equals_loop(self, net):
+        d = distance_matrix(net)
+        assert d.dtype == np.int64
+        np.testing.assert_array_equal(d, loop_distances(net))
+
+    @settings(max_examples=100, deadline=None)
+    @given(networks(), st.integers(1, 11), st.integers(0, 2 ** 32 - 1))
+    def test_kmedoid_init_equals_loop(self, net, n_clusters, seed):
+        assert_matches_loop_kmedoids(net, n_clusters, seed)
+
+    @pytest.mark.parametrize("name", sorted(edge_case_networks()))
+    def test_edge_cases(self, name):
+        net = edge_case_networks()[name]
+        np.testing.assert_array_equal(distance_matrix(net), loop_distances(net))
+        for n_clusters in (1, 2, net.n_vertices + 2):
+            for seed in range(3):
+                assert_matches_loop_kmedoids(net, n_clusters, seed)
+
+    def test_out_of_range_types_never_agree(self):
+        # both vertices send type 7 (outside 1..2) to the same third vertex
+        x = np.zeros((3, 3), dtype=int)
+        x[0, 2] = x[1, 2] = 7
+        net = TypedNetwork(x, [0, 0, 0], n_types=2, n_subgraphs=1)
+        assert distance_matrix(net)[0, 1] == 1
+        assert oracles.init_distance(net, 0, 1) == 1
+
+    def test_sampled_networks(self):
+        # planted networks with many tied distances, up to K = N
+        rng = np.random.default_rng(5)
+        for n_vertices, n_clusters in ((30, 3), (40, 6), (25, 25)):
+            net = random_instance(rng, n_vertices, 2, 3, 3).network
+            np.testing.assert_array_equal(distance_matrix(net), loop_distances(net))
+            for seed in range(2):
+                assert_matches_loop_kmedoids(net, n_clusters, seed)
