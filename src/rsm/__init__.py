@@ -27,8 +27,8 @@ from .inference import (
     m_step_pi,
 )
 from .medoids import distance_matrix, kmedoid_init
-from .metrics import adjusted_rand_index, collapse_by_type, collapse_presence
-from .network import TypedNetwork, ValidationReport, presence_matrix, validate_network
+from .metrics import adjusted_rand_index
+from .network import TypedNetwork, ValidationReport, validate_network
 from .oracle import OracleLimits, exact_log_evidence
 from .params import (
     FitResult,
@@ -36,7 +36,6 @@ from .params import (
     RestartSummary,
     RsmParams,
     VariationalState,
-    rsm_param_count,
 )
 from .selection import SelectionResult, select_k
 
@@ -58,8 +57,6 @@ __all__ = [
     "adjusted_rand_index",
     "benchmark_scenario",
     "benchmark_spec",
-    "collapse_by_type",
-    "collapse_presence",
     "demo_spec",
     "distance_matrix",
     "e_step",
@@ -72,8 +69,6 @@ __all__ = [
     "m_step_alpha",
     "m_step_gamma",
     "m_step_pi",
-    "presence_matrix",
-    "rsm_param_count",
     "sample_network",
     "select_k",
     "validate_network",

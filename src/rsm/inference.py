@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import betaln, digamma, gammaln, xlogy
 
 from .medoids import kmedoid_init
-from .network import TypedNetwork, presence_matrix, validate_network
+from .network import TypedNetwork, edge_indicator, validate_network
 from .params import (
     FitResult,
     PriorHyperparams,
@@ -70,16 +70,10 @@ class FitConfig:
                 f"prior_concentration must be > 0, got {self.prior_concentration}")
 
 
-def _type_masks(net: TypedNetwork) -> list[np.ndarray]:
-    """One float N x N indicator per edge type, diagonal zeroed."""
-    x = net.edge_types
-    masks = []
-    for c in range(1, net.n_types + 1):
-        m = (x == c).astype(np.float64)
-        if m.size:
-            np.fill_diagonal(m, 0.0)
-        masks.append(m)
-    return masks
+def _check_valid(net: TypedNetwork) -> None:
+    report = validate_network(net)
+    if not report.ok:
+        raise ValueError("invalid network: " + "; ".join(report.violations))
 
 
 def _subgraph_onehot(subgraph_of: np.ndarray, n_subgraphs: int) -> np.ndarray:
@@ -101,10 +95,11 @@ def m_step_gamma(net: TypedNetwork, priors: PriorHyperparams
     responsibilities play no role.  Hence a + b - (a0 + b0) equals the number
     of ordered vertex pairs in the block.
     """
-    a = presence_matrix(net).astype(np.float64)
-    r = _subgraph_onehot(net.subgraph_of, priors.n_subgraphs)
-    edges = r.T @ a @ r
-    counts = r.sum(axis=0)
+    sub = net.subgraph_of
+    n_sub = priors.n_subgraphs
+    edges = np.bincount(sub[net.src] * n_sub + sub[net.dst],
+                        minlength=n_sub * n_sub).reshape(n_sub, n_sub)
+    counts = np.bincount(sub, minlength=n_sub)
     pairs = np.outer(counts, counts) - np.diag(counts)
     return priors.a0 + edges, priors.b0 + pairs - edges
 
@@ -130,7 +125,8 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
     mass equals the number of present edges.
     """
     tau = np.asarray(tau, dtype=np.float64)
-    return _update_xi(_type_masks(net), tau, priors.xi0)
+    masks = [edge_indicator(net, c) for c in range(1, net.n_types + 1)]
+    return _update_xi(masks, tau, priors.xi0)
 
 
 def _update_xi(masks: list[np.ndarray], tau: np.ndarray,
@@ -177,8 +173,8 @@ def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
     Every row of the returned tau is computed from the previous tau (no
     in-sweep feedback), normalized in the log domain, and sums to 1.
     """
-    scores = _scores(_type_masks(net), state.tau, state.chi, state.xi,
-                     net.subgraph_of)
+    masks = [edge_indicator(net, c) for c in range(1, net.n_types + 1)]
+    scores = _scores(masks, state.tau, state.chi, state.xi, net.subgraph_of)
     return _normalize_scores(scores)
 
 
@@ -217,8 +213,10 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     or after ``max_iterations``.
 
     Returns (state, elbo_trace, converged); the state's hyperparameters
-    always correspond to its tau.
+    always correspond to its tau.  Networks with validation violations are
+    rejected.
     """
+    _check_valid(net)
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     tau = np.asarray(tau0, dtype=np.float64)
@@ -227,7 +225,7 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
                          f"got shape {tau.shape}")
     check_row_stochastic(tau, "tau0")
 
-    masks = _type_masks(net)
+    masks = [edge_indicator(net, c) for c in range(1, net.n_types + 1)]
     sub = net.subgraph_of
     a, b = m_step_gamma(net, priors)
 
@@ -260,9 +258,7 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     same inputs and seed always reproduce the same result.  Networks with
     validation violations are rejected.
     """
-    report = validate_network(net)
-    if not report.ok:
-        raise ValueError("invalid network: " + "; ".join(report.violations))
+    _check_valid(net)
 
     k = config.n_clusters
     priors = config.priors

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import TypedNetwork, offdiagonal
+from .network import TypedNetwork
 from .params import FitResult, RsmParams
 
 _HEADER_RE = re.compile(r"^rsm v1 N=(\d+) S=(\d+) C=(\d+)$")
@@ -45,10 +45,9 @@ def _data_lines(text: str):
 
 def write_network_file(path, net: TypedNetwork) -> None:
     """Write header plus one ``src dst type`` line per edge, row-major."""
-    x = offdiagonal(net.edge_types)
     lines = [f"rsm v1 N={net.n_vertices} S={net.n_subgraphs} C={net.n_types}"]
-    for i, j in np.argwhere(x != 0):
-        lines.append(f"{i + 1} {j + 1} {x[i, j]}")
+    for i, j, c in zip(net.src.tolist(), net.dst.tolist(), net.types.tolist()):
+        lines.append(f"{i + 1} {j + 1} {c}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

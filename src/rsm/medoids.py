@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import TypedNetwork, offdiagonal
+from .network import TypedNetwork, edge_indicator
 
 # Cap on assignment/medoid alternations; stability is normally reached in a
 # handful of rounds.
@@ -28,12 +28,11 @@ def distance_matrix(net: TypedNetwork) -> np.ndarray:
     every entry is an integer of at most 2(N - 2), far below 2**53, so the
     float sums are exact in any order and the cast back to int64 is lossless.
     """
-    x = offdiagonal(net.edge_types)
-    a = (x != 0).astype(np.float64)
+    a = edge_indicator(net)
     d = a @ a.T
     d += a.T @ a
     for c in range(1, net.n_types + 1):
-        m = (x == c).astype(np.float64)
+        m = edge_indicator(net, c)
         d -= m @ m.T
         d -= m.T @ m
     return d.astype(np.int64)

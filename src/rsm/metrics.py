@@ -1,17 +1,12 @@
-"""Partition agreement and network-collapse utilities.
+"""Partition agreement.
 
 The adjusted Rand index is computed from the pair-counting contingency
 table, so it is symmetric and invariant to relabeling either partition.
-The collapse helpers reduce a typed network to plain binary networks (all
-types merged, or one type kept), which is how untyped clustering methods
-get to see the same data.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .network import TypedNetwork, offdiagonal
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:
@@ -49,26 +44,3 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     if maximum == expected:
         return 1.0
     return float((sum_cells - expected) / (maximum - expected))
-
-
-def collapse_presence(net: TypedNetwork) -> TypedNetwork:
-    """Merge all edge types: every present edge becomes type 1 (C becomes 1).
-
-    Subgraph labels are preserved; the presence pattern is unchanged.
-    """
-    x = (offdiagonal(net.edge_types) != 0).astype(np.int64)
-    return TypedNetwork(x, net.subgraph_of, n_types=1,
-                        n_subgraphs=net.n_subgraphs)
-
-
-def collapse_by_type(net: TypedNetwork, edge_type: int) -> TypedNetwork:
-    """Keep only edges of one type, as a binary network (C becomes 1).
-
-    ``edge_type`` uses the stored coding 1..n_types.  Unioning the collapses
-    over every type recovers :func:`collapse_presence` of the original.
-    """
-    if not 1 <= edge_type <= net.n_types:
-        raise ValueError(f"edge_type must be in 1..{net.n_types}, got {edge_type}")
-    x = (offdiagonal(net.edge_types) == edge_type).astype(np.int64)
-    return TypedNetwork(x, net.subgraph_of, n_types=1,
-                        n_subgraphs=net.n_subgraphs)

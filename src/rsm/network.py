@@ -1,10 +1,13 @@
 """Directed networks with typed edges and a known vertex partition.
 
 The central data structure is :class:`TypedNetwork`.  Edges are stored as an
-N x N integer matrix: entry (i, j) is the type of the edge from vertex i to
-vertex j, with 0 meaning the edge is absent.  Every vertex additionally
-carries an observed subgraph label (0-indexed in memory; file formats are
-1-indexed, see :mod:`rsm.io`).
+edge list: three equal-length int64 arrays ``src``, ``dst`` and ``types``,
+one entry per present edge i -> j (i != j) in row-major order, with the
+edge's type in ``types``.  Every vertex additionally carries an observed
+subgraph label (0-indexed in memory; file formats are 1-indexed, see
+:mod:`rsm.io`).  :func:`edge_indicator` is the one place that expands the
+edge list into a dense N x N indicator, for the matrix products that need
+one.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ def _readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TypedNetwork:
     """A directed network whose present edges carry a categorical type.
 
@@ -30,7 +33,7 @@ class TypedNetwork:
     edge_types:
         N x N integer matrix.  ``edge_types[i, j]`` is the type (1..n_types)
         of the edge from i to j, or 0 if no edge exists.  Diagonal entries
-        are ignored and never read.
+        are dropped.
     subgraph_of:
         Length-N integer vector of observed subgraph labels in
         ``{0, ..., n_subgraphs - 1}``.
@@ -39,43 +42,61 @@ class TypedNetwork:
     n_subgraphs:
         Number of subgraphs S (>= 1).
 
+    The network keeps the nonzero off-diagonal entries of ``edge_types`` as
+    read-only row-major arrays ``src``, ``dst`` and ``types``; the
+    :attr:`edge_types` property rebuilds the matrix from them.
+
     The constructor only enforces structural consistency (shapes, counts >= 1)
-    so that malformed label values can still be inspected; value-level checks
-    live in :func:`validate_network`.
+    so that malformed label and type values can still be inspected;
+    value-level checks live in :func:`validate_network`.
     """
 
-    edge_types: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    types: np.ndarray
     subgraph_of: np.ndarray
+    n_vertices: int
     n_types: int
     n_subgraphs: int
 
-    def __post_init__(self):
-        x = np.asarray(self.edge_types)
+    def __init__(self, edge_types, subgraph_of, n_types: int, n_subgraphs: int):
+        x = np.asarray(edge_types)
         if x.ndim != 2 or x.shape[0] != x.shape[1]:
             raise ValueError(f"edge_types must be a square matrix, got shape {x.shape}")
         if x.size and not np.issubdtype(x.dtype, np.integer):
-            if not np.all(np.asarray(x) == np.asarray(x).astype(np.int64)):
+            if not np.all(x == x.astype(np.int64)):
                 raise ValueError("edge_types must contain integers")
-        sub = np.asarray(self.subgraph_of)
+        sub = np.asarray(subgraph_of)
         if sub.ndim != 1 or sub.shape[0] != x.shape[0]:
             raise ValueError(
                 f"subgraph_of must be a length-{x.shape[0]} vector, got shape {sub.shape}"
             )
-        if self.n_types < 1:
-            raise ValueError(f"n_types must be >= 1, got {self.n_types}")
-        if self.n_subgraphs < 1:
-            raise ValueError(f"n_subgraphs must be >= 1, got {self.n_subgraphs}")
-        object.__setattr__(self, "edge_types", _readonly(x, np.int64))
-        object.__setattr__(self, "subgraph_of", _readonly(sub, np.int64))
+        if n_types < 1:
+            raise ValueError(f"n_types must be >= 1, got {n_types}")
+        if n_subgraphs < 1:
+            raise ValueError(f"n_subgraphs must be >= 1, got {n_subgraphs}")
+        present = x != 0
+        np.fill_diagonal(present, False)
+        src, dst = np.nonzero(present)
+        for name, value in (("src", src), ("dst", dst), ("types", x[src, dst]),
+                            ("subgraph_of", sub)):
+            object.__setattr__(self, name, _readonly(value, np.int64))
+        object.__setattr__(self, "n_vertices", x.shape[0])
+        object.__setattr__(self, "n_types", n_types)
+        object.__setattr__(self, "n_subgraphs", n_subgraphs)
 
     @property
-    def n_vertices(self) -> int:
-        return self.edge_types.shape[0]
+    def edge_types(self) -> np.ndarray:
+        """The N x N type matrix (0 where absent, zero diagonal), rebuilt
+        from the edge list on every access and read-only."""
+        x = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int64)
+        x[self.src, self.dst] = self.types
+        x.flags.writeable = False
+        return x
 
     def __repr__(self) -> str:
-        n_edges = int(np.count_nonzero(offdiagonal(self.edge_types)))
         return (
-            f"TypedNetwork(n_vertices={self.n_vertices}, n_edges={n_edges}, "
+            f"TypedNetwork(n_vertices={self.n_vertices}, n_edges={len(self.src)}, "
             f"n_types={self.n_types}, n_subgraphs={self.n_subgraphs})"
         )
 
@@ -92,29 +113,34 @@ class ValidationReport:
         return not self.violations
 
 
-def offdiagonal(edge_types: np.ndarray) -> np.ndarray:
-    """Copy of an edge-type matrix with the (ignored) diagonal forced to 0."""
-    out = np.array(edge_types, copy=True)
-    if out.size:
-        np.fill_diagonal(out, 0)
+def edge_indicator(net: TypedNetwork, edge_type: int | None = None) -> np.ndarray:
+    """Float64 N x N indicator of the edges, or of the edges of one type.
+
+    Entry (i, j) is 1.0 where the edge i -> j is present (and, given
+    ``edge_type``, has that type), else 0.0; the diagonal is 0.  Without
+    ``edge_type`` every present edge counts, whatever its type.
+    """
+    keep = slice(None) if edge_type is None else net.types == edge_type
+    out = np.zeros((net.n_vertices, net.n_vertices))
+    out[net.src[keep], net.dst[keep]] = 1.0
     return out
 
 
 def validate_network(net: TypedNetwork) -> ValidationReport:
     """Check label and type ranges of a network.
 
-    Violations (reject): an off-diagonal edge type outside ``0..n_types``, or
-    a subgraph label outside ``0..n_subgraphs - 1``.  Warnings (accept): a
-    subgraph with no vertices.
+    Violations (reject): an edge type outside ``0..n_types``, or a subgraph
+    label outside ``0..n_subgraphs - 1``.  Warnings (accept): a subgraph with
+    no vertices.
     """
     violations: list[str] = []
     warnings: list[str] = []
 
-    x = offdiagonal(net.edge_types)
-    bad = np.argwhere((x < 0) | (x > net.n_types))
-    for i, j in bad[:20]:
+    bad = np.nonzero((net.types < 0) | (net.types > net.n_types))[0]
+    for e in bad[:20]:
         violations.append(
-            f"edge type {net.edge_types[i, j]} at ({i}, {j}) outside 0..{net.n_types}"
+            f"edge type {net.types[e]} at ({net.src[e]}, {net.dst[e]}) "
+            f"outside 0..{net.n_types}"
         )
     if len(bad) > 20:
         violations.append(f"... and {len(bad) - 20} more edge-type violations")
@@ -133,13 +159,3 @@ def validate_network(net: TypedNetwork) -> ValidationReport:
         warnings.append(f"subgraph {s} has no vertices")
 
     return ValidationReport(tuple(violations), tuple(warnings))
-
-
-def presence_matrix(net: TypedNetwork) -> np.ndarray:
-    """Binary N x N presence matrix: 1 where an edge of any type exists.
-
-    The diagonal is 0 by convention regardless of stored values, and the
-    result does not depend on how present edges are typed.
-    """
-    a = (offdiagonal(net.edge_types) != 0).astype(np.int8)
-    return a

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .network import TypedNetwork, offdiagonal, presence_matrix
+from .network import TypedNetwork
 from .params import PriorHyperparams
 
 
@@ -64,10 +64,10 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
             f"budget {limits.max_enumeration}")
 
     # Presence factor: counts depend only on the observed presence pattern.
-    a_mat = presence_matrix(net).astype(np.float64)
     sub = net.subgraph_of
     onehot_sub = np.eye(net.n_subgraphs)[sub]
-    edges = onehot_sub.T @ a_mat @ onehot_sub
+    edges = np.zeros((net.n_subgraphs, net.n_subgraphs))
+    np.add.at(edges, (sub[net.src], sub[net.dst]), 1.0)
     sizes = onehot_sub.sum(axis=0)
     pairs = np.outer(sizes, sizes) - np.diag(sizes)
     gamma_term = float((_log_beta(priors.a0 + edges, priors.b0 + pairs - edges)
@@ -84,12 +84,10 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
     alpha_terms = (_log_dirichlet(chi, axis=2).sum(axis=1)
                    - _log_dirichlet(priors.chi0, axis=1).sum())
 
-    x = offdiagonal(net.edge_types)
-    srcs, dsts = np.nonzero(x)
     xi_counts = np.zeros((n_assignments, k, k, net.n_types))
     rows = np.arange(n_assignments)
-    for i, j in zip(srcs, dsts):
-        xi_counts[rows, z_all[:, i], z_all[:, j], x[i, j] - 1] += 1.0
+    for i, j, c in zip(net.src, net.dst, net.types):
+        xi_counts[rows, z_all[:, i], z_all[:, j], c - 1] += 1.0
     xi = priors.xi0[None] + xi_counts
     pi_terms = (_log_dirichlet(xi, axis=3).sum(axis=(1, 2))
                 - _log_dirichlet(priors.xi0, axis=2).sum())

@@ -29,20 +29,6 @@ def check_row_stochastic(arr: np.ndarray, name: str, tol: float = ROW_SUM_TOL) -
         raise ValueError(f"{name} rows must sum to 1 (worst deviation {worst:.3e})")
 
 
-def rsm_param_count(n_subgraphs: int, n_clusters: int, n_types: int) -> int:
-    """Number of free parameters of the model: S^2 + K^2*C + S*K.
-
-    Counts the full gamma matrix, every per-cluster-pair type distribution,
-    and the per-subgraph mixing rows (simplex constraints not subtracted).
-    Strictly increasing in each argument.
-    """
-    for name, v in (("n_subgraphs", n_subgraphs), ("n_clusters", n_clusters),
-                    ("n_types", n_types)):
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1, got {v}")
-    return n_subgraphs ** 2 + n_clusters ** 2 * n_types + n_subgraphs * n_clusters
-
-
 @dataclass(frozen=True)
 class RsmParams:
     """Generative parameters of the model.

@@ -17,7 +17,6 @@ from rsm import (
     benchmark_spec,
     demo_spec,
     expand_scenario,
-    presence_matrix,
     sample_network,
 )
 
@@ -166,7 +165,7 @@ class TestSampleNetwork:
                             type_probs_between=[1.0], edge_prob_within=1.0,
                             edge_prob_between=1.0, subgraph_sizes=(6,))
         sample = sample_network(expand_scenario(spec), spec.subgraph_labels(), 0)
-        a = presence_matrix(sample.network)
+        a = sample.network.edge_types != 0
         assert a.sum() == 6 * 5
 
     def test_degenerate_mixing_forces_one_cluster(self):
@@ -193,12 +192,12 @@ class TestSamplingStatistics:
         # for a binomial proportion at p = 0.8.
         params = RsmParams(alpha=[[1.0]], gamma=[[0.8]], pi=[[[1.0]]])
         sample = sample_network(params, np.zeros(23, dtype=int), seed=2)
-        rate = presence_matrix(sample.network).sum() / (23 * 22)
+        rate = (sample.network.edge_types != 0).sum() / (23 * 22)
         assert abs(rate - 0.8) < 0.06
 
     def test_block_densities_match_gamma(self):
         sample = benchmark_scenario(3, seed=4)
-        a = presence_matrix(sample.network)
+        a = sample.network.edge_types != 0
         sub = sample.network.subgraph_of
         for r in range(3):
             for s in range(3):

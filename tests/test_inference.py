@@ -28,7 +28,6 @@ from rsm import (
     m_step_alpha,
     m_step_gamma,
     m_step_pi,
-    presence_matrix,
     sample_network,
 )
 
@@ -209,6 +208,27 @@ class TestFitSingle:
         with pytest.raises(ValueError, match="max_iterations"):
             fit_single(net, np.full((6, 2), 0.5), priors, max_iterations=0)
 
+    def test_rejects_out_of_range_edge_type(self):
+        # four edges, one of type 5 > n_types: its presence would count in
+        # a and b while xi has no slot for its type
+        x = np.array([[0, 1, 0],
+                      [2, 0, 5],
+                      [1, 0, 0]])
+        net = TypedNetwork(x, [0, 0, 0], n_types=2, n_subgraphs=1)
+        priors = PriorHyperparams.jeffreys(1, 2, 2)
+        with pytest.raises(ValueError, match=r"invalid network: edge type 5 at \(1, 2\)"):
+            fit_single(net, np.full((3, 2), 0.5), priors)
+
+    def test_rejects_negative_subgraph_label(self):
+        x = np.array([[0, 1, 0],
+                      [2, 0, 1],
+                      [1, 0, 0]])
+        net = TypedNetwork(x, [0, -1, 1], n_types=2, n_subgraphs=2)
+        priors = PriorHyperparams.jeffreys(2, 2, 2)
+        with pytest.raises(ValueError,
+                           match="invalid network: subgraph label -1 at vertex 1"):
+            fit_single(net, np.full((3, 2), 0.5), priors)
+
     def test_bound_never_decreases(self):
         rng = np.random.default_rng(15)
         for _ in range(4):
@@ -227,7 +247,7 @@ class TestCountConservation:
         sub_onehot = np.eye(3)[net.subgraph_of]
         sizes = sub_onehot.sum(axis=0)
         pairs = np.outer(sizes, sizes) - np.diag(sizes)
-        n_edges = presence_matrix(net).sum()
+        n_edges = len(net.src)
 
         tau = random_tau(rng, 22, 3)
         a, b = m_step_gamma(net, priors)

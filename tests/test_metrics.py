@@ -1,17 +1,11 @@
-"""Adjusted Rand index and typed-network collapse helpers."""
+"""Adjusted Rand index."""
 
 import numpy as np
 import pytest
 
 import oracles
 
-from rsm import (
-    TypedNetwork,
-    adjusted_rand_index,
-    collapse_by_type,
-    collapse_presence,
-    presence_matrix,
-)
+from rsm import adjusted_rand_index
 
 
 class TestAdjustedRandIndex:
@@ -75,47 +69,3 @@ class TestAdjustedRandIndex:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="non-empty"):
             adjusted_rand_index([], [])
-
-
-def typed_net():
-    x = np.array([[0, 1, 2, 0],
-                  [3, 0, 0, 1],
-                  [0, 2, 0, 2],
-                  [1, 0, 3, 0]])
-    return TypedNetwork(x, [0, 0, 1, 1], n_types=3, n_subgraphs=2)
-
-
-class TestCollapse:
-    def test_presence_collapse_keeps_the_pattern(self):
-        net = typed_net()
-        collapsed = collapse_presence(net)
-        assert collapsed.n_types == 1
-        assert collapsed.n_subgraphs == 2
-        np.testing.assert_array_equal(presence_matrix(collapsed),
-                                      presence_matrix(net))
-        np.testing.assert_array_equal(collapsed.subgraph_of, net.subgraph_of)
-
-    def test_presence_collapse_is_idempotent(self):
-        net = typed_net()
-        once = collapse_presence(net)
-        twice = collapse_presence(once)
-        np.testing.assert_array_equal(once.edge_types, twice.edge_types)
-
-    def test_single_type_collapse(self):
-        net = typed_net()
-        only_twos = collapse_by_type(net, 2)
-        expected = (net.edge_types == 2).astype(int)
-        np.testing.assert_array_equal(only_twos.edge_types, expected)
-
-    def test_union_over_types_recovers_presence(self):
-        net = typed_net()
-        union = np.zeros((4, 4), dtype=int)
-        for c in (1, 2, 3):
-            union |= collapse_by_type(net, c).edge_types.astype(int)
-        np.testing.assert_array_equal(union, presence_matrix(net))
-
-    def test_rejects_unknown_type(self):
-        with pytest.raises(ValueError, match="edge_type"):
-            collapse_by_type(typed_net(), 4)
-        with pytest.raises(ValueError, match="edge_type"):
-            collapse_by_type(typed_net(), 0)

@@ -1,10 +1,10 @@
-"""Construction, validation, and presence extraction for typed networks."""
+"""Construction, validation, and edge indicators for typed networks."""
 
 import numpy as np
 import pytest
 
-from rsm import TypedNetwork, presence_matrix, validate_network
-from rsm.network import offdiagonal
+from rsm import TypedNetwork, validate_network
+from rsm.network import edge_indicator
 
 
 def small_net():
@@ -12,6 +12,14 @@ def small_net():
                   [2, 0, 1],
                   [0, 3, 0]])
     return TypedNetwork(x, [0, 0, 1], n_types=3, n_subgraphs=2)
+
+
+def typed_net():
+    x = np.array([[0, 1, 2, 0],
+                  [3, 0, 0, 1],
+                  [0, 2, 0, 2],
+                  [1, 0, 3, 0]])
+    return TypedNetwork(x, [0, 0, 1, 1], n_types=3, n_subgraphs=2)
 
 
 class TestTypedNetwork:
@@ -27,6 +35,9 @@ class TestTypedNetwork:
             net.edge_types[0, 1] = 5
         with pytest.raises(ValueError):
             net.subgraph_of[0] = 1
+        for arr in (net.src, net.dst, net.types):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_inputs_are_copied(self):
         x = np.array([[0, 1], [1, 0]])
@@ -68,20 +79,24 @@ class TestTypedNetwork:
 
 
 class TestOffdiagonal:
+    """The network keeps only the off-diagonal entries of its input."""
+
     def test_zeroes_diagonal_only(self):
-        x = np.array([[4, 1], [2, 9]])
-        out = offdiagonal(x)
+        net = TypedNetwork(np.array([[4, 1], [2, 9]]), [0, 0], 9, 1)
+        out = net.edge_types
         assert out[0, 0] == 0 and out[1, 1] == 0
         assert out[0, 1] == 1 and out[1, 0] == 2
+        assert len(net.src) == 2
 
     def test_input_not_mutated(self):
         x = np.array([[4, 1], [2, 9]])
-        offdiagonal(x)
+        TypedNetwork(x, [0, 0], 9, 1)
         assert x[0, 0] == 4
 
     def test_empty_matrix(self):
-        out = offdiagonal(np.zeros((0, 0), dtype=int))
-        assert out.shape == (0, 0)
+        net = TypedNetwork(np.zeros((0, 0), dtype=int), [], 1, 1)
+        assert net.edge_types.shape == (0, 0)
+        assert net.src.shape == net.dst.shape == net.types.shape == (0,)
 
 
 class TestValidateNetwork:
@@ -132,22 +147,42 @@ class TestValidateNetwork:
 
 
 class TestPresenceMatrix:
+    """``edge_indicator``: the float presence matrix, and one per type."""
+
     def test_binary_with_zero_diagonal(self):
-        a = presence_matrix(small_net())
+        a = edge_indicator(small_net())
         expected = np.array([[0, 1, 1],
                              [1, 0, 1],
                              [0, 1, 0]])
+        assert a.dtype == np.float64
         np.testing.assert_array_equal(a, expected)
 
     def test_independent_of_type_values(self):
         net = small_net()
-        retyped = np.where(offdiagonal(net.edge_types) != 0, 1, 0)
+        retyped = np.where(net.edge_types != 0, 1, 0)
         other = TypedNetwork(retyped, net.subgraph_of, 3, 2)
-        np.testing.assert_array_equal(presence_matrix(net),
-                                      presence_matrix(other))
+        np.testing.assert_array_equal(edge_indicator(net), edge_indicator(other))
 
     def test_nonzero_diagonal_input_still_zeroed(self):
         x = np.array([[2, 1], [0, 2]])
         net = TypedNetwork(x, [0, 0], n_types=2, n_subgraphs=1)
-        a = presence_matrix(net)
+        a = edge_indicator(net)
         assert a[0, 0] == 0 and a[1, 1] == 0
+        assert edge_indicator(net, 2)[0, 0] == 0
+
+    def test_single_type(self):
+        net = typed_net()
+        expected = (net.edge_types == 2).astype(np.float64)
+        np.testing.assert_array_equal(edge_indicator(net, 2), expected)
+
+    def test_union_over_types_recovers_presence(self):
+        net = typed_net()
+        union = sum(edge_indicator(net, c) for c in (1, 2, 3))
+        np.testing.assert_array_equal(union, edge_indicator(net))
+
+    def test_out_of_range_types_count_as_present(self):
+        x = np.array([[0, 5], [-1, 0]])
+        net = TypedNetwork(x, [0, 0], n_types=2, n_subgraphs=1)
+        np.testing.assert_array_equal(edge_indicator(net), [[0, 1], [1, 0]])
+        assert not edge_indicator(net, 1).any()
+        assert not edge_indicator(net, 2).any()

@@ -9,7 +9,6 @@ from rsm import (
     RestartSummary,
     RsmParams,
     VariationalState,
-    rsm_param_count,
 )
 from rsm.params import ROW_SUM_TOL, check_row_stochastic
 
@@ -34,25 +33,6 @@ class TestCheckRowStochastic:
 
     def test_empty_array_passes(self):
         check_row_stochastic(np.zeros((0, 3)), "x")
-
-
-class TestParamCount:
-    def test_minimal_dimensions(self):
-        assert rsm_param_count(1, 1, 1) == 3
-
-    def test_formula_spot_value(self):
-        # 3^2 + 4^2 * 5 + 3 * 4
-        assert rsm_param_count(3, 4, 5) == 101
-
-    def test_strictly_increasing_in_each_argument(self):
-        base = rsm_param_count(2, 3, 4)
-        assert rsm_param_count(3, 3, 4) > base
-        assert rsm_param_count(2, 4, 4) > base
-        assert rsm_param_count(2, 3, 5) > base
-
-    def test_rejects_nonpositive_dimensions(self):
-        with pytest.raises(ValueError, match="n_clusters"):
-            rsm_param_count(1, 0, 1)
 
 
 def valid_params():
