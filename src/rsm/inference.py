@@ -9,6 +9,12 @@ hyperparameter sweep (:func:`m_step_gamma`, :func:`m_step_alpha`,
 :func:`m_step_pi`) with a synchronous responsibility sweep (:func:`e_step`);
 :func:`elbo` scores the state right after a hyperparameter sweep.
 
+The ``xi`` update and the responsibility sweep are sums over present edges.
+Both read per-type neighbour sums of tau, taken from two sparse operators
+built from the network's edge list, so an iteration costs O(E K + N K^2 C)
+and no N x N array is formed; the dense indicator
+:func:`rsm.network.edge_indicator` serves only the k-medoid initializer.
+
 All updates maximize the same evidence lower bound
 
     L(q) = sum_rs log B(a_rs, b_rs)/B(a0_rs, b0_rs)
@@ -25,10 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import betaln, digamma, gammaln, xlogy
 
 from .medoids import kmedoid_init
-from .network import TypedNetwork, edge_indicator, validate_network
+from .network import TypedNetwork, validate_network
 from .params import (
     FitResult,
     PriorHyperparams,
@@ -77,7 +84,12 @@ def _check_valid(net: TypedNetwork) -> None:
 
 
 def _subgraph_onehot(subgraph_of: np.ndarray, n_subgraphs: int) -> np.ndarray:
-    return np.eye(n_subgraphs)[np.asarray(subgraph_of, dtype=np.int64)]
+    sub = np.asarray(subgraph_of, dtype=np.int64)
+    bad = np.nonzero((sub < 0) | (sub >= n_subgraphs))[0]
+    if len(bad):
+        raise ValueError(f"subgraph label {sub[bad[0]]} at vertex {bad[0]} "
+                         f"outside 0..{n_subgraphs - 1}")
+    return np.eye(n_subgraphs)[sub]
 
 
 def log_dirichlet_norm(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -93,8 +105,10 @@ def m_step_gamma(net: TypedNetwork, priors: PriorHyperparams
     For each ordered subgraph pair (r, s), ``a`` gains the number of present
     edges from r-vertices to s-vertices and ``b`` the number of absent ones;
     responsibilities play no role.  Hence a + b - (a0 + b0) equals the number
-    of ordered vertex pairs in the block.
+    of ordered vertex pairs in the block.  Networks with validation
+    violations are rejected.
     """
+    _check_valid(net)
     sub = net.subgraph_of
     n_sub = priors.n_subgraphs
     edges = np.bincount(sub[net.src] * n_sub + sub[net.dst],
@@ -110,7 +124,7 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
 
     chi[s, k] gains the total responsibility mass for cluster k among the
     vertices of subgraph s, so each row's added mass equals the subgraph
-    size.
+    size.  A subgraph label outside ``0..n_subgraphs - 1`` is rejected.
     """
     r = _subgraph_onehot(subgraph_of, priors.n_subgraphs)
     return priors.chi0 + r.T @ np.asarray(tau, dtype=np.float64)
@@ -122,38 +136,57 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
 
     xi[k, l, c] gains sum over ordered pairs (i, j), i != j, of
     tau[i, k] * tau[j, l] for each edge i->j of type c, so the total added
-    mass equals the number of present edges.
+    mass equals the number of present edges.  Networks with validation
+    violations are rejected.
     """
+    _check_valid(net)
     tau = np.asarray(tau, dtype=np.float64)
-    masks = [edge_indicator(net, c) for c in range(1, net.n_types + 1)]
-    return _update_xi(masks, tau, priors.xi0)
+    out_op = _type_operator(net, net.src, net.dst)
+    return _update_xi(_neighbour_sums(out_op, tau, net.n_types), tau, priors.xi0)
 
 
-def _update_xi(masks: list[np.ndarray], tau: np.ndarray,
-               xi0: np.ndarray) -> np.ndarray:
-    xi = np.array(xi0, copy=True)
-    for c, m in enumerate(masks):
-        xi[:, :, c] += tau.T @ m @ tau
-    return xi
+def _type_operator(net: TypedNetwork, src: np.ndarray, dst: np.ndarray
+                   ) -> sparse.csr_array:
+    """(C N) x N sparse matrix with a 1 at ((type - 1) N + src, dst) per edge.
+
+    With ``(net.src, net.dst)`` it sums over out-neighbours, with
+    ``(net.dst, net.src)`` over in-neighbours.  Types must lie in
+    ``1..n_types``.
+    """
+    n = net.n_vertices
+    return sparse.csr_array((np.ones(len(src)), ((net.types - 1) * n + src, dst)),
+                            shape=(net.n_types * n, n))
 
 
-def _scores(masks: list[np.ndarray], tau: np.ndarray, chi: np.ndarray,
+def _neighbour_sums(op: sparse.csr_array, tau: np.ndarray, n_types: int
+                    ) -> np.ndarray:
+    """N x (C K) neighbour sums: entry (i, c K + l) is the sum of tau[j, l]
+    over the type-c neighbours j of i that ``op`` selects."""
+    n, k = tau.shape
+    return (op @ tau).reshape(n_types, n, k).transpose(1, 0, 2).reshape(n, n_types * k)
+
+
+def _update_xi(out_sums: np.ndarray, tau: np.ndarray, xi0: np.ndarray) -> np.ndarray:
+    k, c = tau.shape[1], xi0.shape[2]
+    return xi0 + (tau.T @ out_sums).reshape(k, c, k).transpose(0, 2, 1)
+
+
+def _scores(out_sums: np.ndarray, in_sums: np.ndarray, chi: np.ndarray,
             xi: np.ndarray, subgraph_of: np.ndarray) -> np.ndarray:
     """Log responsibility scores, one row per vertex, before normalization.
 
     Row i combines the expected log mixing weight of i's subgraph with, for
     every present edge touching i, the expected log type probability under
     the neighbor's current responsibilities: edges i->j read slice
-    xi[k, l, :] and edges j->i read slice xi[l, k, :].
+    xi[k, l, :] and edges j->i read slice xi[l, k, :].  ``out_sums`` and
+    ``in_sums`` are the neighbour sums of tau over out- and in-edges.
     """
+    k, c = xi.shape[1], xi.shape[2]
     elog_alpha = digamma(chi) - digamma(chi.sum(axis=1, keepdims=True))
     elog_pi = digamma(xi) - digamma(xi.sum(axis=2, keepdims=True))
-    scores = elog_alpha[np.asarray(subgraph_of, dtype=np.int64)].copy()
-    for c, m in enumerate(masks):
-        e = elog_pi[:, :, c]
-        scores += (m @ tau) @ e.T
-        scores += (m.T @ tau) @ e
-    return scores
+    return (elog_alpha[np.asarray(subgraph_of, dtype=np.int64)]
+            + out_sums @ elog_pi.transpose(2, 1, 0).reshape(c * k, k)
+            + in_sums @ elog_pi.transpose(2, 0, 1).reshape(c * k, k))
 
 
 def _normalize_scores(scores: np.ndarray) -> np.ndarray:
@@ -172,9 +205,13 @@ def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
 
     Every row of the returned tau is computed from the previous tau (no
     in-sweep feedback), normalized in the log domain, and sums to 1.
+    Networks with validation violations are rejected.
     """
-    masks = [edge_indicator(net, c) for c in range(1, net.n_types + 1)]
-    scores = _scores(masks, state.tau, state.chi, state.xi, net.subgraph_of)
+    _check_valid(net)
+    tau, c = state.tau, net.n_types
+    out_sums = _neighbour_sums(_type_operator(net, net.src, net.dst), tau, c)
+    in_sums = _neighbour_sums(_type_operator(net, net.dst, net.src), tau, c)
+    scores = _scores(out_sums, in_sums, state.chi, state.xi, net.subgraph_of)
     return _normalize_scores(scores)
 
 
@@ -225,7 +262,8 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
                          f"got shape {tau.shape}")
     check_row_stochastic(tau, "tau0")
 
-    masks = [edge_indicator(net, c) for c in range(1, net.n_types + 1)]
+    out_op = _type_operator(net, net.src, net.dst)
+    in_op = _type_operator(net, net.dst, net.src)
     sub = net.subgraph_of
     a, b = m_step_gamma(net, priors)
 
@@ -236,7 +274,8 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     state = None
     for _ in range(max_iterations):
         chi = m_step_alpha(sub, tau, priors)
-        xi = _update_xi(masks, tau, priors.xi0)
+        out_sums = _neighbour_sums(out_op, tau, net.n_types)
+        xi = _update_xi(out_sums, tau, priors.xi0)
         state = VariationalState(tau=tau, chi=chi, a=a, b=b, xi=xi)
         trace.append(elbo(net, state, priors))
         current = np.concatenate([chi.ravel(), a.ravel(), b.ravel(), xi.ravel()])
@@ -244,7 +283,8 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
             converged = True
             break
         previous = current
-        tau = _normalize_scores(_scores(masks, tau, chi, xi, sub))
+        in_sums = _neighbour_sums(in_op, tau, net.n_types)
+        tau = _normalize_scores(_scores(out_sums, in_sums, chi, xi, sub))
 
     return state, np.asarray(trace), converged
 

@@ -6,8 +6,9 @@ one entry per present edge i -> j (i != j) in row-major order, with the
 edge's type in ``types``.  Every vertex additionally carries an observed
 subgraph label (0-indexed in memory; file formats are 1-indexed, see
 :mod:`rsm.io`).  :func:`edge_indicator` is the one place that expands the
-edge list into a dense N x N indicator, for the matrix products that need
-one.
+edge list into a dense N x N indicator; its one consumer is the k-medoid
+discordance (:func:`rsm.medoids.distance_matrix`).  The variational updates
+in :mod:`rsm.inference` read the edge list through sparse operators.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def edge_indicator(net: TypedNetwork, edge_type: int | None = None) -> np.ndarra
 
     Entry (i, j) is 1.0 where the edge i -> j is present (and, given
     ``edge_type``, has that type), else 0.0; the diagonal is 0.  Without
-    ``edge_type`` every present edge counts, whatever its type.
+    ``edge_type`` every present edge counts, whatever its type.  Used by the
+    k-medoid discordance, whose all-pairs products are dense anyway.
     """
     keep = slice(None) if edge_type is None else net.types == edge_type
     out = np.zeros((net.n_vertices, net.n_vertices))

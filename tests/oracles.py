@@ -6,12 +6,21 @@ recurrence-plus-asymptotic-series digamma and ``math.lgamma``, the counting
 statistics come from explicit nested loops, and the enumeration oracle walks
 ``itertools.product``.  Agreement between these and the vectorized
 implementations is evidence for both sides.
+
+The dense sweep at the end (:func:`dense_fit`) is a differential reference
+of another kind: the update loop as the library ran it on N x N type masks
+before the sweep moved to sparse neighbour sums.  It shares the unchanged
+bound and mixing and presence updates with the package, so it checks the
+sparse ``xi`` update and responsibility sweep alone.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.special import digamma as scipy_digamma
+
+from rsm import VariationalState, elbo, m_step_alpha, m_step_gamma
 
 
 def digamma(x):
@@ -320,3 +329,63 @@ def enumeration_evidence(x, sub, n_clusters, chi0, a0, b0, xi0):
         log_terms.append(term)
     top = max(log_terms)
     return top + math.log(sum(math.exp(t - top) for t in log_terms))
+
+
+def dense_type_masks(net):
+    """One float64 N x N indicator per edge type 1..n_types."""
+    x = net.edge_types
+    return [(x == c).astype(np.float64) for c in range(1, net.n_types + 1)]
+
+
+def dense_update_xi(masks, tau, xi0):
+    """xi0 plus the expected type counts, one N x N mask product per type."""
+    xi = np.array(xi0, dtype=np.float64, copy=True)
+    for c, m in enumerate(masks):
+        xi[:, :, c] += tau.T @ m @ tau
+    return xi
+
+
+def dense_scores(masks, tau, chi, xi, subgraph_of):
+    """Log responsibility scores before normalization, from the dense masks:
+    out-edges read xi[k, l, :] and in-edges xi[l, k, :]."""
+    chi = np.asarray(chi, dtype=np.float64)
+    xi = np.asarray(xi, dtype=np.float64)
+    elog_alpha = scipy_digamma(chi) - scipy_digamma(chi.sum(axis=1, keepdims=True))
+    elog_pi = scipy_digamma(xi) - scipy_digamma(xi.sum(axis=2, keepdims=True))
+    scores = elog_alpha[np.asarray(subgraph_of, dtype=np.int64)].copy()
+    for c, m in enumerate(masks):
+        e = elog_pi[:, :, c]
+        scores += (m @ tau) @ e.T
+        scores += (m.T @ tau) @ e
+    return scores
+
+
+def normalize_scores(scores):
+    """Row-wise softmax, shifted by each row's maximum."""
+    if scores.shape[0] == 0:
+        return np.zeros_like(scores)
+    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+def dense_fit(net, tau0, priors, max_iterations, epsilon_converge=1e-6):
+    """``fit_single``'s loop on the dense masks: (state, trace, converged)."""
+    masks = dense_type_masks(net)
+    tau = np.asarray(tau0, dtype=np.float64)
+    a, b = m_step_gamma(net, priors)
+    previous = np.concatenate([priors.chi0.ravel(), priors.a0.ravel(),
+                               priors.b0.ravel(), priors.xi0.ravel()])
+    trace = []
+    converged = False
+    for _ in range(max_iterations):
+        chi = m_step_alpha(net.subgraph_of, tau, priors)
+        xi = dense_update_xi(masks, tau, priors.xi0)
+        state = VariationalState(tau=tau, chi=chi, a=a, b=b, xi=xi)
+        trace.append(elbo(net, state, priors))
+        current = np.concatenate([chi.ravel(), a.ravel(), b.ravel(), xi.ravel()])
+        if np.max(np.abs(current - previous), initial=0.0) < epsilon_converge:
+            converged = True
+            break
+        previous = current
+        tau = normalize_scores(dense_scores(masks, tau, chi, xi, net.subgraph_of))
+    return state, np.asarray(trace), converged

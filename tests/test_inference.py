@@ -239,6 +239,42 @@ class TestFitSingle:
             assert np.all(np.diff(trace) >= -1e-8)
 
 
+class TestUpdatesRejectInvalidNetworks:
+    """Every public update names the fault of a network that
+    ``validate_network`` rejects: one edge of type 5 with C=2 among four
+    edges, and a subgraph label -1 with S=2."""
+
+    def network(self):
+        x = np.array([[0, 1, 0],
+                      [2, 0, 5],
+                      [1, 0, 0]])
+        return TypedNetwork(x, [0, -1, 1], n_types=2, n_subgraphs=2)
+
+    def priors(self):
+        return PriorHyperparams.jeffreys(2, 2, 2)
+
+    def test_presence_update(self):
+        with pytest.raises(ValueError, match=r"invalid network: edge type 5 at \(1, 2\)"):
+            m_step_gamma(self.network(), self.priors())
+
+    def test_mixing_update(self):
+        with pytest.raises(ValueError, match="subgraph label -1 at vertex 1 outside 0..1"):
+            m_step_alpha(self.network().subgraph_of, np.full((3, 2), 0.5),
+                         self.priors())
+
+    def test_type_update(self):
+        with pytest.raises(ValueError, match=r"invalid network: edge type 5 at \(1, 2\)"):
+            m_step_pi(self.network(), np.full((3, 2), 0.5), self.priors())
+
+    def test_responsibility_update(self):
+        p = self.priors()
+        state = VariationalState(tau=np.full((3, 2), 0.5), chi=p.chi0, a=p.a0,
+                                 b=p.b0, xi=p.xi0)
+        with pytest.raises(ValueError,
+                           match="invalid network: .*subgraph label -1 at vertex 1"):
+            e_step(self.network(), state)
+
+
 class TestCountConservation:
     def test_invariants_hold_after_every_update_sweep(self):
         rng = np.random.default_rng(16)
