@@ -10,10 +10,19 @@ hyperparameter sweep (:func:`m_step_gamma`, :func:`m_step_alpha`,
 :func:`elbo` scores the state right after a hyperparameter sweep.
 
 The ``xi`` update and the responsibility sweep are sums over present edges.
-Both read per-type neighbour sums of tau, taken from two sparse operators
-built from the network's edge list, so an iteration costs O(E K + N K^2 C)
-and no N x N array is formed; the dense indicator
+Both read per-type neighbour sums of tau over out- and in-edges, taken from
+one sparse operator built from the network's edge list, so an iteration
+costs O(E K + N K^2 C) and no N x N array is formed; the dense indicator
 :func:`rsm.network.edge_indicator` serves only the k-medoid initializer.
+
+What cannot change is computed outside the loops.  :func:`fit` builds the
+k-medoid discordance matrix once and shares it across restarts
+(:func:`rsm.selection.select_k` shares one across every K).
+:func:`fit_single` builds the sparse operator and the presence update
+(``a``, ``b``) once, keeps tau and the hyperparameters as plain arrays, and
+builds one checked :class:`~rsm.params.VariationalState` on exit.  The
+prior-only normalizers of the bound are cached on the
+:class:`~rsm.params.PriorHyperparams`.
 
 All updates maximize the same evidence lower bound
 
@@ -32,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import betaln, digamma, gammaln, xlogy
+from scipy.special import betaln, digamma, xlogy
 
+from . import medoids
 from .medoids import kmedoid_init
 from .network import TypedNetwork, validate_network
 from .params import (
@@ -42,6 +52,7 @@ from .params import (
     RestartSummary,
     VariationalState,
     check_row_stochastic,
+    log_dirichlet_norm,
 )
 
 
@@ -92,12 +103,6 @@ def _subgraph_onehot(subgraph_of: np.ndarray, n_subgraphs: int) -> np.ndarray:
     return np.eye(n_subgraphs)[sub]
 
 
-def log_dirichlet_norm(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log C(x) = sum_d log Gamma(x_d) - log Gamma(sum_d x_d) along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    return gammaln(x).sum(axis=axis) - gammaln(x.sum(axis=axis))
-
-
 def m_step_gamma(net: TypedNetwork, priors: PriorHyperparams
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior Beta parameters of the presence probabilities.
@@ -141,29 +146,37 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
     """
     _check_valid(net)
     tau = np.asarray(tau, dtype=np.float64)
-    out_op = _type_operator(net, net.src, net.dst)
-    return _update_xi(_neighbour_sums(out_op, tau, net.n_types), tau, priors.xi0)
+    out_sums, _ = _neighbour_sums(_type_operator(net), tau, net.n_types)
+    return _update_xi(out_sums, tau, priors.xi0)
 
 
-def _type_operator(net: TypedNetwork, src: np.ndarray, dst: np.ndarray
-                   ) -> sparse.csr_array:
-    """(C N) x N sparse matrix with a 1 at ((type - 1) N + src, dst) per edge.
+def _type_operator(net: TypedNetwork) -> sparse.csr_array:
+    """(2 C N) x N sparse matrix of the typed out- and in-neighbours.
 
-    With ``(net.src, net.dst)`` it sums over out-neighbours, with
-    ``(net.dst, net.src)`` over in-neighbours.  Types must lie in
-    ``1..n_types``.
+    Edge i -> j of type c puts a 1 at ((c - 1) N + i, j) in the upper half
+    and at (C N + (c - 1) N + j, i) in the lower half, so one product with
+    tau gives the sums over out-neighbours and over in-neighbours.  Within a
+    row the columns ascend, as in two separate operators, so each sum adds
+    the same terms in the same order.  Types must lie in ``1..n_types``.
     """
-    n = net.n_vertices
-    return sparse.csr_array((np.ones(len(src)), ((net.types - 1) * n + src, dst)),
-                            shape=(net.n_types * n, n))
+    n, c = net.n_vertices, net.n_types
+    rows = (net.types - 1) * n
+    return sparse.csr_array(
+        (np.ones(2 * len(net.src)),
+         (np.concatenate([rows + net.src, c * n + rows + net.dst]),
+          np.concatenate([net.dst, net.src]))),
+        shape=(2 * c * n, n))
 
 
 def _neighbour_sums(op: sparse.csr_array, tau: np.ndarray, n_types: int
-                    ) -> np.ndarray:
-    """N x (C K) neighbour sums: entry (i, c K + l) is the sum of tau[j, l]
-    over the type-c neighbours j of i that ``op`` selects."""
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Out- and in-neighbour sums, each N x (C K): entry (i, c K + l) of the
+    first is the sum of tau[j, l] over the j with an edge i -> j of type c,
+    and of the second over the j with an edge j -> i of type c."""
     n, k = tau.shape
-    return (op @ tau).reshape(n_types, n, k).transpose(1, 0, 2).reshape(n, n_types * k)
+    sums = (op @ tau).reshape(2, n_types, n, k).transpose(0, 2, 1, 3)
+    out_sums, in_sums = sums.reshape(2, n, n_types * k)
+    return out_sums, in_sums
 
 
 def _update_xi(out_sums: np.ndarray, tau: np.ndarray, xi0: np.ndarray) -> np.ndarray:
@@ -208,9 +221,7 @@ def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
     Networks with validation violations are rejected.
     """
     _check_valid(net)
-    tau, c = state.tau, net.n_types
-    out_sums = _neighbour_sums(_type_operator(net, net.src, net.dst), tau, c)
-    in_sums = _neighbour_sums(_type_operator(net, net.dst, net.src), tau, c)
+    out_sums, in_sums = _neighbour_sums(_type_operator(net), state.tau, net.n_types)
     scores = _scores(out_sums, in_sums, state.chi, state.xi, net.subgraph_of)
     return _normalize_scores(scores)
 
@@ -222,15 +233,16 @@ def elbo(net: TypedNetwork, state: VariationalState,
     Valid when chi, a, b, xi are exactly the update outputs for state.tau
     (the cross-entropy terms cancel in that case); called right after each
     hyperparameter sweep during fitting.  Zero-responsibility entries
-    contribute zero entropy.
+    contribute zero entropy.  The prior terms come from the normalizers
+    cached on ``priors``.
     """
     if state.tau.shape[0] != net.n_vertices or state.chi.shape[0] != net.n_subgraphs:
         raise ValueError("state does not match the network's dimensions")
-    gamma_term = float((betaln(state.a, state.b) - betaln(priors.a0, priors.b0)).sum())
+    gamma_term = float((betaln(state.a, state.b) - priors.log_beta0).sum())
     alpha_term = float((log_dirichlet_norm(state.chi, axis=1)
-                        - log_dirichlet_norm(priors.chi0, axis=1)).sum())
+                        - priors.log_norm_chi0).sum())
     pi_term = float((log_dirichlet_norm(state.xi, axis=2)
-                     - log_dirichlet_norm(priors.xi0, axis=2)).sum())
+                     - priors.log_norm_xi0).sum())
     entropy = -float(xlogy(state.tau, state.tau).sum())
     total = gamma_term + alpha_term + pi_term + entropy
     if not np.isfinite(total):
@@ -249,6 +261,12 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     priors as the round-zero reference) drops below ``epsilon_converge``,
     or after ``max_iterations``.
 
+    The network is validated, and the neighbour-sum operator and the
+    presence update ``a``, ``b`` (which do not depend on tau) are built,
+    once before the loop.  Inside it tau, chi and xi stay plain arrays; the
+    bound reads them through an unchecked state, and the state returned is
+    built, and checked, once on exit.
+
     Returns (state, elbo_trace, converged); the state's hyperparameters
     always correspond to its tau.  Networks with validation violations are
     rejected.
@@ -262,8 +280,7 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
                          f"got shape {tau.shape}")
     check_row_stochastic(tau, "tau0")
 
-    out_op = _type_operator(net, net.src, net.dst)
-    in_op = _type_operator(net, net.dst, net.src)
+    op = _type_operator(net)
     sub = net.subgraph_of
     a, b = m_step_gamma(net, priors)
 
@@ -271,21 +288,20 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
                                priors.b0.ravel(), priors.xi0.ravel()])
     trace: list[float] = []
     converged = False
-    state = None
     for _ in range(max_iterations):
         chi = m_step_alpha(sub, tau, priors)
-        out_sums = _neighbour_sums(out_op, tau, net.n_types)
+        out_sums, in_sums = _neighbour_sums(op, tau, net.n_types)
         xi = _update_xi(out_sums, tau, priors.xi0)
-        state = VariationalState(tau=tau, chi=chi, a=a, b=b, xi=xi)
+        state = VariationalState._unchecked(tau, chi, a, b, xi)
         trace.append(elbo(net, state, priors))
         current = np.concatenate([chi.ravel(), a.ravel(), b.ravel(), xi.ravel()])
         if np.max(np.abs(current - previous), initial=0.0) < epsilon_converge:
             converged = True
             break
         previous = current
-        in_sums = _neighbour_sums(in_op, tau, net.n_types)
         tau = _normalize_scores(_scores(out_sums, in_sums, chi, xi, sub))
 
+    state = VariationalState(tau=state.tau, chi=state.chi, a=a, b=b, xi=state.xi)
     return state, np.asarray(trace), converged
 
 
@@ -297,9 +313,18 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     the highest final bound wins (ties to the lowest restart index); the
     same inputs and seed always reproduce the same result.  Networks with
     validation violations are rejected.
+
+    The discordance matrix :func:`~rsm.medoids.distance_matrix` is built
+    once here and shared by every restart's initialization.
     """
     _check_valid(net)
+    return _fit(net, config, medoids.distance_matrix(net).astype(np.float64))
 
+
+def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResult:
+    """Body of :func:`fit` on a validated network, given its float64
+    discordance matrix; :func:`rsm.selection.select_k` calls it with one
+    matrix for every K."""
     k = config.n_clusters
     priors = config.priors
     if priors is None:
@@ -315,7 +340,7 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     runs: list[tuple] = []
     errors: list[str] = []
     for r in range(config.n_restarts):
-        tau0 = kmedoid_init(net, k, seed=config.seed + r)
+        tau0 = kmedoid_init(net, k, seed=config.seed + r, distances=distances)
         try:
             state, trace, converged = fit_single(
                 net, tau0, priors,

@@ -4,6 +4,11 @@ Vertices are compared with a discordance count: for each third vertex h that
 both i and j point to, a disagreement in edge type counts 1, and likewise for
 each h pointing to both.  Edges that are not present on both sides contribute
 nothing, so the measure only reacts to differently-typed shared connections.
+
+The matrix depends on the network alone.  :func:`rsm.inference.fit` builds
+it once and hands it to :func:`kmedoid_init` for every restart, and
+:func:`rsm.selection.select_k` builds it once for every candidate K; a call
+without it builds its own.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ def distance_matrix(net: TypedNetwork) -> np.ndarray:
     return d.astype(np.int64)
 
 
-def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int) -> np.ndarray:
+def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int, *,
+                 distances: np.ndarray | None = None) -> np.ndarray:
     """Hard N x K responsibility matrix from k-medoids on the discordance.
 
     Centers are drawn among the vertices without replacement, each starting
@@ -57,17 +63,26 @@ def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int) -> np.ndarray:
 
     When ``n_clusters`` exceeds the number of vertices, every vertex becomes
     a center and the surplus clusters stay empty.
+
+    ``distances`` is ``distance_matrix(net)``, preferably already float64,
+    for callers that initialize the same network more than once; it is
+    read, never written.  Without it the matrix is built here.
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     n = net.n_vertices
+    if distances is None:
+        d = distance_matrix(net).astype(np.float64)
+    else:
+        d = np.asarray(distances, dtype=np.float64)
+        if d.shape != (n, n):
+            raise ValueError(f"distances must have shape {(n, n)} for a "
+                             f"{n}-vertex network, got shape {d.shape}")
     if n == 0:
         return np.zeros((0, n_clusters))
     k_used = min(n_clusters, n)
     rng = np.random.default_rng(seed)
     centers = rng.choice(n, size=k_used, replace=False)
-
-    d = distance_matrix(net).astype(np.float64)
     assign = np.argmin(d[:, centers], axis=1)
     for _ in range(MAX_MEDOID_ROUNDS):
         sums, sizes = _cluster_sums(d, assign, k_used)

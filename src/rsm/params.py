@@ -7,8 +7,10 @@ edge types, N = number of vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.special import betaln, gammaln
 
 from .network import _readonly
 
@@ -27,6 +29,12 @@ def check_row_stochastic(arr: np.ndarray, name: str, tol: float = ROW_SUM_TOL) -
     if not np.all(np.abs(sums - 1.0) <= tol):
         worst = float(np.max(np.abs(sums - 1.0)))
         raise ValueError(f"{name} rows must sum to 1 (worst deviation {worst:.3e})")
+
+
+def log_dirichlet_norm(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log C(x) = sum_d log Gamma(x_d) - log Gamma(sum_d x_d) along ``axis``."""
+    x = np.asarray(x, dtype=np.float64)
+    return gammaln(x).sum(axis=axis) - gammaln(x.sum(axis=axis))
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,11 @@ class PriorHyperparams:
     All entries must be strictly positive.  The default used throughout is
     the noninformative value 1/2 everywhere (:meth:`jeffreys`); the flat
     alternative is 1 everywhere (:meth:`uniform`).
+
+    The prior-only normalizers of the bound (:attr:`log_beta0`,
+    :attr:`log_norm_chi0`, :attr:`log_norm_xi0`) are computed on first use
+    and kept, so :func:`rsm.inference.elbo` does not recompute them on every
+    iteration.
     """
 
     chi0: np.ndarray
@@ -157,6 +170,21 @@ class PriorHyperparams:
     def n_types(self) -> int:
         return self.xi0.shape[2]
 
+    @cached_property
+    def log_beta0(self) -> np.ndarray:
+        """S x S array log B(a0, b0)."""
+        return _readonly(betaln(self.a0, self.b0))
+
+    @cached_property
+    def log_norm_chi0(self) -> np.ndarray:
+        """Length-S array of log C(chi0_s)."""
+        return _readonly(log_dirichlet_norm(self.chi0, axis=1))
+
+    @cached_property
+    def log_norm_xi0(self) -> np.ndarray:
+        """K x K array of log C(xi0_kl)."""
+        return _readonly(log_dirichlet_norm(self.xi0, axis=2))
+
 
 @dataclass(frozen=True)
 class VariationalState:
@@ -203,6 +231,19 @@ class VariationalState:
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "b", _readonly(b))
         object.__setattr__(self, "xi", _readonly(xi))
+
+    @classmethod
+    def _unchecked(cls, tau, chi, a, b, xi) -> "VariationalState":
+        """A state over the given float64 arrays, neither copied nor checked.
+
+        For the update loop, which builds one per iteration from arrays it
+        has just computed; :func:`rsm.inference.fit_single` returns a state
+        built by the checking constructor.
+        """
+        state = object.__new__(cls)
+        for name, value in (("tau", tau), ("chi", chi), ("a", a), ("b", b), ("xi", xi)):
+            object.__setattr__(state, name, value)
+        return state
 
     @property
     def n_vertices(self) -> int:

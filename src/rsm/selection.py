@@ -10,7 +10,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from .inference import FitConfig, fit
+import numpy as np
+
+from . import medoids
+from .inference import FitConfig, _check_valid, _fit
 from .network import TypedNetwork
 from .params import FitResult
 
@@ -51,6 +54,10 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     :func:`~rsm.inference.fit`), so runs are reproducible and independent of
     enumeration order.  ``config.priors`` must be None: shape-correct priors
     at ``config.prior_concentration`` are built per K.
+
+    The network is validated and its discordance matrix
+    (:func:`~rsm.medoids.distance_matrix`) built once, here; every K's fit
+    initializes its restarts from that one matrix.
     """
     ks = sorted({int(k) for k in k_values})
     if not ks:
@@ -61,12 +68,14 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
         raise ValueError("select_k builds priors per K; leave config.priors unset "
                          "and use config.prior_concentration")
 
+    _check_valid(net)
+    distances = medoids.distance_matrix(net).astype(np.float64)
     per_k: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
     for k in ks:
         k_config = replace(config, n_clusters=k, seed=config.seed + 1000 * k)
         try:
-            per_k[k] = fit(net, k_config)
+            per_k[k] = _fit(net, k_config, distances)
         except FloatingPointError as exc:
             failures[k] = str(exc)
             logger.warning("excluding K=%d: every restart failed (%s)", k, exc)

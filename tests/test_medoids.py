@@ -1,5 +1,7 @@
 """Discordance distances and the k-medoid initializer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,21 @@ class TestKmedoidInit:
         with pytest.raises(ValueError, match="n_clusters"):
             kmedoid_init(distinct_rows_net(3), 0, seed=0)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 4), (25,), (0, 0)])
+    def test_rejects_distances_of_another_shape(self, shape):
+        net = distinct_rows_net(5)
+        message = (r"distances must have shape \(5, 5\) for a 5-vertex network, "
+                   r"got shape " + re.escape(str(shape)))
+        with pytest.raises(ValueError, match=message):
+            kmedoid_init(net, 2, seed=0, distances=np.zeros(shape))
+
+    def test_empty_network_checks_distances_too(self):
+        net = TypedNetwork(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
+                           n_types=1, n_subgraphs=1)
+        assert kmedoid_init(net, 2, seed=0, distances=np.zeros((0, 0))).shape == (0, 2)
+        with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
+            kmedoid_init(net, 2, seed=0, distances=np.zeros((1, 1)))
+
     def test_recovers_two_blocks_from_any_seed(self):
         net, group = two_block_net(6)
         d = distance_matrix(net)
@@ -224,3 +241,32 @@ class TestAgainstLoopReference:
             np.testing.assert_array_equal(distance_matrix(net), loop_distances(net))
             for seed in range(2):
                 assert_matches_loop_kmedoids(net, n_clusters, seed)
+
+
+class TestPrecomputedDistances:
+    """``kmedoid_init`` given the discordance matrix gives exactly what it
+    computes by itself, and leaves the matrix alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(networks(), st.booleans(), st.integers(1, 11), st.integers(0, 2 ** 32 - 1))
+    def test_same_labels_as_without(self, net, no_edges, n_clusters, seed):
+        if no_edges:
+            net = TypedNetwork(np.zeros((net.n_vertices,) * 2, dtype=np.int64),
+                               net.subgraph_of, net.n_types, net.n_subgraphs)
+        expected = kmedoid_init(net, n_clusters, seed)
+        d = distance_matrix(net)
+        for given_d in (d, d.astype(np.float64)):
+            before = given_d.copy()
+            np.testing.assert_array_equal(
+                kmedoid_init(net, n_clusters, seed, distances=given_d), expected)
+            np.testing.assert_array_equal(given_d, before)
+
+    @pytest.mark.parametrize("name", sorted(edge_case_networks()))
+    def test_edge_cases(self, name):
+        net = edge_case_networks()[name]
+        d = distance_matrix(net).astype(np.float64)
+        for n_clusters in (1, 2, net.n_vertices + 2):
+            for seed in range(3):
+                np.testing.assert_array_equal(
+                    kmedoid_init(net, n_clusters, seed, distances=d),
+                    kmedoid_init(net, n_clusters, seed))

@@ -9,6 +9,11 @@ differs.  ``fit_single`` is compared one iteration at a time, from its own
 state, because the sweep can amplify rounding differences over a whole
 trajectory.  A memory test requires that a fit on a sparse 2000-vertex
 network allocates far less than one N x N float64 array.
+
+``fit_single`` scores each iteration through an unchecked state and the
+prior normalizers cached on ``PriorHyperparams``; its last bound must equal,
+bit for bit, both the public ``elbo`` of the state it returns and the bound
+written out with the normalizers computed afresh.
 """
 
 import tracemalloc
@@ -19,6 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scipy.special import betaln, xlogy
+
 import oracles
 
 from rsm import (
@@ -26,9 +33,11 @@ from rsm import (
     TypedNetwork,
     VariationalState,
     e_step,
+    elbo,
     fit_single,
     m_step_pi,
 )
+from rsm.params import log_dirichlet_norm
 
 RTOL = 1e-12
 
@@ -112,6 +121,49 @@ class TestAgainstDenseMasks:
             change = max(np.max(np.abs(ref.chi - previous.chi), initial=0.0),
                          np.max(np.abs(ref.xi - previous.xi), initial=0.0))
             assert converged == (change < 1e-6)
+
+
+def uncached_elbo(state, priors):
+    """The bound with every prior normalizer computed here, in the same
+    element order as ``rsm.inference.elbo``."""
+    return (float((betaln(state.a, state.b) - betaln(priors.a0, priors.b0)).sum())
+            + float((log_dirichlet_norm(state.chi, axis=1)
+                     - log_dirichlet_norm(priors.chi0, axis=1)).sum())
+            + float((log_dirichlet_norm(state.xi, axis=2)
+                     - log_dirichlet_norm(priors.xi0, axis=2)).sum())
+            - float(xlogy(state.tau, state.tau).sum()))
+
+
+@st.composite
+def random_priors(draw, net, n_clusters):
+    positive = st.floats(0.05, 20.0)
+    s, k, c = net.n_subgraphs, n_clusters, net.n_types
+    return PriorHyperparams(
+        chi0=draw(arrays(np.float64, (s, k), elements=positive)),
+        a0=draw(arrays(np.float64, (s, s), elements=positive)),
+        b0=draw(arrays(np.float64, (s, s), elements=positive)),
+        xi0=draw(arrays(np.float64, (k, k, c), elements=positive)))
+
+
+class TestBoundConsistency:
+    @settings(max_examples=100, deadline=None)
+    @given(instances(), st.integers(1, 12), st.data())
+    def test_last_bound_is_the_public_bound_of_the_returned_state(
+            self, data, max_iterations, draw):
+        net, tau0, _, _ = data
+        priors = draw.draw(random_priors(net, tau0.shape[1]))
+        state, trace, _ = fit_single(net, tau0, priors, max_iterations=max_iterations)
+        assert isinstance(state, VariationalState)
+        for name in ("tau", "chi", "a", "b", "xi"):
+            assert not getattr(state, name).flags.writeable
+        # the returned state passes the checking constructor
+        rebuilt = VariationalState(tau=state.tau, chi=state.chi, a=state.a,
+                                   b=state.b, xi=state.xi)
+        fresh = PriorHyperparams(chi0=priors.chi0, a0=priors.a0, b0=priors.b0,
+                                 xi0=priors.xi0)
+        assert trace[-1] == elbo(net, state, priors)
+        assert trace[-1] == elbo(net, rebuilt, fresh)
+        assert trace[-1] == uncached_elbo(state, priors)
 
 
 class TestMemory:
