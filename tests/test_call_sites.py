@@ -14,8 +14,15 @@ import pytest
 
 import rsm.inference
 import rsm.medoids
-from rsm import FitConfig, benchmark_scenario, fit, fit_single, kmedoid_init, select_k
-from rsm.params import PriorHyperparams
+from rsm import (
+    FitConfig,
+    PriorHyperparams,
+    benchmark_scenario,
+    fit,
+    fit_single,
+    kmedoid_init,
+    select_k,
+)
 
 
 def count_calls(monkeypatch, module, name):
