@@ -12,8 +12,8 @@ hyperparameter sweep (:func:`m_step_gamma`, :func:`m_step_alpha`,
 The ``xi`` update and the responsibility sweep are sums over present edges.
 Both read per-type neighbour sums of tau over out- and in-edges, taken from
 one sparse operator built from the network's edge list, so an iteration
-costs O(E K + N K^2 C) and no N x N array is formed; the dense indicator
-:func:`rsm.network.edge_indicator` serves only the k-medoid initializer.
+costs O(E K + N K^2 C) and no N x N array is formed; only the k-medoid
+discordance matrix (:func:`rsm.medoids.distance_matrix`) is N x N.
 
 What cannot change is computed outside the loops.  :func:`fit` builds the
 k-medoid discordance matrix once and shares it across restarts
@@ -94,6 +94,13 @@ def _check_valid(net: TypedNetwork) -> None:
         raise ValueError("invalid network: " + "; ".join(report.violations))
 
 
+def _check_priors(priors: PriorHyperparams, expected: tuple[int, int, int]) -> None:
+    """Reject priors whose (S, K, C) differs from ``expected``."""
+    shape = (priors.n_subgraphs, priors.n_clusters, priors.n_types)
+    if shape != expected:
+        raise ValueError(f"priors shaped for (S, K, C) = {shape}, expected {expected}")
+
+
 def _subgraph_onehot(subgraph_of: np.ndarray, n_subgraphs: int) -> np.ndarray:
     sub = np.asarray(subgraph_of, dtype=np.int64)
     bad = np.nonzero((sub < 0) | (sub >= n_subgraphs))[0]
@@ -111,9 +118,10 @@ def m_step_gamma(net: TypedNetwork, priors: PriorHyperparams
     edges from r-vertices to s-vertices and ``b`` the number of absent ones;
     responsibilities play no role.  Hence a + b - (a0 + b0) equals the number
     of ordered vertex pairs in the block.  Networks with validation
-    violations are rejected.
+    violations, and priors shaped for another network, are rejected.
     """
     _check_valid(net)
+    _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
     sub = net.subgraph_of
     n_sub = priors.n_subgraphs
     edges = np.bincount(sub[net.src] * n_sub + sub[net.dst],
@@ -129,10 +137,13 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
 
     chi[s, k] gains the total responsibility mass for cluster k among the
     vertices of subgraph s, so each row's added mass equals the subgraph
-    size.  A subgraph label outside ``0..n_subgraphs - 1`` is rejected.
+    size.  A subgraph label outside ``0..n_subgraphs - 1`` is rejected, and
+    so are priors with another number of clusters than tau.
     """
+    tau = np.asarray(tau, dtype=np.float64)
+    _check_priors(priors, (priors.n_subgraphs, tau.shape[1], priors.n_types))
     r = _subgraph_onehot(subgraph_of, priors.n_subgraphs)
-    return priors.chi0 + r.T @ np.asarray(tau, dtype=np.float64)
+    return priors.chi0 + r.T @ tau
 
 
 def m_step_pi(net: TypedNetwork, tau: np.ndarray,
@@ -142,10 +153,12 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
     xi[k, l, c] gains sum over ordered pairs (i, j), i != j, of
     tau[i, k] * tau[j, l] for each edge i->j of type c, so the total added
     mass equals the number of present edges.  Networks with validation
-    violations are rejected.
+    violations, and priors shaped for another network or number of
+    clusters, are rejected.
     """
     _check_valid(net)
     tau = np.asarray(tau, dtype=np.float64)
+    _check_priors(priors, (net.n_subgraphs, tau.shape[1], net.n_types))
     out_sums, _ = _neighbour_sums(_type_operator(net), tau, net.n_types)
     return _update_xi(out_sums, tau, priors.xi0)
 
@@ -234,10 +247,12 @@ def elbo(net: TypedNetwork, state: VariationalState,
     (the cross-entropy terms cancel in that case); called right after each
     hyperparameter sweep during fitting.  Zero-responsibility entries
     contribute zero entropy.  The prior terms come from the normalizers
-    cached on ``priors``.
+    cached on ``priors``, which must be shaped for the network and the
+    state's number of clusters.
     """
     if state.tau.shape[0] != net.n_vertices or state.chi.shape[0] != net.n_subgraphs:
         raise ValueError("state does not match the network's dimensions")
+    _check_priors(priors, (net.n_subgraphs, state.tau.shape[1], net.n_types))
     gamma_term = float((betaln(state.a, state.b) - priors.log_beta0).sum())
     alpha_term = float((log_dirichlet_norm(state.chi, axis=1)
                         - priors.log_norm_chi0).sum())
@@ -268,10 +283,11 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     built, and checked, once on exit.
 
     Returns (state, elbo_trace, converged); the state's hyperparameters
-    always correspond to its tau.  Networks with validation violations are
-    rejected.
+    always correspond to its tau.  Networks with validation violations, and
+    priors shaped for another network, are rejected.
     """
     _check_valid(net)
+    _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     tau = np.asarray(tau0, dtype=np.float64)
@@ -315,32 +331,28 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     validation violations are rejected.
 
     The discordance matrix :func:`~rsm.medoids.distance_matrix` is built
-    once here and shared by every restart's initialization.
+    once here, and every restart's :func:`~rsm.medoids.kmedoid_init` reads
+    it.
     """
     _check_valid(net)
-    return _fit(net, config, medoids.distance_matrix(net).astype(np.float64))
+    return _fit(net, config, medoids.distance_matrix(net))
 
 
 def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResult:
-    """Body of :func:`fit` on a validated network, given its float64
-    discordance matrix; :func:`rsm.selection.select_k` calls it with one
-    matrix for every K."""
+    """Body of :func:`fit` on a validated network, given its discordance
+    matrix; :func:`rsm.selection.select_k` calls it with one matrix for
+    every K."""
     k = config.n_clusters
     priors = config.priors
     if priors is None:
         priors = PriorHyperparams.constant(net.n_subgraphs, k, net.n_types,
                                            config.prior_concentration)
-    if (priors.n_subgraphs, priors.n_clusters, priors.n_types) != (
-            net.n_subgraphs, k, net.n_types):
-        raise ValueError(
-            f"priors shaped for (S, K, C) = ({priors.n_subgraphs}, "
-            f"{priors.n_clusters}, {priors.n_types}), expected "
-            f"({net.n_subgraphs}, {k}, {net.n_types})")
+    _check_priors(priors, (net.n_subgraphs, k, net.n_types))
 
     runs: list[tuple] = []
     errors: list[str] = []
     for r in range(config.n_restarts):
-        tau0 = kmedoid_init(net, k, seed=config.seed + r, distances=distances)
+        tau0 = kmedoid_init(distances, k, seed=config.seed + r)
         try:
             state, trace, converged = fit_single(
                 net, tau0, priors,

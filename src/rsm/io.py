@@ -89,8 +89,7 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray]:
 
 
 def write_partition_file(path, net: TypedNetwork) -> None:
-    lines = [f"{i + 1} {net.subgraph_of[i] + 1}" for i in range(net.n_vertices)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_labels_file(path, net.subgraph_of)
 
 
 def _read_pairs(path, n_vertices: int, max_value: int, what: str) -> np.ndarray:

@@ -5,17 +5,17 @@ both i and j point to, a disagreement in edge type counts 1, and likewise for
 each h pointing to both.  Edges that are not present on both sides contribute
 nothing, so the measure only reacts to differently-typed shared connections.
 
-The matrix depends on the network alone.  :func:`rsm.inference.fit` builds
-it once and hands it to :func:`kmedoid_init` for every restart, and
-:func:`rsm.selection.select_k` builds it once for every candidate K; a call
-without it builds its own.
+The matrix depends on the network alone, so :func:`kmedoid_init` takes it as
+its input: :func:`rsm.inference.fit` builds it once with
+:func:`distance_matrix` for every restart, and
+:func:`rsm.selection.select_k` once for every candidate K.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import TypedNetwork, edge_indicator
+from .network import TypedNetwork
 
 # Cap on assignment/medoid alternations; stability is normally reached in a
 # handful of rounds.
@@ -23,29 +23,33 @@ MAX_MEDOID_ROUNDS = 50
 
 
 def distance_matrix(net: TypedNetwork) -> np.ndarray:
-    """All-pairs discordance matrix as int64.
+    """All-pairs discordance matrix, float64 with integer entries.
 
     With A the presence indicator and M_c the indicator of type c, the count
     is ``A Aᵀ + Aᵀ A`` (shared out- and in-neighbours) minus
     ``M_c M_cᵀ + M_cᵀ M_c`` summed over types (those that agree).  A present
     edge whose type lies outside ``1..n_types`` therefore agrees with
-    nothing.  The products run in float64 so that numpy hands them to BLAS;
-    every entry is an integer of at most 2(N - 2), far below 2**53, so the
-    float sums are exact in any order and the cast back to int64 is lossless.
+    nothing.  One indicator at a time is filled in from the edge list, and
+    the products run in float64 so that numpy hands them to BLAS; every
+    entry is an integer of at most 2(N - 2), far below 2**53, so the float
+    sums are exact in any order.
     """
-    a = edge_indicator(net)
-    d = a @ a.T
-    d += a.T @ a
+    m = np.zeros((net.n_vertices, net.n_vertices))
+    m[net.src, net.dst] = 1.0
+    d = m @ m.T
+    d += m.T @ m
     for c in range(1, net.n_types + 1):
-        m = edge_indicator(net, c)
+        m[net.src, net.dst] = net.types == c
         d -= m @ m.T
         d -= m.T @ m
-    return d.astype(np.int64)
+    return d
 
 
-def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int, *,
-                 distances: np.ndarray | None = None) -> np.ndarray:
+def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarray:
     """Hard N x K responsibility matrix from k-medoids on the discordance.
+
+    ``distances`` is the N x N :func:`distance_matrix` of the network; it is
+    read, never written, so one matrix serves every initialization.
 
     Centers are drawn among the vertices without replacement, each starting
     as a singleton cluster.  Vertices are then assigned to the cluster with
@@ -63,21 +67,14 @@ def kmedoid_init(net: TypedNetwork, n_clusters: int, seed: int, *,
 
     When ``n_clusters`` exceeds the number of vertices, every vertex becomes
     a center and the surplus clusters stay empty.
-
-    ``distances`` is ``distance_matrix(net)``, preferably already float64,
-    for callers that initialize the same network more than once; it is
-    read, never written.  Without it the matrix is built here.
     """
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    n = net.n_vertices
-    if distances is None:
-        d = distance_matrix(net).astype(np.float64)
-    else:
-        d = np.asarray(distances, dtype=np.float64)
-        if d.shape != (n, n):
-            raise ValueError(f"distances must have shape {(n, n)} for a "
-                             f"{n}-vertex network, got shape {d.shape}")
+    shape = np.shape(distances)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"distances must be a square matrix, got shape {shape}")
+    d = np.asarray(distances, dtype=np.float64)
+    n = shape[0]
     if n == 0:
         return np.zeros((0, n_clusters))
     k_used = min(n_clusters, n)

@@ -5,10 +5,11 @@ edge list: three equal-length int64 arrays ``src``, ``dst`` and ``types``,
 one entry per present edge i -> j (i != j) in row-major order, with the
 edge's type in ``types``.  Every vertex additionally carries an observed
 subgraph label (0-indexed in memory; file formats are 1-indexed, see
-:mod:`rsm.io`).  :func:`edge_indicator` is the one place that expands the
-edge list into a dense N x N indicator; its one consumer is the k-medoid
-discordance (:func:`rsm.medoids.distance_matrix`).  The variational updates
-in :mod:`rsm.inference` read the edge list through sparse operators.
+:mod:`rsm.io`).  The :attr:`TypedNetwork.edge_types` property is the one
+dense N x N expansion of the edge list here; the variational updates in
+:mod:`rsm.inference` read the edge list through sparse operators, and the
+k-medoid discordance (:func:`rsm.medoids.distance_matrix`) fills in its
+indicators from it.
 """
 
 from __future__ import annotations
@@ -112,20 +113,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def edge_indicator(net: TypedNetwork, edge_type: int | None = None) -> np.ndarray:
-    """Float64 N x N indicator of the edges, or of the edges of one type.
-
-    Entry (i, j) is 1.0 where the edge i -> j is present (and, given
-    ``edge_type``, has that type), else 0.0; the diagonal is 0.  Without
-    ``edge_type`` every present edge counts, whatever its type.  Used by the
-    k-medoid discordance, whose all-pairs products are dense anyway.
-    """
-    keep = slice(None) if edge_type is None else net.types == edge_type
-    out = np.zeros((net.n_vertices, net.n_vertices))
-    out[net.src[keep], net.dst[keep]] = 1.0
-    return out
 
 
 def validate_network(net: TypedNetwork) -> ValidationReport:

@@ -7,7 +7,8 @@ ground truth the variational bound is checked against: the bound must never
 exceed it.
 
 The normalizer helpers are deliberately re-implemented here rather than
-imported from :mod:`rsm.inference`, so the two routes share no formula code.
+imported from :mod:`rsm.inference`, so the two routes share no formula code;
+they share only the check that rejects invalid networks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .inference import _check_valid
 from .network import TypedNetwork
 from .params import PriorHyperparams
 
@@ -47,9 +49,11 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
     depend on enumeration order.  The edge-presence factor is identical for
     every assignment and is added once at the end.
 
-    Raises ValueError when the assignment count exceeds
-    ``limits.max_enumeration``.
+    Raises ValueError for a network with validation violations (naming
+    them, as :func:`rsm.inference.fit` does), or when the assignment count
+    exceeds ``limits.max_enumeration``.
     """
+    _check_valid(net)
     n = net.n_vertices
     k = int(n_clusters)
     if k < 1:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import medoids
 from .inference import FitConfig, _check_valid, _fit
 from .network import TypedNetwork
@@ -56,8 +54,8 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     at ``config.prior_concentration`` are built per K.
 
     The network is validated and its discordance matrix
-    (:func:`~rsm.medoids.distance_matrix`) built once, here; every K's fit
-    initializes its restarts from that one matrix.
+    (:func:`~rsm.medoids.distance_matrix`) built once, here; every K's
+    restarts pass that one matrix to :func:`~rsm.medoids.kmedoid_init`.
     """
     ks = sorted({int(k) for k in k_values})
     if not ks:
@@ -69,7 +67,7 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
                          "and use config.prior_concentration")
 
     _check_valid(net)
-    distances = medoids.distance_matrix(net).astype(np.float64)
+    distances = medoids.distance_matrix(net)
     per_k: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
     for k in ks:

@@ -9,6 +9,10 @@ reaches ``elbo``, ``m_step_alpha`` and ``m_step_gamma`` through
 ``rsm.inference``.
 """
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,10 +71,30 @@ def test_fit_single_reaches_the_traced_updates(monkeypatch, network):
     names = ("elbo", "m_step_alpha", "m_step_gamma", "validate_network")
     calls = {name: count_calls(monkeypatch, rsm.inference, name) for name in names}
     priors = PriorHyperparams.jeffreys(network.n_subgraphs, 3, network.n_types)
-    tau0 = kmedoid_init(network, 3, seed=0)
+    tau0 = kmedoid_init(rsm.medoids.distance_matrix(network), 3, seed=0)
     _, trace, _ = fit_single(network, tau0, priors, max_iterations=4)
     assert len(calls["elbo"]) == len(trace)
     assert len(calls["m_step_alpha"]) == len(trace)
     assert len(calls["m_step_gamma"]) == 1
     assert len(calls["validate_network"]) >= 1
     np.testing.assert_array_equal(calls["m_step_alpha"][0][0], network.subgraph_of)
+
+
+def wrapped_attributes():
+    """The ``(module, attribute)`` pairs that ``bench/tracing.py`` wraps,
+    read from its ``WRAPPED`` table without importing the benchmark."""
+    source = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "WRAPPED" for t in node.targets):
+            return [entry[:2] for entry in ast.literal_eval(node.value)]
+    raise AssertionError("bench/tracing.py defines no WRAPPED table")
+
+
+def test_traced_entry_points_exist():
+    pairs = wrapped_attributes()
+    assert pairs
+    missing = [f"{module}.{name}" for module, name in pairs
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"the benchmark's tracer wraps missing attributes: {missing}"

@@ -5,6 +5,8 @@ The update sweeps are checked against loop-based reference implementations
 vectorized code and the reference share no numerical plumbing.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.special
@@ -19,6 +21,7 @@ from rsm import (
     VariationalState,
     adjusted_rand_index,
     demo_spec,
+    distance_matrix,
     e_step,
     elbo,
     expand_scenario,
@@ -172,7 +175,7 @@ class TestFitSingle:
         rng = np.random.default_rng(12)
         net = random_instance(rng, 14, 2, 3, 2).network
         priors = PriorHyperparams.jeffreys(2, 3, 2)
-        tau0 = kmedoid_init(net, 3, seed=0)
+        tau0 = kmedoid_init(distance_matrix(net), 3, seed=0)
         state, trace, converged = fit_single(net, tau0, priors)
         recomputed = elbo(net, state, priors)
         # the state's hyperparameters are the update outputs for state.tau,
@@ -191,7 +194,7 @@ class TestFitSingle:
     def test_iteration_cap_reported_as_unconverged(self):
         sample = demo_sample(seed=1)
         priors = PriorHyperparams.jeffreys(2, 3, 3)
-        tau0 = kmedoid_init(sample.network, 3, seed=0)
+        tau0 = kmedoid_init(distance_matrix(sample.network), 3, seed=0)
         state, trace, converged = fit_single(sample.network, tau0, priors,
                                              max_iterations=2)
         assert len(trace) == 2
@@ -233,7 +236,7 @@ class TestFitSingle:
         rng = np.random.default_rng(15)
         for _ in range(4):
             net = random_instance(rng, 20, 2, 3, 2).network
-            tau0 = kmedoid_init(net, 3, seed=int(rng.integers(100)))
+            tau0 = kmedoid_init(distance_matrix(net), 3, seed=int(rng.integers(100)))
             priors = PriorHyperparams.jeffreys(2, 3, 2)
             _, trace, _ = fit_single(net, tau0, priors)
             assert np.all(np.diff(trace) >= -1e-8)
@@ -273,6 +276,54 @@ class TestUpdatesRejectInvalidNetworks:
         with pytest.raises(ValueError,
                            match="invalid network: .*subgraph label -1 at vertex 1"):
             e_step(self.network(), state)
+
+
+class TestPriorsShapedForAnotherNetwork:
+    """Every public update refuses priors whose (S, K, C) does not match the
+    network (S = 3, C = 3) and the responsibilities' K = 3, naming both
+    shapes, where it would otherwise fail on a reshape or broadcast."""
+
+    def network(self):
+        return random_instance(np.random.default_rng(19), 12, 3, 3, 3).network
+
+    @staticmethod
+    def refused(shape, expected):
+        message = f"priors shaped for (S, K, C) = {shape}, expected {expected}"
+        return pytest.raises(ValueError, match=re.escape(message))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (3, 3, 2), (3, 1, 1)])
+    def test_fit_single(self, shape):
+        # the priors set K; tau0 is checked against it separately
+        k = shape[1]
+        with self.refused(shape, (3, k, 3)):
+            fit_single(self.network(), np.full((12, k), 1.0 / k),
+                       PriorHyperparams.jeffreys(*shape))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (3, 3, 2), (3, 1, 1)])
+    def test_presence_update(self, shape):
+        with self.refused(shape, (3, shape[1], 3)):
+            m_step_gamma(self.network(), PriorHyperparams.jeffreys(*shape))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (3, 3, 2), (3, 1, 1)])
+    def test_type_update(self, shape):
+        with self.refused(shape, (3, 3, 3)):
+            m_step_pi(self.network(), np.full((12, 3), 1.0 / 3),
+                      PriorHyperparams.jeffreys(*shape))
+
+    @pytest.mark.parametrize("shape", [(3, 1, 3), (3, 1, 1), (2, 4, 2)])
+    def test_mixing_update(self, shape):
+        # without a network only K can be checked, against tau's columns
+        sub = np.arange(12) % shape[0]
+        with self.refused(shape, (shape[0], 3, shape[2])):
+            m_step_alpha(sub, np.full((12, 3), 1.0 / 3),
+                         PriorHyperparams.jeffreys(*shape))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (3, 3, 2), (3, 1, 1)])
+    def test_bound(self, shape):
+        net = self.network()
+        state = random_state(np.random.default_rng(20), net, 3)
+        with self.refused(shape, (3, 3, 3)):
+            elbo(net, state, PriorHyperparams.jeffreys(*shape))
 
 
 class TestCountConservation:
@@ -343,7 +394,7 @@ class TestFit:
         config = FitConfig(n_clusters=3, n_restarts=1, seed=9)
         result = fit(sample.network, config)
         priors = PriorHyperparams.jeffreys(2, 3, 3)
-        tau0 = kmedoid_init(sample.network, 3, seed=9)
+        tau0 = kmedoid_init(distance_matrix(sample.network), 3, seed=9)
         state, trace, converged = fit_single(sample.network, tau0, priors)
         np.testing.assert_array_equal(result.elbo_trace, trace)
         assert result.converged == converged
@@ -374,7 +425,8 @@ class TestFit:
     def test_rejects_mismatched_priors(self):
         sample = demo_sample(seed=7)
         priors = PriorHyperparams.jeffreys(1, 3, 3)
-        with pytest.raises(ValueError, match="priors"):
+        with pytest.raises(ValueError, match=re.escape(
+                "priors shaped for (S, K, C) = (1, 3, 3), expected (2, 3, 3)")):
             fit(sample.network, FitConfig(n_clusters=3, priors=priors))
 
     def test_prior_concentration_builds_matching_priors(self):

@@ -80,38 +80,41 @@ class TestInitDistance:
 
     def test_integer_dtype(self):
         net = distinct_rows_net(4)
-        assert np.issubdtype(distance_matrix(net).dtype, np.integer)
+        d = distance_matrix(net)
+        assert d.dtype == np.float64
+        np.testing.assert_array_equal(d, np.round(d))
 
 
 class TestKmedoidInit:
     def test_returns_hard_one_hot_rows(self):
         rng = np.random.default_rng(2)
         net = random_instance(rng, 15, 2, 3, 2).network
-        tau = kmedoid_init(net, 3, seed=0)
+        tau = kmedoid_init(distance_matrix(net), 3, seed=0)
         assert tau.shape == (15, 3)
         np.testing.assert_array_equal(tau.sum(axis=1), np.ones(15))
         assert set(np.unique(tau)) <= {0.0, 1.0}
 
     def test_single_cluster(self):
         net = distinct_rows_net(4)
-        tau = kmedoid_init(net, 1, seed=0)
+        tau = kmedoid_init(distance_matrix(net), 1, seed=0)
         np.testing.assert_array_equal(tau, np.ones((4, 1)))
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(3)
         net = random_instance(rng, 20, 1, 3, 3).network
-        np.testing.assert_array_equal(kmedoid_init(net, 3, seed=7),
-                                      kmedoid_init(net, 3, seed=7))
+        d = distance_matrix(net)
+        np.testing.assert_array_equal(kmedoid_init(d, 3, seed=7),
+                                      kmedoid_init(d, 3, seed=7))
 
     def test_empty_network(self):
         net = TypedNetwork(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
                            n_types=1, n_subgraphs=1)
-        tau = kmedoid_init(net, 4, seed=0)
+        tau = kmedoid_init(distance_matrix(net), 4, seed=0)
         assert tau.shape == (0, 4)
 
     def test_more_clusters_than_vertices(self):
         net = distinct_rows_net(5)
-        tau = kmedoid_init(net, 8, seed=1)
+        tau = kmedoid_init(distance_matrix(net), 8, seed=1)
         assert tau.shape == (5, 8)
         np.testing.assert_array_equal(tau.sum(axis=1), np.ones(5))
         # only five clusters can be seeded, so at least three stay empty
@@ -121,28 +124,30 @@ class TestKmedoidInit:
         # strictly positive pairwise distances and K = N: every vertex
         # keeps its own cluster
         net = distinct_rows_net(5)
-        tau = kmedoid_init(net, 5, seed=4)
+        tau = kmedoid_init(distance_matrix(net), 5, seed=4)
         sizes = tau.sum(axis=0)
         np.testing.assert_array_equal(np.sort(sizes), np.ones(5))
 
     def test_rejects_nonpositive_cluster_count(self):
         with pytest.raises(ValueError, match="n_clusters"):
-            kmedoid_init(distinct_rows_net(3), 0, seed=0)
+            kmedoid_init(distance_matrix(distinct_rows_net(3)), 0, seed=0)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 4), (25,), (0, 0)])
+    @pytest.mark.parametrize("shape", [(5, 4), (25,), (5, 5, 1), ()])
     def test_rejects_distances_of_another_shape(self, shape):
-        net = distinct_rows_net(5)
-        message = (r"distances must have shape \(5, 5\) for a 5-vertex network, "
-                   r"got shape " + re.escape(str(shape)))
+        message = (r"distances must be a square matrix, got shape "
+                   + re.escape(str(shape)))
         with pytest.raises(ValueError, match=message):
-            kmedoid_init(net, 2, seed=0, distances=np.zeros(shape))
+            kmedoid_init(np.zeros(shape), 2, seed=0)
 
     def test_empty_network_checks_distances_too(self):
-        net = TypedNetwork(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
-                           n_types=1, n_subgraphs=1)
-        assert kmedoid_init(net, 2, seed=0, distances=np.zeros((0, 0))).shape == (0, 2)
-        with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
-            kmedoid_init(net, 2, seed=0, distances=np.zeros((1, 1)))
+        assert kmedoid_init(np.zeros((0, 0)), 2, seed=0).shape == (0, 2)
+        with pytest.raises(ValueError, match=r"got shape \(0, 1\)"):
+            kmedoid_init(np.zeros((0, 1)), 2, seed=0)
+
+    def test_rejects_a_network(self):
+        # the network itself, where its discordance matrix belongs
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(\)"):
+            kmedoid_init(distinct_rows_net(3), 2, seed=0)
 
     def test_recovers_two_blocks_from_any_seed(self):
         net, group = two_block_net(6)
@@ -150,7 +155,7 @@ class TestKmedoidInit:
         expected = np.where(group[:, None] == group[None, :], 0, 20)
         np.testing.assert_array_equal(d, expected)
         for seed in range(15):
-            labels = np.argmax(kmedoid_init(net, 2, seed=seed), axis=1)
+            labels = np.argmax(kmedoid_init(d, 2, seed=seed), axis=1)
             # exact recovery up to cluster naming
             assert len(set(zip(group, labels))) == 2
 
@@ -174,7 +179,10 @@ def loop_distances(net):
 
 
 def assert_matches_loop_kmedoids(net, n_clusters, seed):
-    tau = kmedoid_init(net, n_clusters, seed=seed)
+    d = distance_matrix(net)
+    before = d.copy()
+    tau = kmedoid_init(d, n_clusters, seed=seed)
+    np.testing.assert_array_equal(d, before)
     n = net.n_vertices
     expected = np.zeros((n, n_clusters))
     expected[np.arange(n), oracles.kmedoid_labels(net, n_clusters, seed)] = 1.0
@@ -209,7 +217,8 @@ class TestAgainstLoopReference:
     @given(networks())
     def test_distance_matrix_equals_loop(self, net):
         d = distance_matrix(net)
-        assert d.dtype == np.int64
+        assert d.dtype == np.float64
+        np.testing.assert_array_equal(d, np.round(d))
         np.testing.assert_array_equal(d, loop_distances(net))
 
     @settings(max_examples=100, deadline=None)
@@ -244,8 +253,8 @@ class TestAgainstLoopReference:
 
 
 class TestPrecomputedDistances:
-    """``kmedoid_init`` given the discordance matrix gives exactly what it
-    computes by itself, and leaves the matrix alone."""
+    """``kmedoid_init`` reads the discordance matrix and never writes it:
+    the same counts given read-only, or as int64, give the same labels."""
 
     @settings(max_examples=100, deadline=None)
     @given(networks(), st.booleans(), st.integers(1, 11), st.integers(0, 2 ** 32 - 1))
@@ -253,20 +262,20 @@ class TestPrecomputedDistances:
         if no_edges:
             net = TypedNetwork(np.zeros((net.n_vertices,) * 2, dtype=np.int64),
                                net.subgraph_of, net.n_types, net.n_subgraphs)
-        expected = kmedoid_init(net, n_clusters, seed)
-        d = distance_matrix(net)
-        for given_d in (d, d.astype(np.float64)):
-            before = given_d.copy()
-            np.testing.assert_array_equal(
-                kmedoid_init(net, n_clusters, seed, distances=given_d), expected)
-            np.testing.assert_array_equal(given_d, before)
+        assert_same_labels_from_any_copy(distance_matrix(net), n_clusters, seed)
 
     @pytest.mark.parametrize("name", sorted(edge_case_networks()))
     def test_edge_cases(self, name):
         net = edge_case_networks()[name]
-        d = distance_matrix(net).astype(np.float64)
+        d = distance_matrix(net)
         for n_clusters in (1, 2, net.n_vertices + 2):
             for seed in range(3):
-                np.testing.assert_array_equal(
-                    kmedoid_init(net, n_clusters, seed, distances=d),
-                    kmedoid_init(net, n_clusters, seed))
+                assert_same_labels_from_any_copy(d, n_clusters, seed)
+
+
+def assert_same_labels_from_any_copy(d, n_clusters, seed):
+    expected = kmedoid_init(d, n_clusters, seed)
+    frozen = d.copy()
+    frozen.flags.writeable = False
+    for given_d in (frozen, d.astype(np.int64)):
+        np.testing.assert_array_equal(kmedoid_init(given_d, n_clusters, seed), expected)

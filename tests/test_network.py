@@ -1,10 +1,9 @@
-"""Construction, validation, and edge indicators for typed networks."""
+"""Construction and validation of typed networks."""
 
 import numpy as np
 import pytest
 
 from rsm import TypedNetwork, validate_network
-from rsm.network import edge_indicator
 
 
 def small_net():
@@ -12,14 +11,6 @@ def small_net():
                   [2, 0, 1],
                   [0, 3, 0]])
     return TypedNetwork(x, [0, 0, 1], n_types=3, n_subgraphs=2)
-
-
-def typed_net():
-    x = np.array([[0, 1, 2, 0],
-                  [3, 0, 0, 1],
-                  [0, 2, 0, 2],
-                  [1, 0, 3, 0]])
-    return TypedNetwork(x, [0, 0, 1, 1], n_types=3, n_subgraphs=2)
 
 
 class TestTypedNetwork:
@@ -145,44 +136,3 @@ class TestValidateNetwork:
         assert len(report.warnings) == 2
         assert all("no vertices" in w for w in report.warnings)
 
-
-class TestPresenceMatrix:
-    """``edge_indicator``: the float presence matrix, and one per type."""
-
-    def test_binary_with_zero_diagonal(self):
-        a = edge_indicator(small_net())
-        expected = np.array([[0, 1, 1],
-                             [1, 0, 1],
-                             [0, 1, 0]])
-        assert a.dtype == np.float64
-        np.testing.assert_array_equal(a, expected)
-
-    def test_independent_of_type_values(self):
-        net = small_net()
-        retyped = np.where(net.edge_types != 0, 1, 0)
-        other = TypedNetwork(retyped, net.subgraph_of, 3, 2)
-        np.testing.assert_array_equal(edge_indicator(net), edge_indicator(other))
-
-    def test_nonzero_diagonal_input_still_zeroed(self):
-        x = np.array([[2, 1], [0, 2]])
-        net = TypedNetwork(x, [0, 0], n_types=2, n_subgraphs=1)
-        a = edge_indicator(net)
-        assert a[0, 0] == 0 and a[1, 1] == 0
-        assert edge_indicator(net, 2)[0, 0] == 0
-
-    def test_single_type(self):
-        net = typed_net()
-        expected = (net.edge_types == 2).astype(np.float64)
-        np.testing.assert_array_equal(edge_indicator(net, 2), expected)
-
-    def test_union_over_types_recovers_presence(self):
-        net = typed_net()
-        union = sum(edge_indicator(net, c) for c in (1, 2, 3))
-        np.testing.assert_array_equal(union, edge_indicator(net))
-
-    def test_out_of_range_types_count_as_present(self):
-        x = np.array([[0, 5], [-1, 0]])
-        net = TypedNetwork(x, [0, 0], n_types=2, n_subgraphs=1)
-        np.testing.assert_array_equal(edge_indicator(net), [[0, 1], [1, 0]])
-        assert not edge_indicator(net, 1).any()
-        assert not edge_indicator(net, 2).any()

@@ -120,6 +120,21 @@ class TestExactLogEvidence:
             exact_log_evidence(one_edge_net(), 0, priors)
 
 
+    @pytest.mark.parametrize("edge_type, sub, message", [
+        (-1, [0, 0, 1], r"edge type -1 at \(1, 2\) outside 0..2"),
+        (5, [0, 0, 1], r"edge type 5 at \(1, 2\) outside 0..2"),
+        (2, [0, -1, 1], r"subgraph label -1 at vertex 1 outside 0..1"),
+    ])
+    def test_rejects_invalid_networks(self, edge_type, sub, message):
+        # type -1 would count as type C, label -1 as subgraph S - 1, and
+        # type 5 would index past the type axis
+        x = np.array([[0, 1, 0],
+                      [2, 0, edge_type],
+                      [1, 0, 0]])
+        net = TypedNetwork(x, sub, n_types=2, n_subgraphs=2)
+        with pytest.raises(ValueError, match="invalid network: " + message):
+            exact_log_evidence(net, 2, PriorHyperparams.jeffreys(2, 2, 2))
+
 class TestBoundAgainstOracle:
     def test_variational_bound_stays_below_the_evidence(self):
         rng = np.random.default_rng(5)
