@@ -95,8 +95,10 @@ def _check_valid(net: TypedNetwork) -> None:
 
 
 def _check_priors(priors: PriorHyperparams, expected: tuple[int, int, int]) -> None:
-    """Reject priors whose (S, K, C) differs from ``expected``."""
-    shape = (priors.n_subgraphs, priors.n_clusters, priors.n_types)
+    """Reject priors whose (S, K, C) differs from ``expected``.  Read from
+    the array shapes directly: the bound and the mixing update check on
+    every iteration."""
+    shape = priors.chi0.shape + priors.xi0.shape[2:]
     if shape != expected:
         raise ValueError(f"priors shaped for (S, K, C) = {shape}, expected {expected}")
 

@@ -39,6 +39,7 @@ def distance_matrix(net: TypedNetwork) -> np.ndarray:
     d = m @ m.T
     d += m.T @ m
     for c in range(1, net.n_types + 1):
+        # rewriting every edge position clears the previous indicator
         m[net.src, net.dst] = net.types == c
         d -= m @ m.T
         d -= m.T @ m
