@@ -95,9 +95,7 @@ def _check_valid(net: TypedNetwork) -> None:
 
 
 def _check_priors(priors: PriorHyperparams, expected: tuple[int, int, int]) -> None:
-    """Reject priors whose (S, K, C) differs from ``expected``.  Read from
-    the array shapes directly: the bound and the mixing update check on
-    every iteration."""
+    """Reject priors whose (S, K, C) is not ``expected``: one tuple compare."""
     shape = priors.chi0.shape + priors.xi0.shape[2:]
     if shape != expected:
         raise ValueError(f"priors shaped for (S, K, C) = {shape}, expected {expected}")
@@ -119,8 +117,8 @@ def m_step_gamma(net: TypedNetwork, priors: PriorHyperparams
     For each ordered subgraph pair (r, s), ``a`` gains the number of present
     edges from r-vertices to s-vertices and ``b`` the number of absent ones;
     responsibilities play no role.  Hence a + b - (a0 + b0) equals the number
-    of ordered vertex pairs in the block.  Networks with validation
-    violations, and priors shaped for another network, are rejected.
+    of ordered vertex pairs in the block.  Invalid networks, and priors
+    shaped for another network, are rejected.
     """
     _check_valid(net)
     _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
@@ -139,8 +137,8 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
 
     chi[s, k] gains the total responsibility mass for cluster k among the
     vertices of subgraph s, so each row's added mass equals the subgraph
-    size.  A subgraph label outside ``0..n_subgraphs - 1`` is rejected, and
-    so are priors with another number of clusters than tau.
+    size.  A subgraph label outside ``0..n_subgraphs - 1``, or tau with
+    another K than the priors, is rejected.
     """
     tau = np.asarray(tau, dtype=np.float64)
     _check_priors(priors, (priors.n_subgraphs, tau.shape[1], priors.n_types))
@@ -154,9 +152,8 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
 
     xi[k, l, c] gains sum over ordered pairs (i, j), i != j, of
     tau[i, k] * tau[j, l] for each edge i->j of type c, so the total added
-    mass equals the number of present edges.  Networks with validation
-    violations, and priors shaped for another network or number of
-    clusters, are rejected.
+    mass equals the number of present edges.  Invalid networks, and priors
+    shaped for another network or K, are rejected.
     """
     _check_valid(net)
     tau = np.asarray(tau, dtype=np.float64)
@@ -249,8 +246,7 @@ def elbo(net: TypedNetwork, state: VariationalState,
     (the cross-entropy terms cancel in that case); called right after each
     hyperparameter sweep during fitting.  Zero-responsibility entries
     contribute zero entropy.  The prior terms come from the normalizers
-    cached on ``priors``, which must be shaped for the network and the
-    state's number of clusters.
+    cached on ``priors``, which must match the network and the state's K.
     """
     if state.tau.shape[0] != net.n_vertices or state.chi.shape[0] != net.n_subgraphs:
         raise ValueError("state does not match the network's dimensions")
@@ -333,8 +329,7 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     validation violations are rejected.
 
     The discordance matrix :func:`~rsm.medoids.distance_matrix` is built
-    once here, and every restart's :func:`~rsm.medoids.kmedoid_init` reads
-    it.
+    once here and read by every restart's :func:`~rsm.medoids.kmedoid_init`.
     """
     _check_valid(net)
     return _fit(net, config, medoids.distance_matrix(net))

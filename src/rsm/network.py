@@ -6,10 +6,9 @@ one entry per present edge i -> j (i != j) in row-major order, with the
 edge's type in ``types``.  Every vertex additionally carries an observed
 subgraph label (0-indexed in memory; file formats are 1-indexed, see
 :mod:`rsm.io`).  The :attr:`TypedNetwork.edge_types` property is the one
-dense N x N expansion of the edge list here; the variational updates in
-:mod:`rsm.inference` read the edge list through sparse operators, and the
-k-medoid discordance (:func:`rsm.medoids.distance_matrix`) fills in its
-indicators from it.
+dense N x N expansion of the edge list here; everything else in the library
+(the sparse operators of :mod:`rsm.inference`, the k-medoid discordance of
+:mod:`rsm.medoids`) reads the edge list itself.
 """
 
 from __future__ import annotations

@@ -49,9 +49,8 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
     depend on enumeration order.  The edge-presence factor is identical for
     every assignment and is added once at the end.
 
-    Raises ValueError for a network with validation violations (naming
-    them, as :func:`rsm.inference.fit` does), or when the assignment count
-    exceeds ``limits.max_enumeration``.
+    Raises ValueError for an invalid network, as :func:`rsm.inference.fit`
+    does, or when the assignment count exceeds ``limits.max_enumeration``.
     """
     _check_valid(net)
     n = net.n_vertices
