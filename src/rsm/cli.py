@@ -105,10 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_validated(args) -> TypedNetwork:
     net = load_network(args.network, args.partition)
-    report = validate_network(net)
-    if not report.ok:
-        raise ValueError("invalid network: " + "; ".join(report.violations))
-    for warning in report.warnings:
+    for warning in validate_network(net).warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return net
 

@@ -45,7 +45,8 @@ from scipy.special import betaln, digamma, xlogy
 
 from . import medoids
 from .medoids import kmedoid_init
-from .network import TypedNetwork, validate_network
+# validate_network stays an attribute here because bench/tracing.py wraps it
+from .network import TypedNetwork, validate_network  # noqa: F401
 from .params import (
     FitResult,
     PriorHyperparams,
@@ -88,26 +89,11 @@ class FitConfig:
                 f"prior_concentration must be > 0, got {self.prior_concentration}")
 
 
-def _check_valid(net: TypedNetwork) -> None:
-    report = validate_network(net)
-    if not report.ok:
-        raise ValueError("invalid network: " + "; ".join(report.violations))
-
-
 def _check_priors(priors: PriorHyperparams, expected: tuple[int, int, int]) -> None:
     """Reject priors whose (S, K, C) is not ``expected``: one tuple compare."""
     shape = priors.chi0.shape + priors.xi0.shape[2:]
     if shape != expected:
         raise ValueError(f"priors shaped for (S, K, C) = {shape}, expected {expected}")
-
-
-def _subgraph_onehot(subgraph_of: np.ndarray, n_subgraphs: int) -> np.ndarray:
-    sub = np.asarray(subgraph_of, dtype=np.int64)
-    bad = np.nonzero((sub < 0) | (sub >= n_subgraphs))[0]
-    if len(bad):
-        raise ValueError(f"subgraph label {sub[bad[0]]} at vertex {bad[0]} "
-                         f"outside 0..{n_subgraphs - 1}")
-    return np.eye(n_subgraphs)[sub]
 
 
 def m_step_gamma(net: TypedNetwork, priors: PriorHyperparams
@@ -117,10 +103,9 @@ def m_step_gamma(net: TypedNetwork, priors: PriorHyperparams
     For each ordered subgraph pair (r, s), ``a`` gains the number of present
     edges from r-vertices to s-vertices and ``b`` the number of absent ones;
     responsibilities play no role.  Hence a + b - (a0 + b0) equals the number
-    of ordered vertex pairs in the block.  Invalid networks, and priors
-    shaped for another network, are rejected.
+    of ordered vertex pairs in the block.  Priors shaped for another network
+    are rejected.
     """
-    _check_valid(net)
     _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
     sub = net.subgraph_of
     n_sub = priors.n_subgraphs
@@ -137,13 +122,19 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
 
     chi[s, k] gains the total responsibility mass for cluster k among the
     vertices of subgraph s, so each row's added mass equals the subgraph
-    size.  A subgraph label outside ``0..n_subgraphs - 1``, or tau with
-    another K than the priors, is rejected.
+    size.  A subgraph label outside the priors' ``0..S - 1``, or tau with
+    another K than the priors, is rejected; either message names the
+    priors' (S, K, C).
     """
     tau = np.asarray(tau, dtype=np.float64)
-    _check_priors(priors, (priors.n_subgraphs, tau.shape[1], priors.n_types))
-    r = _subgraph_onehot(subgraph_of, priors.n_subgraphs)
-    return priors.chi0 + r.T @ tau
+    shape = (priors.n_subgraphs, priors.n_clusters, priors.n_types)
+    _check_priors(priors, (shape[0], tau.shape[1], shape[2]))
+    sub = np.asarray(subgraph_of, dtype=np.int64)
+    bad = np.nonzero((sub < 0) | (sub >= shape[0]))[0]
+    if len(bad):
+        raise ValueError(f"subgraph label {sub[bad[0]]} at vertex {bad[0]} outside "
+                         f"0..{shape[0] - 1} of priors shaped for (S, K, C) = {shape}")
+    return priors.chi0 + np.eye(shape[0])[sub].T @ tau
 
 
 def m_step_pi(net: TypedNetwork, tau: np.ndarray,
@@ -152,10 +143,9 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
 
     xi[k, l, c] gains sum over ordered pairs (i, j), i != j, of
     tau[i, k] * tau[j, l] for each edge i->j of type c, so the total added
-    mass equals the number of present edges.  Invalid networks, and priors
-    shaped for another network or K, are rejected.
+    mass equals the number of present edges.  Priors shaped for another
+    network or K are rejected.
     """
-    _check_valid(net)
     tau = np.asarray(tau, dtype=np.float64)
     _check_priors(priors, (net.n_subgraphs, tau.shape[1], net.n_types))
     out_sums, _ = _neighbour_sums(_type_operator(net), tau, net.n_types)
@@ -169,7 +159,8 @@ def _type_operator(net: TypedNetwork) -> sparse.csr_array:
     and at (C N + (c - 1) N + j, i) in the lower half, so one product with
     tau gives the sums over out-neighbours and over in-neighbours.  Within a
     row the columns ascend, as in two separate operators, so each sum adds
-    the same terms in the same order.  Types must lie in ``1..n_types``.
+    the same terms in the same order.  Types lie in ``1..n_types``, as the
+    network's construction ensures.
     """
     n, c = net.n_vertices, net.n_types
     rows = (net.types - 1) * n
@@ -230,9 +221,7 @@ def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
 
     Every row of the returned tau is computed from the previous tau (no
     in-sweep feedback), normalized in the log domain, and sums to 1.
-    Networks with validation violations are rejected.
     """
-    _check_valid(net)
     out_sums, in_sums = _neighbour_sums(_type_operator(net), state.tau, net.n_types)
     scores = _scores(out_sums, in_sums, state.chi, state.xi, net.subgraph_of)
     return _normalize_scores(scores)
@@ -274,17 +263,15 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     priors as the round-zero reference) drops below ``epsilon_converge``,
     or after ``max_iterations``.
 
-    The network is validated, and the neighbour-sum operator and the
-    presence update ``a``, ``b`` (which do not depend on tau) are built,
-    once before the loop.  Inside it tau, chi and xi stay plain arrays; the
+    The neighbour-sum operator and the presence update ``a``, ``b`` (which
+    do not depend on tau) are built once before the loop.  Inside it tau, chi and xi stay plain arrays; the
     bound reads them through an unchecked state, and the state returned is
     built, and checked, once on exit.
 
     Returns (state, elbo_trace, converged); the state's hyperparameters
-    always correspond to its tau.  Networks with validation violations, and
-    priors shaped for another network, are rejected.
+    always correspond to its tau.  Priors shaped for another network are
+    rejected.
     """
-    _check_valid(net)
     _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -325,19 +312,16 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     Each restart r initializes from :func:`~rsm.medoids.kmedoid_init` with
     seed ``config.seed + r`` and runs :func:`fit_single`.  The restart with
     the highest final bound wins (ties to the lowest restart index); the
-    same inputs and seed always reproduce the same result.  Networks with
-    validation violations are rejected.
+    same inputs and seed always reproduce the same result.
 
     The discordance matrix :func:`~rsm.medoids.distance_matrix` is built
     once here and read by every restart's :func:`~rsm.medoids.kmedoid_init`.
     """
-    _check_valid(net)
     return _fit(net, config, medoids.distance_matrix(net))
 
 
 def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResult:
-    """Body of :func:`fit` on a validated network, given its discordance
-    matrix; :func:`rsm.selection.select_k` calls it with one matrix for
+    """Body of :func:`fit`, given the network's discordance matrix; :func:`rsm.selection.select_k` calls it with one matrix for
     every K."""
     k = config.n_clusters
     priors = config.priors

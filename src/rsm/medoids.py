@@ -27,12 +27,11 @@ def distance_matrix(net: TypedNetwork) -> np.ndarray:
 
     With A the presence indicator and M_c the indicator of type c, the count
     is ``A Aᵀ + Aᵀ A`` (shared out- and in-neighbours) minus
-    ``M_c M_cᵀ + M_cᵀ M_c`` summed over types (those that agree).  A present
-    edge whose type lies outside ``1..n_types`` therefore agrees with
-    nothing.  One indicator at a time is filled in from the edge list, and
-    the products run in float64 so that numpy hands them to BLAS; every
-    entry is an integer of at most 2(N - 2), far below 2**53, so the float
-    sums are exact in any order.
+    ``M_c M_cᵀ + M_cᵀ M_c`` summed over types (those that agree).  One
+    indicator at a time is filled in from the edge list, and the products
+    run in float64 so that numpy hands them to BLAS; every entry is an
+    integer of at most 2(N - 2), far below 2**53, so the float sums are
+    exact in any order.
     """
     m = np.zeros((net.n_vertices, net.n_vertices))
     m[net.src, net.dst] = 1.0

@@ -9,6 +9,11 @@ subgraph label (0-indexed in memory; file formats are 1-indexed, see
 dense N x N expansion of the edge list here; everything else in the library
 (the sparse operators of :mod:`rsm.inference`, the k-medoid discordance of
 :mod:`rsm.medoids`) reads the edge list itself.
+
+A :class:`TypedNetwork` is valid by construction: every edge type lies in
+``1..n_types`` and every subgraph label in ``0..n_subgraphs - 1``.
+:func:`validate_network` holds that rule; the constructor refuses a network
+it finds violations in, and code that takes a network checks it no further.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ class TypedNetwork:
     read-only row-major arrays ``src``, ``dst`` and ``types``; the
     :attr:`edge_types` property rebuilds the matrix from them.
 
-    The constructor only enforces structural consistency (shapes, counts >= 1)
-    so that malformed label and type values can still be inspected;
-    value-level checks live in :func:`validate_network`.
+    Raises ValueError for inconsistent shapes, counts below 1, types that
+    are not int64 integers, and for the violations :func:`validate_network`
+    reports (an off-diagonal type outside ``0..n_types``, a label outside
+    ``0..n_subgraphs - 1``), as ``"invalid network: "`` followed by them.
     """
 
     src: np.ndarray
@@ -65,7 +71,9 @@ class TypedNetwork:
         if x.ndim != 2 or x.shape[0] != x.shape[1]:
             raise ValueError(f"edge_types must be a square matrix, got shape {x.shape}")
         if x.size and not np.issubdtype(x.dtype, np.integer):
-            if not np.all(x == x.astype(np.int64)):
+            # NaN, inf and values past int64 fail before the cast, which
+            # would warn about them
+            if not (np.all(np.abs(x) < 2.0 ** 63) and np.all(x == x.astype(np.int64))):
                 raise ValueError("edge_types must contain integers")
         sub = np.asarray(subgraph_of)
         if sub.ndim != 1 or sub.shape[0] != x.shape[0]:
@@ -85,6 +93,9 @@ class TypedNetwork:
         object.__setattr__(self, "n_vertices", x.shape[0])
         object.__setattr__(self, "n_types", n_types)
         object.__setattr__(self, "n_subgraphs", n_subgraphs)
+        report = validate_network(self)
+        if not report.ok:
+            raise ValueError("invalid network: " + "; ".join(report.violations))
 
     @property
     def edge_types(self) -> np.ndarray:
@@ -118,8 +129,8 @@ def validate_network(net: TypedNetwork) -> ValidationReport:
     """Check label and type ranges of a network.
 
     Violations (reject): an edge type outside ``0..n_types``, or a subgraph
-    label outside ``0..n_subgraphs - 1``.  Warnings (accept): a subgraph with
-    no vertices.
+    label outside ``0..n_subgraphs - 1``; :class:`TypedNetwork` refuses a
+    network with any.  Warnings (accept): a subgraph with no vertices.
     """
     violations: list[str] = []
     warnings: list[str] = []

@@ -8,7 +8,7 @@ exceed it.
 
 The normalizer helpers are deliberately re-implemented here rather than
 imported from :mod:`rsm.inference`, so the two routes share no formula code;
-they share only the check that rejects invalid networks.
+they share only the check that rejects priors of another shape.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .inference import _check_valid
+from .inference import _check_priors
 from .network import TypedNetwork
 from .params import PriorHyperparams
 
@@ -49,17 +49,15 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
     depend on enumeration order.  The edge-presence factor is identical for
     every assignment and is added once at the end.
 
-    Raises ValueError for an invalid network, as :func:`rsm.inference.fit`
-    does, or when the assignment count exceeds ``limits.max_enumeration``.
+    Raises ValueError for priors shaped for another network or K, as
+    :func:`rsm.inference.fit` does, or when the assignment count exceeds
+    ``limits.max_enumeration``.
     """
-    _check_valid(net)
     n = net.n_vertices
     k = int(n_clusters)
     if k < 1:
         raise ValueError(f"n_clusters must be >= 1, got {k}")
-    if (priors.n_subgraphs, priors.n_clusters, priors.n_types) != (
-            net.n_subgraphs, k, net.n_types):
-        raise ValueError("priors do not match the network and n_clusters")
+    _check_priors(priors, (net.n_subgraphs, k, net.n_types))
     n_assignments = k ** n
     if n_assignments > limits.max_enumeration:
         raise ValueError(

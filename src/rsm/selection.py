@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, replace
 
 from . import medoids
-from .inference import FitConfig, _check_valid, _fit
+from .inference import FitConfig, _fit
 from .network import TypedNetwork
 from .params import FitResult
 
@@ -53,8 +53,8 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     enumeration order.  ``config.priors`` must be None: shape-correct priors
     at ``config.prior_concentration`` are built per K.
 
-    The network is validated and its discordance matrix
-    (:func:`~rsm.medoids.distance_matrix`) built once, here; every K's
+    The network's discordance matrix
+    (:func:`~rsm.medoids.distance_matrix`) is built once, here; every K's
     restarts pass that one matrix to :func:`~rsm.medoids.kmedoid_init`.
     """
     ks = sorted({int(k) for k in k_values})
@@ -66,7 +66,6 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
         raise ValueError("select_k builds priors per K; leave config.priors unset "
                          "and use config.prior_concentration")
 
-    _check_valid(net)
     distances = medoids.distance_matrix(net)
     per_k: dict[int, FitResult] = {}
     failures: dict[int, str] = {}

@@ -1,6 +1,10 @@
-"""Random-instance builders shared across test modules."""
+"""Random-instance builders, and the refusal of invalid networks, shared
+across test modules."""
+
+import re
 
 import numpy as np
+import pytest
 
 from rsm import RsmParams, VariationalState, sample_network
 
@@ -27,6 +31,13 @@ def random_instance(rng, n_vertices, n_subgraphs, n_clusters, n_types):
         rng.integers(0, n_subgraphs, size=n_vertices - n_subgraphs),
     ])
     return sample_network(params, sub, seed=int(rng.integers(2 ** 31)))
+
+
+def refused(*violations):
+    """Expect ``TypedNetwork`` construction to fail naming exactly these
+    violations, in order."""
+    message = "invalid network: " + "; ".join(violations)
+    return pytest.raises(ValueError, match=re.escape(message) + "$")
 
 
 def random_tau(rng, n_vertices, n_clusters):

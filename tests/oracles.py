@@ -197,9 +197,8 @@ def bound_value(tau, chi, a, b, xi, chi0, a0, b0, xi0):
 def init_distance(net, i, j):
     """Discordance between vertices i and j, by a loop over third vertices.
 
-    Counts each h where both i->h and j->h exist and do not share a type in
-    ``1..n_types``, plus each h where both h->i and h->j exist likewise; a
-    type outside that range agrees with nothing.  Diagonal entries of the
+    Counts each h where both i->h and j->h exist with different types, plus
+    each h where both h->i and h->j exist likewise.  Diagonal entries of the
     edge matrix are never read.
     """
     n = net.n_vertices
@@ -208,8 +207,7 @@ def init_distance(net, i, j):
     x = net.edge_types
 
     def discordant(p, q):
-        agree = p == q and 1 <= p <= net.n_types
-        return p != 0 and q != 0 and not agree
+        return p != 0 and q != 0 and p != q
 
     total = 0
     for h in range(n):

@@ -6,7 +6,8 @@ the library's observable behaviour.  ``fit`` and ``select_k`` build the
 discordance matrix through ``rsm.medoids.distance_matrix``, once per call
 and with the network as its first positional argument, and ``fit_single``
 reaches ``elbo``, ``m_step_alpha`` and ``m_step_gamma`` through
-``rsm.inference``.
+``rsm.inference``.  A network is validated once, when it is built, so none
+of ``fit``, ``fit_single`` and ``select_k`` calls ``validate_network``.
 """
 
 import ast
@@ -18,6 +19,7 @@ import pytest
 
 import rsm.inference
 import rsm.medoids
+import rsm.network
 from rsm import (
     FitConfig,
     PriorHyperparams,
@@ -68,16 +70,21 @@ def test_select_k_builds_the_discordance_matrix_once(monkeypatch, network):
 
 
 def test_fit_single_reaches_the_traced_updates(monkeypatch, network):
-    names = ("elbo", "m_step_alpha", "m_step_gamma", "validate_network")
+    names = ("elbo", "m_step_alpha", "m_step_gamma")
     calls = {name: count_calls(monkeypatch, rsm.inference, name) for name in names}
+    validations = [count_calls(monkeypatch, module, "validate_network")
+                   for module in (rsm.inference, rsm.network)]
     priors = PriorHyperparams.jeffreys(network.n_subgraphs, 3, network.n_types)
     tau0 = kmedoid_init(rsm.medoids.distance_matrix(network), 3, seed=0)
     _, trace, _ = fit_single(network, tau0, priors, max_iterations=4)
     assert len(calls["elbo"]) == len(trace)
     assert len(calls["m_step_alpha"]) == len(trace)
     assert len(calls["m_step_gamma"]) == 1
-    assert len(calls["validate_network"]) >= 1
     np.testing.assert_array_equal(calls["m_step_alpha"][0][0], network.subgraph_of)
+    config = FitConfig(n_clusters=2, n_restarts=2, max_iterations=4, seed=0)
+    fit(network, config)
+    select_k(network, range(1, 4), config)
+    assert validations == [[], []]
 
 
 def wrapped_attributes():

@@ -3,8 +3,8 @@
 Random dense matrices (including N=0, C=1, networks without edges, empty
 subgraphs, nonzero diagonals and types outside ``1..C``) are turned into
 networks; the edge list, the rebuilt matrix, the presence counts, the
-validation report and a file round trip must all agree with what the dense
-input says.
+refusal of invalid input and a file round trip must all agree with what the
+dense input says.
 """
 
 import tempfile
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from builders import refused
 
 from rsm import PriorHyperparams, TypedNetwork, m_step_gamma, validate_network
 from rsm.io import read_network_file, write_network_file
@@ -53,7 +54,7 @@ def off_diagonal(x):
 
 class TestEdgeListAgainstDenseInput:
     @settings(max_examples=100, deadline=None)
-    @given(dense_inputs())
+    @given(dense_inputs(valid=True))
     def test_edges_are_the_off_diagonal_nonzeros_in_row_major_order(self, data):
         x, sub, n_types, n_subgraphs = data
         net = TypedNetwork(x, sub, n_types, n_subgraphs)
@@ -64,7 +65,7 @@ class TestEdgeListAgainstDenseInput:
                         net.types.tolist())) == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(dense_inputs())
+    @given(dense_inputs(valid=True))
     def test_edge_types_is_the_off_diagonal_part(self, data):
         x, sub, n_types, n_subgraphs = data
         rebuilt = TypedNetwork(x, sub, n_types, n_subgraphs).edge_types
@@ -74,7 +75,6 @@ class TestEdgeListAgainstDenseInput:
     @settings(max_examples=100, deadline=None)
     @given(dense_inputs(valid=True), st.sampled_from([0.5, 1.0, 3.0]))
     def test_presence_update_equals_loop_counts(self, data, prior):
-        # m_step_gamma rejects types and labels out of range
         x, sub, n_types, n_subgraphs = data
         net = TypedNetwork(x, sub, n_types, n_subgraphs)
         priors = PriorHyperparams.constant(n_subgraphs, 2, n_types, prior)
@@ -86,20 +86,26 @@ class TestEdgeListAgainstDenseInput:
     @settings(max_examples=150, deadline=None)
     @given(dense_inputs())
     def test_violations_equal_the_dense_scan(self, data):
+        # construction raises exactly when the scan finds violations, and
+        # names all of them; a network it accepts reports none
         x, sub, n_types, n_subgraphs = data
-        report = validate_network(TypedNetwork(x, sub, n_types, n_subgraphs))
-        assert list(report.violations) == oracles.validation_violations(
-            x, sub, n_types, n_subgraphs)
+        expected = oracles.validation_violations(x, sub, n_types, n_subgraphs)
+        if expected:
+            with refused(*expected):
+                TypedNetwork(x, sub, n_types, n_subgraphs)
+        else:
+            report = validate_network(TypedNetwork(x, sub, n_types, n_subgraphs))
+            assert report.ok and report.violations == ()
 
     def test_violation_summary_past_twenty(self):
         rng = np.random.default_rng(0)
         x = rng.integers(-2, 6, size=(30, 30))
         sub = rng.integers(-1, 4, size=30)
-        report = validate_network(TypedNetwork(x, sub, 2, 2))
         expected = oracles.validation_violations(x, sub, 2, 2)
         assert any("more edge-type" in v for v in expected)
         assert any("more subgraph-label" in v for v in expected)
-        assert list(report.violations) == expected
+        with refused(*expected):
+            TypedNetwork(x, sub, 2, 2)
 
 
 class TestFileRoundTrip:

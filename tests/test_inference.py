@@ -12,7 +12,7 @@ import pytest
 import scipy.special
 
 import oracles
-from builders import random_instance, random_state, random_tau
+from builders import random_instance, random_state, random_tau, refused
 
 from rsm import (
     FitConfig,
@@ -213,24 +213,20 @@ class TestFitSingle:
 
     def test_rejects_out_of_range_edge_type(self):
         # four edges, one of type 5 > n_types: its presence would count in
-        # a and b while xi has no slot for its type
+        # a and b while xi has no slot for its type, so no such network
+        # can be built to be fitted
         x = np.array([[0, 1, 0],
                       [2, 0, 5],
                       [1, 0, 0]])
-        net = TypedNetwork(x, [0, 0, 0], n_types=2, n_subgraphs=1)
-        priors = PriorHyperparams.jeffreys(1, 2, 2)
-        with pytest.raises(ValueError, match=r"invalid network: edge type 5 at \(1, 2\)"):
-            fit_single(net, np.full((3, 2), 0.5), priors)
+        with refused("edge type 5 at (1, 2) outside 0..2"):
+            TypedNetwork(x, [0, 0, 0], n_types=2, n_subgraphs=1)
 
     def test_rejects_negative_subgraph_label(self):
         x = np.array([[0, 1, 0],
                       [2, 0, 1],
                       [1, 0, 0]])
-        net = TypedNetwork(x, [0, -1, 1], n_types=2, n_subgraphs=2)
-        priors = PriorHyperparams.jeffreys(2, 2, 2)
-        with pytest.raises(ValueError,
-                           match="invalid network: subgraph label -1 at vertex 1"):
-            fit_single(net, np.full((3, 2), 0.5), priors)
+        with refused("subgraph label -1 at vertex 1 outside 0..1"):
+            TypedNetwork(x, [0, -1, 1], n_types=2, n_subgraphs=2)
 
     def test_bound_never_decreases(self):
         rng = np.random.default_rng(15)
@@ -243,39 +239,37 @@ class TestFitSingle:
 
 
 class TestUpdatesRejectInvalidNetworks:
-    """Every public update names the fault of a network that
-    ``validate_network`` rejects: one edge of type 5 with C=2 among four
-    edges, and a subgraph label -1 with S=2."""
+    """No update can be handed a network with a fault it would misread: one
+    edge of type 5 with C=2 among four edges, or a subgraph label -1 with
+    S=2.  Construction refuses such a network, naming each fault.  The mixing
+    update takes bare labels, and checks them."""
 
-    def network(self):
-        x = np.array([[0, 1, 0],
-                      [2, 0, 5],
-                      [1, 0, 0]])
-        return TypedNetwork(x, [0, -1, 1], n_types=2, n_subgraphs=2)
-
-    def priors(self):
-        return PriorHyperparams.jeffreys(2, 2, 2)
+    x = np.array([[0, 1, 0],
+                  [2, 0, 5],
+                  [1, 0, 0]])
+    type_fault = "edge type 5 at (1, 2) outside 0..2"
+    label_fault = "subgraph label -1 at vertex 1 outside 0..1"
 
     def test_presence_update(self):
-        with pytest.raises(ValueError, match=r"invalid network: edge type 5 at \(1, 2\)"):
-            m_step_gamma(self.network(), self.priors())
+        # a and b would count the type-5 edge's presence
+        with refused(self.type_fault):
+            TypedNetwork(self.x, [0, 0, 1], n_types=2, n_subgraphs=2)
 
     def test_mixing_update(self):
-        with pytest.raises(ValueError, match="subgraph label -1 at vertex 1 outside 0..1"):
-            m_step_alpha(self.network().subgraph_of, np.full((3, 2), 0.5),
-                         self.priors())
+        with pytest.raises(ValueError, match=re.escape(
+                self.label_fault + " of priors shaped for (S, K, C) = (2, 2, 2)")):
+            m_step_alpha(np.array([0, -1, 1]), np.full((3, 2), 0.5),
+                         PriorHyperparams.jeffreys(2, 2, 2))
 
     def test_type_update(self):
-        with pytest.raises(ValueError, match=r"invalid network: edge type 5 at \(1, 2\)"):
-            m_step_pi(self.network(), np.full((3, 2), 0.5), self.priors())
+        # xi has no slot for type 5; both faults are named, types first
+        with refused(self.type_fault, self.label_fault):
+            TypedNetwork(self.x, [0, -1, 1], n_types=2, n_subgraphs=2)
 
     def test_responsibility_update(self):
-        p = self.priors()
-        state = VariationalState(tau=np.full((3, 2), 0.5), chi=p.chi0, a=p.a0,
-                                 b=p.b0, xi=p.xi0)
-        with pytest.raises(ValueError,
-                           match="invalid network: .*subgraph label -1 at vertex 1"):
-            e_step(self.network(), state)
+        # label -1 would silently read the mixing row of subgraph S - 1
+        with refused(self.label_fault):
+            TypedNetwork(np.minimum(self.x, 2), [0, -1, 1], n_types=2, n_subgraphs=2)
 
 
 class TestPriorsShapedForAnotherNetwork:
@@ -310,12 +304,19 @@ class TestPriorsShapedForAnotherNetwork:
             m_step_pi(self.network(), np.full((12, 3), 1.0 / 3),
                       PriorHyperparams.jeffreys(*shape))
 
-    @pytest.mark.parametrize("shape", [(3, 1, 3), (3, 1, 1), (2, 4, 2)])
+    @pytest.mark.parametrize("shape", [(3, 1, 3), (3, 1, 1), (2, 4, 2), (1, 3, 3)])
     def test_mixing_update(self, shape):
-        # without a network only K can be checked, against tau's columns
-        sub = np.arange(12) % shape[0]
-        with self.refused(shape, (shape[0], 3, shape[2])):
-            m_step_alpha(sub, np.full((12, 3), 1.0 / 3),
+        # without a network, K is checked against tau's columns first, then
+        # the labels against the priors' S: with S = 1 the first label 1
+        # is at vertex 1
+        if shape[1] == 3:
+            expected = pytest.raises(ValueError, match=re.escape(
+                f"subgraph label 1 at vertex 1 outside 0..0 of priors shaped "
+                f"for (S, K, C) = {shape}"))
+        else:
+            expected = self.refused(shape, (shape[0], 3, shape[2]))
+        with expected:
+            m_step_alpha(self.network().subgraph_of, np.full((12, 3), 1.0 / 3),
                          PriorHyperparams.jeffreys(*shape))
 
     @pytest.mark.parametrize("shape", [(1, 3, 3), (3, 3, 2), (3, 1, 1)])
@@ -417,10 +418,8 @@ class TestFit:
                                       np.argmax(result.state.tau, axis=1))
 
     def test_rejects_invalid_network(self):
-        x = np.array([[0, 9], [0, 0]])
-        net = TypedNetwork(x, [0, 0], n_types=2, n_subgraphs=1)
-        with pytest.raises(ValueError, match="invalid network"):
-            fit(net, FitConfig(n_clusters=2))
+        with refused("edge type 9 at (0, 1) outside 0..2"):
+            TypedNetwork(np.array([[0, 9], [0, 0]]), [0, 0], n_types=2, n_subgraphs=1)
 
     def test_rejects_mismatched_priors(self):
         sample = demo_sample(seed=7)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from builders import refused
 
 from rsm import TypedNetwork, validate_network
 
@@ -48,8 +49,10 @@ class TestTypedNetwork:
             TypedNetwork(np.zeros((2, 2), dtype=int), [0, 0, 0], 1, 1)
 
     def test_rejects_fractional_edge_types(self):
-        with pytest.raises(ValueError, match="integer"):
-            TypedNetwork(np.array([[0.0, 1.5], [0.0, 0.0]]), [0, 0], 2, 1)
+        # NaN, inf and 1e300 are refused before the integrality cast would warn
+        for value in (1.5, np.nan, np.inf, 1e300):
+            with pytest.raises(ValueError, match="edge_types must contain integers"):
+                TypedNetwork(np.array([[0.0, value], [0.0, 0.0]]), [0, 0], 2, 1)
 
     def test_accepts_integral_floats(self):
         net = TypedNetwork(np.array([[0.0, 2.0], [1.0, 0.0]]), [0, 0], 2, 1)
@@ -91,6 +94,9 @@ class TestOffdiagonal:
 
 
 class TestValidateNetwork:
+    """``validate_network`` holds the range rule; construction refuses a
+    network it finds violations in, and the report keeps the warnings."""
+
     def test_clean_network_passes(self):
         report = validate_network(small_net())
         assert report.ok
@@ -104,30 +110,24 @@ class TestValidateNetwork:
 
     def test_edge_type_above_range_is_located(self):
         x = np.array([[0, 7], [0, 0]])
-        net = TypedNetwork(x, [0, 0], n_types=3, n_subgraphs=1)
-        report = validate_network(net)
-        assert not report.ok
-        assert any("7" in v and "(0, 1)" in v for v in report.violations)
+        with refused("edge type 7 at (0, 1) outside 0..3"):
+            TypedNetwork(x, [0, 0], n_types=3, n_subgraphs=1)
 
     def test_negative_edge_type_rejected(self):
         x = np.array([[0, 0], [-2, 0]])
-        net = TypedNetwork(x, [0, 0], n_types=3, n_subgraphs=1)
-        assert not validate_network(net).ok
+        with refused("edge type -2 at (1, 0) outside 0..3"):
+            TypedNetwork(x, [0, 0], n_types=3, n_subgraphs=1)
 
     def test_subgraph_label_out_of_range(self):
-        net = TypedNetwork(np.zeros((2, 2), dtype=int), [0, 5], 1, 2)
-        report = validate_network(net)
-        assert not report.ok
-        assert any("vertex 1" in v for v in report.violations)
+        with refused("subgraph label 5 at vertex 1 outside 0..1"):
+            TypedNetwork(np.zeros((2, 2), dtype=int), [0, 5], 1, 2)
 
     def test_many_violations_are_summarized(self):
         n = 30
         x = np.full((n, n), 9)
-        net = TypedNetwork(x, np.zeros(n, dtype=int), n_types=2, n_subgraphs=1)
-        report = validate_network(net)
-        itemized = [v for v in report.violations if "more" not in v]
-        assert len(itemized) == 20
-        assert any("more edge-type violations" in v for v in report.violations)
+        itemized = [f"edge type 9 at (0, {j}) outside 0..2" for j in range(1, 21)]
+        with refused(*itemized, f"... and {n * (n - 1) - 20} more edge-type violations"):
+            TypedNetwork(x, np.zeros(n, dtype=int), n_types=2, n_subgraphs=1)
 
     def test_empty_subgraph_warns_but_passes(self):
         net = TypedNetwork(np.zeros((2, 2), dtype=int), [0, 0], 1, 3)
