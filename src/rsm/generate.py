@@ -5,7 +5,9 @@ distribution shared by all within-cluster edges, another shared by all
 between-cluster edges, and an edge probability that depends only on whether
 the two endpoints share a subgraph.  :func:`expand_scenario` turns it into
 full :class:`~rsm.params.RsmParams` tables, and :func:`sample_network` draws
-a network from any such tables.
+a network from any such tables.  The sampler keeps only the present edges,
+drawing the uniforms a block of rows at a time, and hands the edge list to
+:meth:`~rsm.network.TypedNetwork.from_edges`; no N x N array is built.
 """
 
 from __future__ import annotations
@@ -130,31 +132,61 @@ def sample_network(params: RsmParams, subgraph_of: np.ndarray,
     """Draw one network from the generative model.
 
     A single generator seeded with ``seed`` drives all draws, in a fixed
-    order: edge presences (row-major over the full matrix), then cluster
-    memberships (by vertex index), then edge types (row-major).  The same
-    seed therefore reproduces the same sample bit for bit.
+    order: one uniform per ordered vertex pair for presence (row-major over
+    the full matrix), then cluster memberships (by vertex index), then one
+    uniform per ordered pair for the type (row-major), of which only the
+    present pairs' are used.  The same seed therefore reproduces the same
+    sample bit for bit.  The pairs are drawn a block of rows at a time, so
+    memory grows with the number of edges, not with N².
     """
     subgraph_of = np.asarray(subgraph_of, dtype=np.int64)
     n = subgraph_of.shape[0]
-    s, k = params.alpha.shape
-    c = params.n_types
+    s = params.n_subgraphs
     if subgraph_of.size and (subgraph_of.min() < 0 or subgraph_of.max() >= s):
         raise ValueError(f"subgraph labels outside 0..{s - 1}")
-    rng = np.random.default_rng(seed)
+    src, dst, types, z = _draw(params, subgraph_of, np.random.default_rng(seed),
+                               max(1, _BLOCK_ELEMENTS // max(n, 1)))
+    net = TypedNetwork.from_edges(n, src, dst, types, subgraph_of,
+                                  n_types=params.n_types, n_subgraphs=s)
+    return GeneratedSample(network=net, true_labels=z, params=params)
 
-    p_edge = params.gamma[subgraph_of][:, subgraph_of]
-    present = rng.random((n, n)) < p_edge
-    np.fill_diagonal(present, False)
+
+# Uniforms per block of rows: about 8 MB of doubles per draw.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _draw(params: RsmParams, subgraph_of: np.ndarray, rng: np.random.Generator,
+          block_rows: int):
+    """The edge list ``(src, dst, types)`` and the memberships ``z`` of one
+    sample, drawing ``block_rows`` rows of uniforms at a time.
+
+    Consecutive ``rng.random`` calls continue one stream, so every block
+    height draws the same values as one N x N call.
+    """
+    n = subgraph_of.shape[0]
+    k, c = params.n_clusters, params.n_types
+    blocks = [(r0, min(r0 + block_rows, n)) for r0 in range(0, n, block_rows)]
+
+    p_edge = params.gamma[:, subgraph_of]
+    present = []
+    for r0, r1 in blocks:
+        hit = rng.random((r1 - r0, n)) < p_edge[subgraph_of[r0:r1]]
+        hit[np.arange(r1 - r0), np.arange(r0, r1)] = False
+        present.append(np.nonzero(hit))
 
     cum_alpha = np.cumsum(params.alpha[subgraph_of], axis=1)
     z = np.minimum((rng.random(n)[:, None] >= cum_alpha).sum(axis=1), k - 1)
 
-    cum_pi = np.cumsum(params.pi[z][:, z], axis=2)
-    types = np.minimum((rng.random((n, n))[..., None] >= cum_pi).sum(axis=2) + 1, c)
-    x = np.where(present, types, 0)
-
-    net = TypedNetwork(x, subgraph_of, n_types=c, n_subgraphs=s)
-    return GeneratedSample(network=net, true_labels=z, params=params)
+    cum_pi = np.cumsum(params.pi, axis=2)
+    edges = []
+    for (r0, r1), (rows, cols) in zip(blocks, present):
+        u = rng.random((r1 - r0, n))[rows, cols]
+        rows = rows + r0
+        drawn = (u[:, None] >= cum_pi[z[rows], z[cols]]).sum(axis=1) + 1
+        edges.append((rows, cols, np.minimum(drawn, c)))
+    empty = np.zeros(0, dtype=np.int64)
+    src, dst, types = (np.concatenate(part) for part in zip(*edges, (empty,) * 3))
+    return src, dst, types, z
 
 
 def benchmark_spec(which: int) -> ScenarioSpec:

@@ -12,6 +12,11 @@ Network file::
 
 Partition and label files are ``<vertex> <subgraph>`` and
 ``<vertex> <cluster>`` lines, one per vertex.
+
+A network file is read into an edge list with one numpy pass over its
+tokens, and :func:`load_network` builds the network with
+:meth:`~rsm.network.TypedNetwork.from_edges`, so reading costs grow with the
+number of edges; no N x N array is built.
 """
 
 from __future__ import annotations
@@ -51,41 +56,96 @@ def write_network_file(path, net: TypedNetwork) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_network_file(path) -> tuple[int, int, int, np.ndarray]:
-    """Parse a network file into (N, S, C, edge-type matrix)."""
+def read_network_file(path):
+    """Parse a network file into ``(N, S, C, src, dst, types)``.
+
+    ``src`` and ``dst`` are 0-indexed int64 vectors and ``types`` the int64
+    types, one entry per edge line in file order.  The edge lines are
+    checked together, with one array per check; when any line is bad, the
+    earliest bad line is reported, naming the first rule it breaks of: three
+    fields, integers, source and destination in ``1..N``, no self-loop,
+    type in ``1..C``, and no pair listed on an earlier line.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = list(_data_lines(text))
-    if not lines:
+    raw = text.split("\n")
+    counts = np.fromiter(map(len, map(str.split, raw)), dtype=np.int64, count=len(raw))
+    data = np.flatnonzero(counts)
+    if not data.size:
         _fail(path, 1, "missing header line 'rsm v1 N=<n> S=<s> C=<c>'")
-    lineno, header = lines[0]
+    header = raw[data[0]].strip()
     match = _HEADER_RE.match(header)
     if match is None:
-        _fail(path, lineno, f"bad header {header!r}, expected 'rsm v1 N=<n> S=<s> C=<c>'")
+        _fail(path, data[0] + 1,
+              f"bad header {header!r}, expected 'rsm v1 N=<n> S=<s> C=<c>'")
     n, s, c = (int(g) for g in match.groups())
     if s < 1 or c < 1:
-        _fail(path, lineno, f"S and C must be >= 1, got S={s} C={c}")
+        _fail(path, data[0] + 1, f"S and C must be >= 1, got S={s} C={c}")
 
-    x = np.zeros((n, n), dtype=np.int64)
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            _fail(path, lineno, f"expected 'src dst type', got {line!r}")
+    # Each step finds the earliest line breaking its rule and drops the
+    # lines from there on, so later steps see well-formed lines only.
+    first_bad = len(raw)
+    lines = data[1:]
+    wrong = np.flatnonzero(counts[lines] != 3)
+    if wrong.size:
+        first_bad = lines[wrong[0]]
+        lines = lines[:wrong[0]]
+    # the header is five tokens, and every line before first_bad three
+    values = _integers(text.split()[5:5 + 3 * lines.size])
+    if values.size < 3 * lines.size:
+        first_bad = lines[values.size // 3]
+        lines = lines[:values.size // 3]
+        values = values[:3 * lines.size]
+    src, dst, typ = values.reshape(-1, 3).T
+    bad = ((src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst)
+           | (typ < 1) | (typ > c))
+    # among the lines that pass, a repeated pair is blamed on its later line
+    ok = np.flatnonzero(~bad)
+    order = ok[np.lexsort((dst[ok], src[ok]))]
+    repeat = (src[order[1:]] == src[order[:-1]]) & (dst[order[1:]] == dst[order[:-1]])
+    bad[order[1:][repeat]] = True
+    if bad.any():
+        first_bad = lines[np.argmax(bad)]
+    if first_bad < len(raw):
+        _fail(path, first_bad + 1, _edge_line_problem(raw[first_bad].strip(), n, c))
+    return n, s, c, src - 1, dst - 1, typ
+
+
+def _integers(tokens: list[str]) -> np.ndarray:
+    """The int64 values that ``int`` reads from the tokens, up to the first
+    token it rejects; a value past int64 reads as 0, outside every range."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    values = []
+    for token in tokens:
         try:
-            src, dst, typ = (int(p) for p in parts)
+            value = int(token)
         except ValueError:
-            _fail(path, lineno, f"non-integer field in {line!r}")
-        if not 1 <= src <= n:
-            _fail(path, lineno, f"source vertex {src} outside 1..{n}")
-        if not 1 <= dst <= n:
-            _fail(path, lineno, f"destination vertex {dst} outside 1..{n}")
-        if src == dst:
-            _fail(path, lineno, "self-loops are not allowed")
-        if not 1 <= typ <= c:
-            _fail(path, lineno, f"edge type {typ} outside 1..{c}")
-        if x[src - 1, dst - 1] != 0:
-            _fail(path, lineno, f"duplicate edge {src} -> {dst}")
-        x[src - 1, dst - 1] = typ
-    return n, s, c, x
+            break
+        values.append(value if -2 ** 63 <= value < 2 ** 63 else 0)
+    return np.array(values, dtype=np.int64)
+
+
+def _edge_line_problem(line: str, n: int, c: int) -> str:
+    """The first rule that the edge line ``line`` breaks, as a message; a
+    line that breaks none on its own repeats an earlier pair."""
+    parts = line.split()
+    if len(parts) != 3:
+        return f"expected 'src dst type', got {line!r}"
+    try:
+        src, dst, typ = (int(p) for p in parts)
+    except ValueError:
+        return f"non-integer field in {line!r}"
+    if not 1 <= src <= n:
+        return f"source vertex {src} outside 1..{n}"
+    if not 1 <= dst <= n:
+        return f"destination vertex {dst} outside 1..{n}"
+    if src == dst:
+        return "self-loops are not allowed"
+    if not 1 <= typ <= c:
+        return f"edge type {typ} outside 1..{c}"
+    return f"duplicate edge {src} -> {dst}"
 
 
 def write_partition_file(path, net: TypedNetwork) -> None:
@@ -125,9 +185,9 @@ def read_partition_file(path, n_vertices: int, n_subgraphs: int) -> np.ndarray:
 
 def load_network(network_path, partition_path) -> TypedNetwork:
     """Read a network file and its partition file into one TypedNetwork."""
-    n, s, c, x = read_network_file(network_path)
+    n, s, c, src, dst, types = read_network_file(network_path)
     sub = read_partition_file(partition_path, n, s)
-    return TypedNetwork(x, sub, n_types=c, n_subgraphs=s)
+    return TypedNetwork.from_edges(n, src, dst, types, sub, n_types=c, n_subgraphs=s)
 
 
 def write_labels_file(path, labels: np.ndarray) -> None:

@@ -13,6 +13,8 @@ its input: :func:`rsm.inference.fit` builds it once with
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .network import TypedNetwork
@@ -20,6 +22,18 @@ from .network import TypedNetwork
 # Cap on assignment/medoid alternations; stability is normally reached in a
 # handful of rounds.
 MAX_MEDOID_ROUNDS = 50
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+# A discordance matrix larger than this is refused before it is allocated.
+PHYSICAL_MEMORY = _physical_memory()
 
 
 def distance_matrix(net: TypedNetwork) -> np.ndarray:
@@ -32,8 +46,18 @@ def distance_matrix(net: TypedNetwork) -> np.ndarray:
     run in float64 so that numpy hands them to BLAS; every entry is an
     integer of at most 2(N - 2), far below 2**53, so the float sums are
     exact in any order.
+
+    Raises ValueError, naming N and the size, when one N x N float64 matrix
+    would not fit in the machine's physical memory.
     """
-    m = np.zeros((net.n_vertices, net.n_vertices))
+    n = net.n_vertices
+    size = 8 * n * n
+    if PHYSICAL_MEMORY is not None and size > PHYSICAL_MEMORY:
+        raise ValueError(
+            f"the discordance matrix of a {n}-vertex network takes "
+            f"{size / 2 ** 30:.1f} GiB ({size} bytes), more than the "
+            f"{PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
+    m = np.zeros((n, n))
     m[net.src, net.dst] = 1.0
     d = m @ m.T
     d += m.T @ m

@@ -5,9 +5,15 @@ edge list: three equal-length int64 arrays ``src``, ``dst`` and ``types``,
 one entry per present edge i -> j (i != j) in row-major order, with the
 edge's type in ``types``.  Every vertex additionally carries an observed
 subgraph label (0-indexed in memory; file formats are 1-indexed, see
-:mod:`rsm.io`).  The :attr:`TypedNetwork.edge_types` property is the one
-dense N x N expansion of the edge list here; everything else in the library
-(the sparse operators of :mod:`rsm.inference`, the k-medoid discordance of
+:mod:`rsm.io`).
+
+A network is built by :meth:`TypedNetwork.from_edges` from an edge list in
+any order, which is how the file reader of :mod:`rsm.io` and the sampler of
+:mod:`rsm.generate` build theirs, or by the constructor from an N x N type
+matrix, which finds the matrix's off-diagonal nonzeros and takes the same
+path.  The :attr:`TypedNetwork.edge_types` property is the one dense N x N
+expansion of the edge list here; everything else in the library (the sparse
+operators of :mod:`rsm.inference`, the k-medoid discordance of
 :mod:`rsm.medoids`) reads the edge list itself.
 
 A :class:`TypedNetwork` is valid by construction: every edge type lies in
@@ -30,6 +36,23 @@ def _readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
+def _check_integers(values: np.ndarray, name: str) -> None:
+    """Refuse an array whose entries are not all int64 integers."""
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        # NaN, inf and values past int64 fail before the cast, which
+        # would warn about them
+        if not (np.all(np.abs(values) < 2.0 ** 63)
+                and np.all(values == values.astype(np.int64))):
+            raise ValueError(f"{name} must contain integers")
+
+
+def _refuse_first(src: np.ndarray, dst: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise naming the first edge flagged in ``bad``, if any."""
+    if bad.any():
+        e = np.argmax(bad)
+        raise ValueError(f"edge ({src[e]}, {dst[e]}) {what}")
+
+
 @dataclass(frozen=True, init=False)
 class TypedNetwork:
     """A directed network whose present edges carry a categorical type.
@@ -49,8 +72,9 @@ class TypedNetwork:
         Number of subgraphs S (>= 1).
 
     The network keeps the nonzero off-diagonal entries of ``edge_types`` as
-    read-only row-major arrays ``src``, ``dst`` and ``types``; the
-    :attr:`edge_types` property rebuilds the matrix from them.
+    read-only row-major arrays ``src``, ``dst`` and ``types``, built as by
+    :meth:`from_edges`; the :attr:`edge_types` property rebuilds the matrix
+    from them.
 
     Raises ValueError for inconsistent shapes, counts below 1, types that
     are not int64 integers, and for the violations :func:`validate_network`
@@ -70,27 +94,60 @@ class TypedNetwork:
         x = np.asarray(edge_types)
         if x.ndim != 2 or x.shape[0] != x.shape[1]:
             raise ValueError(f"edge_types must be a square matrix, got shape {x.shape}")
-        if x.size and not np.issubdtype(x.dtype, np.integer):
-            # NaN, inf and values past int64 fail before the cast, which
-            # would warn about them
-            if not (np.all(np.abs(x) < 2.0 ** 63) and np.all(x == x.astype(np.int64))):
-                raise ValueError("edge_types must contain integers")
+        _check_integers(x, "edge_types")
+        present = x != 0
+        np.fill_diagonal(present, False)
+        src, dst = np.nonzero(present)
+        self._set_edges(x.shape[0], src, dst, x[src, dst], subgraph_of,
+                        n_types, n_subgraphs)
+
+    @classmethod
+    def from_edges(cls, n_vertices: int, src, dst, types, subgraph_of,
+                   n_types: int, n_subgraphs: int) -> TypedNetwork:
+        """Build a network from its edge list, in any order.
+
+        ``src``, ``dst`` and ``types`` are equal-length integer vectors: the
+        0-indexed endpoints of each present edge i -> j and its type in
+        ``1..n_types``.  The edges are sorted row-major.  A vertex outside
+        ``0..n_vertices - 1``, a self-loop, a pair listed twice and a type
+        of 0 are refused with a ValueError naming the pair; everything
+        else is refused as by the dense constructor.
+        """
+        net = cls.__new__(cls)
+        net._set_edges(n_vertices, src, dst, types, subgraph_of, n_types, n_subgraphs)
+        return net
+
+    def _set_edges(self, n, src, dst, types, subgraph_of, n_types, n_subgraphs):
+        """The one construction path: check, sort and store the edge list,
+        then refuse what :func:`validate_network` finds."""
+        edges = [np.asarray(v) for v in (src, dst, types)]
+        if any(v.ndim != 1 or v.shape != edges[0].shape for v in edges):
+            raise ValueError("src, dst and types must be equal-length vectors, got "
+                             f"shapes {', '.join(str(v.shape) for v in edges)}")
+        for name, value in zip(("src", "dst", "types"), edges):
+            _check_integers(value, name)
+        src, dst, types = (v.astype(np.int64) for v in edges)
         sub = np.asarray(subgraph_of)
-        if sub.ndim != 1 or sub.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"subgraph_of must be a length-{x.shape[0]} vector, got shape {sub.shape}"
-            )
+        if sub.ndim != 1 or sub.shape[0] != n:
+            raise ValueError(f"subgraph_of must be a length-{n} vector, got shape {sub.shape}")
         if n_types < 1:
             raise ValueError(f"n_types must be >= 1, got {n_types}")
         if n_subgraphs < 1:
             raise ValueError(f"n_subgraphs must be >= 1, got {n_subgraphs}")
-        present = x != 0
-        np.fill_diagonal(present, False)
-        src, dst = np.nonzero(present)
-        for name, value in (("src", src), ("dst", dst), ("types", x[src, dst]),
+        _refuse_first(src, dst, (src < 0) | (src >= n) | (dst < 0) | (dst >= n),
+                      f"has a vertex outside 0..{n - 1}")
+        _refuse_first(src, dst, src == dst, "is a self-loop")
+        later = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))
+        if not later.all():
+            order = np.lexsort((dst, src))
+            src, dst, types = src[order], dst[order], types[order]
+            _refuse_first(src[1:], dst[1:], (src[1:] == src[:-1]) & (dst[1:] == dst[:-1]),
+                          "is listed twice")
+        _refuse_first(src, dst, types == 0, "has type 0, which marks an absent pair")
+        for name, value in (("src", src), ("dst", dst), ("types", types),
                             ("subgraph_of", sub)):
             object.__setattr__(self, name, _readonly(value, np.int64))
-        object.__setattr__(self, "n_vertices", x.shape[0])
+        object.__setattr__(self, "n_vertices", int(n))
         object.__setattr__(self, "n_types", n_types)
         object.__setattr__(self, "n_subgraphs", n_subgraphs)
         report = validate_network(self)

@@ -12,10 +12,17 @@ of another kind: the update loop as the library ran it on N x N type masks
 before the sweep moved to sparse neighbour sums.  It shares the unchanged
 bound and mixing and presence updates with the package, so it checks the
 sparse ``xi`` update and responsibility sweep alone.
+
+Two more are the data path as it was before it moved to edge lists:
+:func:`dense_sample`, the sampler that draws every uniform in one N x N call
+and keeps the whole type matrix, and :func:`read_network_loop`, the network
+file reader that checks one line at a time into a dense matrix.
 """
 
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 from scipy.special import digamma as scipy_digamma
@@ -387,3 +394,73 @@ def dense_fit(net, tau0, priors, max_iterations, epsilon_converge=1e-6):
         previous = current
         tau = normalize_scores(dense_scores(masks, tau, chi, xi, net.subgraph_of))
     return state, np.asarray(trace), converged
+
+
+def dense_sample(params, subgraph_of, seed):
+    """``(src, dst, types, labels)`` of one sample, drawn the way the sampler
+    drew it with one N x N call per draw: presence row-major, memberships,
+    then a type for every ordered pair, kept where an edge is present."""
+    subgraph_of = np.asarray(subgraph_of, dtype=np.int64)
+    n = subgraph_of.shape[0]
+    k = params.alpha.shape[1]
+    c = params.n_types
+    rng = np.random.default_rng(seed)
+
+    p_edge = params.gamma[subgraph_of][:, subgraph_of]
+    present = rng.random((n, n)) < p_edge
+    np.fill_diagonal(present, False)
+
+    cum_alpha = np.cumsum(params.alpha[subgraph_of], axis=1)
+    z = np.minimum((rng.random(n)[:, None] >= cum_alpha).sum(axis=1), k - 1)
+
+    cum_pi = np.cumsum(params.pi[z][:, z], axis=2)
+    types = np.minimum((rng.random((n, n))[..., None] >= cum_pi).sum(axis=2) + 1, c)
+    src, dst = np.nonzero(present)
+    return src, dst, types[src, dst], z
+
+
+class LoopFormatError(ValueError):
+    """Raised by :func:`read_network_loop`; the message names the line."""
+
+
+def read_network_loop(path):
+    """``(N, S, C, x)`` of a network file, with ``x`` the dense N x N type
+    matrix, parsed one line at a time; the first bad line raises
+    :class:`LoopFormatError` with ``"<path>:<line>: <message>"``."""
+    def fail(lineno, message):
+        raise LoopFormatError(f"{path}:{lineno}: {message}")
+
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [(lineno, raw.strip())
+             for lineno, raw in enumerate(text.split("\n"), start=1) if raw.strip()]
+    if not lines:
+        fail(1, "missing header line 'rsm v1 N=<n> S=<s> C=<c>'")
+    lineno, header = lines[0]
+    match = re.match(r"^rsm v1 N=(\d+) S=(\d+) C=(\d+)$", header)
+    if match is None:
+        fail(lineno, f"bad header {header!r}, expected 'rsm v1 N=<n> S=<s> C=<c>'")
+    n, s, c = (int(g) for g in match.groups())
+    if s < 1 or c < 1:
+        fail(lineno, f"S and C must be >= 1, got S={s} C={c}")
+
+    x = np.zeros((n, n), dtype=np.int64)
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3:
+            fail(lineno, f"expected 'src dst type', got {line!r}")
+        try:
+            src, dst, typ = (int(p) for p in parts)
+        except ValueError:
+            fail(lineno, f"non-integer field in {line!r}")
+        if not 1 <= src <= n:
+            fail(lineno, f"source vertex {src} outside 1..{n}")
+        if not 1 <= dst <= n:
+            fail(lineno, f"destination vertex {dst} outside 1..{n}")
+        if src == dst:
+            fail(lineno, "self-loops are not allowed")
+        if not 1 <= typ <= c:
+            fail(lineno, f"edge type {typ} outside 1..{c}")
+        if x[src - 1, dst - 1] != 0:
+            fail(lineno, f"duplicate edge {src} -> {dst}")
+        x[src - 1, dst - 1] = typ
+    return n, s, c, x

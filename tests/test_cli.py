@@ -142,6 +142,26 @@ class TestFitCommand:
         assert code == 0
         assert "has no vertices" in capsys.readouterr().err
 
+    @pytest.mark.skipif(rsm.medoids.PHYSICAL_MEMORY is None,
+                        reason="the system does not report its physical memory")
+    def test_network_too_large_for_memory_exits_one(self, tmp_path, capsys):
+        # two edges among a million vertices load as an edge list; the
+        # 7.3 TiB discordance matrix is refused before it is allocated
+        n = 1_000_000
+        network = tmp_path / "network.txt"
+        partition = tmp_path / "partition.txt"
+        network.write_text(f"rsm v1 N={n} S=1 C=2\n1 2 1\n{n} 1 2\n")
+        partition.write_text("".join(f"{i} 1\n" for i in range(1, n + 1)))
+        code = main(["fit", "--network", str(network), "--partition",
+                     str(partition), "--k", "3", "--seed", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the discordance matrix of a 1000000-vertex "
+                              "network takes 7450.6 GiB (8000000000000 bytes), "
+                              "more than the ")
+        assert not (tmp_path / "run").exists()
+
 
 class TestSelectKCommand:
     def test_scan_writes_curve_and_prints_winner(self, tmp_path, capsys):

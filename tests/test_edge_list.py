@@ -4,13 +4,17 @@ Random dense matrices (including N=0, C=1, networks without edges, empty
 subgraphs, nonzero diagonals and types outside ``1..C``) are turned into
 networks; the edge list, the rebuilt matrix, the presence counts, the
 refusal of invalid input and a file round trip must all agree with what the
-dense input says.
+dense input says.  ``TypedNetwork.from_edges`` on the same edges in any
+order must build the same network, and refuse an edge list that no matrix
+could give, naming the pair.
 """
 
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -117,8 +121,72 @@ class TestFileRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "network.txt"
             write_network_file(path, net)
-            n, s, c, read = read_network_file(path)
+            n, s, c, src, dst, types = read_network_file(path)
         assert (n, s, c) == (net.n_vertices, n_subgraphs, n_types)
-        back = TypedNetwork(read, sub, c, s)
-        for name in ("src", "dst", "types"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(net, name))
+        for got, want in zip((src, dst, types), (net.src, net.dst, net.types)):
+            np.testing.assert_array_equal(got, want)
+
+
+def same_network(a, b):
+    for name in ("src", "dst", "types", "subgraph_of"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == np.int64
+        assert not getattr(a, name).flags.writeable
+    assert (a.n_vertices, a.n_types, a.n_subgraphs) == (b.n_vertices, b.n_types,
+                                                        b.n_subgraphs)
+
+
+class TestFromEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(dense_inputs(valid=True), st.randoms(use_true_random=False))
+    def test_any_edge_order_gives_the_dense_network(self, data, random):
+        x, sub, n_types, n_subgraphs = data
+        dense = TypedNetwork(x, sub, n_types, n_subgraphs)
+        order = list(range(len(dense.src)))
+        random.shuffle(order)
+        built = TypedNetwork.from_edges(len(x), dense.src[order], dense.dst[order],
+                                        dense.types[order], sub, n_types, n_subgraphs)
+        same_network(built, dense)
+
+    def test_takes_lists(self):
+        net = TypedNetwork.from_edges(3, [2, 0], [0, 1], [1, 2], [0, 0, 1], 2, 2)
+        same_network(net, TypedNetwork([[0, 2, 0], [0, 0, 0], [1, 0, 0]],
+                                       [0, 0, 1], 2, 2))
+
+    def test_no_edges(self):
+        net = TypedNetwork.from_edges(0, [], [], [], [], 1, 1)
+        assert net.n_vertices == 0 and net.src.shape == (0,)
+
+    @pytest.mark.parametrize("src,dst,types,message", [
+        ([0, 3], [1, 0], [1, 1], "edge (3, 0) has a vertex outside 0..2"),
+        ([0, 1], [1, -1], [1, 1], "edge (1, -1) has a vertex outside 0..2"),
+        ([0, 2], [1, 2], [1, 1], "edge (2, 2) is a self-loop"),
+        ([1, 0, 1], [0, 1, 0], [1, 2, 2], "edge (1, 0) is listed twice"),
+        ([0, 1], [2, 0], [1, 0], "edge (1, 0) has type 0, which marks an absent pair"),
+        ([0, 1], [2, 0], [3, 1], "invalid network: edge type 3 at (0, 2) outside 0..2"),
+        ([0, 1], [2, 0], [1, -1], "invalid network: edge type -1 at (1, 0) outside 0..2"),
+        ([0, 1], [2], [1, 1], "src, dst and types must be equal-length vectors"),
+        ([[0, 1]], [[2, 0]], [[1, 1]], "src, dst and types must be equal-length vectors"),
+        ([0, 1], [2.5, 0], [1, 1], "dst must contain integers"),
+        ([0, 1], [2, 0], [1, np.nan], "types must contain integers"),
+    ])
+    def test_refusals_name_the_pair(self, src, dst, types, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TypedNetwork.from_edges(3, src, dst, types, [0, 0, 0], 2, 1)
+
+    def test_refuses_bad_sizes_and_labels(self):
+        with pytest.raises(ValueError, match="subgraph_of must be a length-3 vector"):
+            TypedNetwork.from_edges(3, [0], [1], [1], [0, 0], 1, 1)
+        with pytest.raises(ValueError, match="n_types must be >= 1"):
+            TypedNetwork.from_edges(3, [0], [1], [1], [0, 0, 0], 0, 1)
+        with refused("subgraph label 2 at vertex 1 outside 0..1"):
+            TypedNetwork.from_edges(3, [0], [1], [1], [0, 2, 0], 1, 2)
+
+    def test_checks_run_in_order(self):
+        # a vertex out of range is named before a self-loop, a self-loop
+        # before a repeat, a repeat before a type of 0
+        with pytest.raises(ValueError, match=r"edge \(5, 1\) has a vertex"):
+            TypedNetwork.from_edges(3, [1, 1, 5, 0], [1, 0, 1, 2], [1, 1, 1, 0],
+                                    [0, 0, 0], 1, 1)
+        with pytest.raises(ValueError, match=r"edge \(1, 1\) is a self-loop"):
+            TypedNetwork.from_edges(3, [1, 1, 0], [0, 1, 2], [1, 1, 0], [0, 0, 0], 1, 1)

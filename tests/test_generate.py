@@ -7,7 +7,13 @@ or multinomial counts.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from builders import random_model
+
+import rsm.generate
 from rsm import (
     GeneratedSample,
     RsmParams,
@@ -184,6 +190,41 @@ class TestSampleNetwork:
         sample = sample_network(params, np.zeros(0, dtype=int), seed=0)
         assert sample.network.n_vertices == 0
         assert sample.true_labels.shape == (0,)
+
+
+class TestRowBlocks:
+    """The sampler draws its uniforms a block of rows at a time; every block
+    height gives the sample the one-shot dense sampler gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_block_heights_match_the_one_shot_sampler(self, n, n_subgraphs,
+                                                      n_clusters, n_types, seed):
+        rng = np.random.default_rng(seed)
+        params = random_model(rng, n_subgraphs, n_clusters, n_types)
+        sub = rng.integers(0, n_subgraphs, size=n)
+        expected = oracles.dense_sample(params, sub, seed)
+        for rows in sorted({1, 7, max(n, 1)}):
+            drawn = rsm.generate._draw(params, sub, np.random.default_rng(seed), rows)
+            for got, want in zip(drawn, expected):
+                np.testing.assert_array_equal(got, want)
+        sample = sample_network(params, sub, seed)
+        net = sample.network
+        for got, want in zip((net.src, net.dst, net.types, sample.true_labels),
+                             expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_blocks_span_the_budget(self, monkeypatch):
+        # a budget of 5 uniforms splits 40 vertices into blocks of one row
+        params = RsmParams(alpha=[[0.4, 0.6]], gamma=[[0.3]],
+                           pi=np.full((2, 2, 3), 1 / 3))
+        sub = np.zeros(40, dtype=int)
+        whole = sample_network(params, sub, seed=5)
+        monkeypatch.setattr(rsm.generate, "_BLOCK_ELEMENTS", 5)
+        rows = sample_network(params, sub, seed=5)
+        np.testing.assert_array_equal(rows.network.edge_types, whole.network.edge_types)
+        np.testing.assert_array_equal(rows.true_labels, whole.true_labels)
 
 
 class TestSamplingStatistics:

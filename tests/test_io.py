@@ -2,9 +2,15 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from rsm import (
     FitConfig,
@@ -45,9 +51,11 @@ class TestNetworkFile:
         path = tmp_path / "network.txt"
         net = small_net()
         write_network_file(path, net)
-        n, s, c, x = read_network_file(path)
+        n, s, c, src, dst, types = read_network_file(path)
         assert (n, s, c) == (3, 2, 3)
-        np.testing.assert_array_equal(x, net.edge_types)
+        for got, want in zip((src, dst, types), (net.src, net.dst, net.types)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     def test_written_format_is_stable(self, tmp_path):
         path = tmp_path / "network.txt"
@@ -101,8 +109,101 @@ class TestNetworkFile:
     def test_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text("\nrsm v1 N=2 S=1 C=1\n\n1 2 1\n\n")
-        n, s, c, x = read_network_file(path)
-        assert x[0, 1] == 1
+        n, s, c, src, dst, types = read_network_file(path)
+        assert (src.tolist(), dst.tolist(), types.tolist()) == ([0], [1], [1])
+
+    def test_edges_come_back_in_file_order(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("rsm v1 N=3 S=1 C=2\n3 1 2\n1 3 1\n2 1 1\n")
+        n, s, c, src, dst, types = read_network_file(path)
+        assert (src.tolist(), dst.tolist(), types.tolist()) == (
+            [2, 0, 1], [0, 2, 0], [2, 1, 1])
+
+    def test_a_million_vertices_load_as_an_edge_list(self, tmp_path):
+        # the reader allocates nothing of size N x N, so a header naming a
+        # million vertices with two edges reads at once
+        path = tmp_path / "net.txt"
+        path.write_text("rsm v1 N=1000000 S=1 C=2\n1 2 1\n1000000 1 2\n")
+        n, s, c, src, dst, types = read_network_file(path)
+        assert (n, s, c) == (1_000_000, 1, 2)
+        net = TypedNetwork.from_edges(n, src, dst, types, np.zeros(n, dtype=np.int64),
+                                      n_types=c, n_subgraphs=s)
+        assert net.src.tolist() == [0, 999_999]
+        assert net.dst.tolist() == [1, 0]
+        assert net.types.tolist() == [1, 2]
+
+
+# Tokens that ``int`` reads and numpy may not, or the other way round, and
+# values past int64.
+ODD_TOKENS = ["+1", "1_000", "0_2", "\u0661", "\uff12", "\u00b2", "1.0", "x", "",
+              "-0", "99999999999999999999", "-99999999999999999999",
+              "9223372036854775808", "9223372036854775807"]
+
+
+@st.composite
+def corrupted_network_files(draw):
+    """The text of a network file: a valid edge list in any order, then up
+    to three edits that may break lines in different ways."""
+    n = draw(st.integers(0, 5))
+    c = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    lines = [[str(i), str(j), str(draw(st.integers(1, c)))] for i, j in chosen]
+    small = st.integers(-1, n + 2).map(str)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["token", "blank", "fields", "repeat", "insert"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "token" and lines:
+            line = lines[min(at, len(lines) - 1)]
+            i = draw(st.integers(0, len(line)))
+            line[i:i + 1] = [draw(st.one_of(st.sampled_from(ODD_TOKENS), small))]
+        elif kind == "blank":
+            lines.insert(at, [draw(st.sampled_from(["", " ", "\t", "\r"]))])
+        elif kind == "fields" and lines:
+            line = lines[min(at, len(lines) - 1)]
+            if line and draw(st.booleans()):
+                line.pop()
+            else:
+                line.append(draw(small))
+        elif kind == "repeat" and lines:
+            line = list(lines[min(at, len(lines) - 1)])
+            line[2:] = [draw(small)]
+            lines.insert(draw(st.integers(at, len(lines))), line)
+        else:
+            lines.insert(at, [draw(small) for _ in range(3)])
+    return "\n".join([f"rsm v1 N={n} S=1 C={c}"] + [" ".join(x) for x in lines]) + "\n"
+
+
+class TestReaderAgainstTheLoop:
+    """The vectorized reader accepts exactly the files the line-by-line loop
+    accepts, with the same edges, and otherwise names the same line with
+    the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_network_files())
+    @example("rsm v1 N=3 S=1 C=2\n1 2 +1\n2 1_000 1\n")
+    @example("rsm v1 N=3 S=1 C=2\n1 2 1\n\n2 \u0663 2\n3 3 1\n")
+    @example("rsm v1 N=3 S=1 C=2\n1 2 1\n99999999999999999999 1 1\n")
+    @example("rsm v1 N=3 S=1 C=2\n1 2 1\n1 3 -99999999999999999999\n")
+    @example("rsm v1 N=3 S=1 C=2\n\n2 1 1\n2 1 2\n1 2 x\n")
+    @example("rsm v1 N=3 S=1 C=2\n2 3 9\n1 2\n")
+    @example("rsm v1 N=3 S=1 C=2\n1 2 1\n3 1 1\n1 2 1 4\n1 2 2\n")
+    def test_same_edges_or_same_message(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "network.txt"
+            path.write_text(text, encoding="utf-8")
+            try:
+                n, s, c, x = oracles.read_network_loop(path)
+            except oracles.LoopFormatError as exc:
+                with pytest.raises(FormatError) as raised:
+                    read_network_file(path)
+                assert str(raised.value) == str(exc)
+                return
+            got = read_network_file(path)
+        assert got[:3] == (n, s, c)
+        src, dst, types = got[3:]
+        assert len(src) == np.count_nonzero(x)
+        np.testing.assert_array_equal(x[src, dst], types)
 
 
 class TestPartitionFile:

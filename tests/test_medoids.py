@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+import rsm.medoids
 from rsm import TypedNetwork, distance_matrix, kmedoid_init
 
 from builders import random_instance
@@ -83,6 +84,18 @@ class TestInitDistance:
         d = distance_matrix(net)
         assert d.dtype == np.float64
         np.testing.assert_array_equal(d, np.round(d))
+
+
+class TestMemoryRefusal:
+    def test_refuses_a_matrix_past_physical_memory(self, monkeypatch):
+        net = distinct_rows_net(10)
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 8 * 10 * 10)
+        assert distance_matrix(net).shape == (10, 10)
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 8 * 10 * 10 - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "the discordance matrix of a 10-vertex network takes 0.0 GiB "
+                "(800 bytes), more than the 0.0 GiB of physical memory")):
+            distance_matrix(net)
 
 
 class TestKmedoidInit:
