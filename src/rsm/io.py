@@ -56,7 +56,7 @@ def write_network_file(path, net: TypedNetwork) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_network_file(path):
+def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]:
     """Parse a network file into ``(N, S, C, src, dst, types)``.
 
     ``src`` and ``dst`` are 0-indexed int64 vectors and ``types`` the int64
