@@ -173,8 +173,12 @@ def cmd_select_k(args, parser: argparse.ArgumentParser) -> int:
 def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     labels_a = read_labels_file(args.labels_a)
     labels_b = read_labels_file(args.labels_b)
-    if set(labels_a) != set(labels_b):
-        raise ValueError("label files cover different vertex sets")
+    only = set(labels_a) ^ set(labels_b)
+    if only:
+        vertex = min(only)
+        path = args.labels_a if vertex in labels_a else args.labels_b
+        raise ValueError(f"label files cover different vertex sets: vertex "
+                         f"{vertex + 1} is listed only in {path}")
     order = sorted(labels_a)
     ari = adjusted_rand_index([labels_a[v] for v in order],
                               [labels_b[v] for v in order])

@@ -264,9 +264,9 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     or after ``max_iterations``.
 
     The neighbour-sum operator and the presence update ``a``, ``b`` (which
-    do not depend on tau) are built once before the loop.  Inside it tau, chi and xi stay plain arrays; the
-    bound reads them through an unchecked state, and the state returned is
-    built, and checked, once on exit.
+    do not depend on tau) are built once before the loop.  Inside it tau,
+    chi and xi stay plain arrays; the bound reads them through an unchecked
+    state, and the state returned is built, and checked, once on exit.
 
     Returns (state, elbo_trace, converged); the state's hyperparameters
     always correspond to its tau.  Priors shaped for another network are
@@ -321,8 +321,8 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
 
 
 def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResult:
-    """Body of :func:`fit`, given the network's discordance matrix; :func:`rsm.selection.select_k` calls it with one matrix for
-    every K."""
+    """Body of :func:`fit`, given the network's discordance matrix;
+    :func:`rsm.selection.select_k` calls it with one matrix for every K."""
     k = config.n_clusters
     priors = config.priors
     if priors is None:

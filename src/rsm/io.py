@@ -11,12 +11,15 @@ Network file::
     <src> <dst> <type>        # one line per present edge, row-major
 
 Partition and label files are ``<vertex> <subgraph>`` and
-``<vertex> <cluster>`` lines, one per vertex.
+``<vertex> <cluster>`` lines.  A partition lists every vertex of ``1..N``
+once; a label file lists any vertices, each at most once.  Ids and values
+are positive and fit in int64.
 
-A network file is read into an edge list with one numpy pass over its
-tokens, and :func:`load_network` builds the network with
-:meth:`~rsm.network.TypedNetwork.from_edges`, so reading costs grow with the
-number of edges; no N x N array is built.
+Each format is a list of rules over its int64 columns, checked on all lines
+at once by one numpy pass over the tokens; the earliest bad line is
+reported with its number and the first rule it breaks.  :func:`load_network`
+builds the network with :meth:`~rsm.network.TypedNetwork.from_edges`, so
+reading costs grow with the number of lines; no N x N array is built.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .network import TypedNetwork
 from .params import FitResult, RsmParams
 
 _HEADER_RE = re.compile(r"^rsm v1 N=(\d+) S=(\d+) C=(\d+)$")
+_INT64_MAX = 2 ** 63 - 1
 
 
 class FormatError(ValueError):
@@ -39,13 +43,6 @@ class FormatError(ValueError):
 
 def _fail(path, lineno: int, message: str) -> None:
     raise FormatError(f"{path}:{lineno}: {message}")
-
-
-def _data_lines(text: str):
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
 
 
 def write_network_file(path, net: TypedNetwork) -> None:
@@ -60,54 +57,86 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.n
     """Parse a network file into ``(N, S, C, src, dst, types)``.
 
     ``src`` and ``dst`` are 0-indexed int64 vectors and ``types`` the int64
-    types, one entry per edge line in file order.  The edge lines are
-    checked together, with one array per check; when any line is bad, the
-    earliest bad line is reported, naming the first rule it breaks of: three
-    fields, integers, source and destination in ``1..N``, no self-loop,
-    type in ``1..C``, and no pair listed on an earlier line.
+    types, one entry per edge line in file order.  When any edge line is
+    bad, the earliest is reported, naming the first rule it breaks of:
+    three fields, integers, source and destination in ``1..N``, no
+    self-loop, type in ``1..C``, and no pair listed on an earlier line.
     """
     text = Path(path).read_text(encoding="utf-8")
-    raw = text.split("\n")
-    counts = np.fromiter(map(len, map(str.split, raw)), dtype=np.int64, count=len(raw))
-    data = np.flatnonzero(counts)
-    if not data.size:
+    body = text.lstrip()
+    lineno = text.count("\n", 0, len(text) - len(body)) + 1
+    header, _, body = body.partition("\n")
+    header = header.strip()
+    if not header:
         _fail(path, 1, "missing header line 'rsm v1 N=<n> S=<s> C=<c>'")
-    header = raw[data[0]].strip()
     match = _HEADER_RE.match(header)
     if match is None:
-        _fail(path, data[0] + 1,
-              f"bad header {header!r}, expected 'rsm v1 N=<n> S=<s> C=<c>'")
+        _fail(path, lineno, f"bad header {header!r}, expected 'rsm v1 N=<n> S=<s> C=<c>'")
     n, s, c = (int(g) for g in match.groups())
     if s < 1 or c < 1:
-        _fail(path, data[0] + 1, f"S and C must be >= 1, got S={s} C={c}")
+        _fail(path, lineno, f"S and C must be >= 1, got S={s} C={c}")
+    src, dst, typ = _read_rows(path, body, ("src", "dst", "type"), [
+        (f"source vertex {{src}} outside 1..{n}", lambda i, j, t: (i < 1) | (i > n)),
+        (f"destination vertex {{dst}} outside 1..{n}", lambda i, j, t: (j < 1) | (j > n)),
+        ("self-loops are not allowed", lambda i, j, t: i == j),
+        (f"edge type {{type}} outside 1..{c}", lambda i, j, t: (t < 1) | (t > c)),
+    ], "duplicate edge {src} -> {dst}", key=2, first=lineno + 1)
+    return n, s, c, src - 1, dst - 1, typ
 
+
+def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
+               key: int = 1, first: int = 1) -> np.ndarray:
+    """The non-blank lines of ``text``, which starts on line ``first`` of
+    ``path``, as int64 columns, one per name in ``fields``.
+
+    Each line must hold one integer per field and pass every rule, a
+    ``(message, test)`` pair: ``test`` flags the lines that break the rule,
+    given the columns.  No two lines may share their first ``key`` fields;
+    the later line of a pair breaks ``repeated``.  All lines are checked
+    together, and the earliest bad line is reported with the first message
+    it earns, found by running the tests again on its Python ints.
+    Messages are format strings over the field names.
+    """
+    raw = text.split("\n")
+    counts = np.fromiter(map(len, map(str.split, raw)), dtype=np.int64, count=len(raw))
+    lines = np.flatnonzero(counts)
+    width = len(fields)
     # Each step finds the earliest line breaking its rule and drops the
     # lines from there on, so later steps see well-formed lines only.
     first_bad = len(raw)
-    lines = data[1:]
-    wrong = np.flatnonzero(counts[lines] != 3)
+    wrong = np.flatnonzero(counts[lines] != width)
     if wrong.size:
         first_bad = lines[wrong[0]]
         lines = lines[:wrong[0]]
-    # the header is five tokens, and every line before first_bad three
-    values = _integers(text.split()[5:5 + 3 * lines.size])
-    if values.size < 3 * lines.size:
-        first_bad = lines[values.size // 3]
-        lines = lines[:values.size // 3]
-        values = values[:3 * lines.size]
-    src, dst, typ = values.reshape(-1, 3).T
-    bad = ((src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst)
-           | (typ < 1) | (typ > c))
-    # among the lines that pass, a repeated pair is blamed on its later line
-    ok = np.flatnonzero(~bad)
-    order = ok[np.lexsort((dst[ok], src[ok]))]
-    repeat = (src[order[1:]] == src[order[:-1]]) & (dst[order[1:]] == dst[order[:-1]])
-    bad[order[1:][repeat]] = True
+    # every line before first_bad holds width tokens
+    values = _integers(text.split()[:width * lines.size])
+    if values.size < width * lines.size:
+        first_bad = lines[values.size // width]
+        lines = lines[:values.size // width]
+        values = values[:width * lines.size]
+    columns = values.reshape(-1, width).T
+    bad = np.zeros(lines.size, dtype=bool)
+    for _, test in rules:
+        bad |= test(*columns)
+    # a repeated key is blamed on its later line; whether the earlier line
+    # passes cannot move the earliest bad line, as it would be earlier still
+    order = np.lexsort(columns[key - 1::-1])
+    keys = columns[:key, order]
+    bad[order[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]] = True
     if bad.any():
         first_bad = lines[np.argmax(bad)]
-    if first_bad < len(raw):
-        _fail(path, first_bad + 1, _edge_line_problem(raw[first_bad].strip(), n, c))
-    return n, s, c, src - 1, dst - 1, typ
+    if first_bad == len(raw):
+        return columns
+    line = raw[first_bad].strip()
+    parts = line.split()
+    if len(parts) != width:
+        _fail(path, first + first_bad, f"expected '{' '.join(fields)}', got {line!r}")
+    try:
+        named = dict(zip(fields, map(int, parts)))
+    except ValueError:
+        _fail(path, first + first_bad, f"non-integer field in {line!r}")
+    message = next((m for m, test in rules if test(*named.values())), repeated)
+    _fail(path, first + first_bad, message.format(**named))
 
 
 def _integers(tokens: list[str]) -> np.ndarray:
@@ -127,60 +156,32 @@ def _integers(tokens: list[str]) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _edge_line_problem(line: str, n: int, c: int) -> str:
-    """The first rule that the edge line ``line`` breaks, as a message; a
-    line that breaks none on its own repeats an earlier pair."""
-    parts = line.split()
-    if len(parts) != 3:
-        return f"expected 'src dst type', got {line!r}"
-    try:
-        src, dst, typ = (int(p) for p in parts)
-    except ValueError:
-        return f"non-integer field in {line!r}"
-    if not 1 <= src <= n:
-        return f"source vertex {src} outside 1..{n}"
-    if not 1 <= dst <= n:
-        return f"destination vertex {dst} outside 1..{n}"
-    if src == dst:
-        return "self-loops are not allowed"
-    if not 1 <= typ <= c:
-        return f"edge type {typ} outside 1..{c}"
-    return f"duplicate edge {src} -> {dst}"
-
-
 def write_partition_file(path, net: TypedNetwork) -> None:
     write_labels_file(path, net.subgraph_of)
 
 
-def _read_pairs(path, n_vertices: int, max_value: int, what: str) -> np.ndarray:
-    """Shared reader for ``vertex value`` files covering every vertex once."""
-    text = Path(path).read_text(encoding="utf-8")
-    values = np.full(n_vertices, -1, dtype=np.int64)
-    for lineno, line in _data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            _fail(path, lineno, f"expected 'vertex {what}', got {line!r}")
-        try:
-            vertex, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            _fail(path, lineno, f"non-integer field in {line!r}")
-        if not 1 <= vertex <= n_vertices:
-            _fail(path, lineno, f"vertex {vertex} outside 1..{n_vertices}")
-        if not 1 <= value <= max_value:
-            _fail(path, lineno, f"{what} {value} outside 1..{max_value}")
-        if values[vertex - 1] != -1:
-            _fail(path, lineno, f"vertex {vertex} listed twice")
-        values[vertex - 1] = value - 1
-    missing = np.nonzero(values == -1)[0]
-    if missing.size:
-        _fail(path, len(text.split("\n")),
-              f"no {what} given for vertex {missing[0] + 1}")
-    return values
-
-
 def read_partition_file(path, n_vertices: int, n_subgraphs: int) -> np.ndarray:
-    """Parse subgraph labels (0-indexed in the returned array)."""
-    return _read_pairs(path, n_vertices, n_subgraphs, "subgraph")
+    """Parse subgraph labels (0-indexed in the returned array).
+
+    Every vertex in ``1..n_vertices`` is listed once, with a subgraph in
+    ``1..n_subgraphs``; the array is allocated only once the file holds
+    that many distinct vertices in range.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    vertex, subgraph = _read_rows(path, text, ("vertex", "subgraph"), [
+        (f"vertex {{vertex}} outside 1..{n_vertices}",
+         lambda v, s: (v < 1) | (v > n_vertices)),
+        (f"subgraph {{subgraph}} outside 1..{n_subgraphs}",
+         lambda v, s: (s < 1) | (s > n_subgraphs)),
+    ], "vertex {vertex} listed twice")
+    if vertex.size < n_vertices:
+        # the ids are distinct and positive, so once sorted they match
+        # 1, 2, ... up to the first one missing
+        missing = np.count_nonzero(np.sort(vertex) == np.arange(1, vertex.size + 1)) + 1
+        _fail(path, text.count("\n") + 1, f"no subgraph given for vertex {missing}")
+    out = np.empty(n_vertices, dtype=np.int64)
+    out[vertex - 1] = subgraph - 1
+    return out
 
 
 def load_network(network_path, partition_path) -> TypedNetwork:
@@ -199,29 +200,19 @@ def write_labels_file(path, labels: np.ndarray) -> None:
 def read_labels_file(path) -> dict[int, int]:
     """Parse cluster labels into {vertex: label}, both 0-indexed.
 
-    Unlike partitions, label files stand alone (no declared N): any positive
-    vertex ids are accepted, each at most once.
+    Unlike partitions, label files stand alone (no declared N): any vertex
+    ids in ``1..2**63 - 1`` are accepted, each at most once.
     """
     text = Path(path).read_text(encoding="utf-8")
-    out: dict[int, int] = {}
-    for lineno, line in _data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            _fail(path, lineno, f"expected 'vertex cluster', got {line!r}")
-        try:
-            vertex, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            _fail(path, lineno, f"non-integer field in {line!r}")
-        if vertex < 1:
-            _fail(path, lineno, f"vertex {vertex} outside 1..")
-        if value < 1:
-            _fail(path, lineno, f"cluster {value} must be >= 1")
-        if vertex - 1 in out:
-            _fail(path, lineno, f"vertex {vertex} listed twice")
-        out[vertex - 1] = value - 1
-    if not out:
+    vertex, cluster = _read_rows(path, text, ("vertex", "cluster"), [
+        ("vertex {vertex} outside 1..", lambda v, k: v < 1),
+        ("cluster {cluster} must be >= 1", lambda v, k: k < 1),
+        (f"vertex {{vertex}} outside 1..{_INT64_MAX}", lambda v, k: v > _INT64_MAX),
+        (f"cluster {{cluster}} outside 1..{_INT64_MAX}", lambda v, k: k > _INT64_MAX),
+    ], "vertex {vertex} listed twice")
+    if not vertex.size:
         _fail(path, 1, "no labels found")
-    return out
+    return dict(zip((vertex - 1).tolist(), (cluster - 1).tolist()))
 
 
 def read_params_file(path) -> tuple[RsmParams, np.ndarray]:

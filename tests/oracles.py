@@ -17,6 +17,9 @@ Two more are the data path as it was before it moved to edge lists:
 :func:`dense_sample`, the sampler that draws every uniform in one N x N call
 and keeps the whole type matrix, and :func:`read_network_loop`, the network
 file reader that checks one line at a time into a dense matrix.
+:func:`read_pairs_loop` and :func:`read_labels_loop` are the partition and
+label file readers as they were before every format went through one
+vectorized pass: one line at a time, into a length-N array or a dict.
 """
 
 import itertools
@@ -464,3 +467,68 @@ def read_network_loop(path):
             fail(lineno, f"duplicate edge {src} -> {dst}")
         x[src - 1, dst - 1] = typ
     return n, s, c, x
+
+
+def _data_lines(text):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def read_pairs_loop(path, n_vertices, max_value, what):
+    """The 0-indexed values of a ``vertex value`` file covering every vertex
+    of ``1..n_vertices`` once, parsed one line at a time; the first bad line
+    raises :class:`LoopFormatError` with ``"<path>:<line>: <message>"``."""
+    def fail(lineno, message):
+        raise LoopFormatError(f"{path}:{lineno}: {message}")
+
+    text = Path(path).read_text(encoding="utf-8")
+    values = np.full(n_vertices, -1, dtype=np.int64)
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            fail(lineno, f"expected 'vertex {what}', got {line!r}")
+        try:
+            vertex, value = int(parts[0]), int(parts[1])
+        except ValueError:
+            fail(lineno, f"non-integer field in {line!r}")
+        if not 1 <= vertex <= n_vertices:
+            fail(lineno, f"vertex {vertex} outside 1..{n_vertices}")
+        if not 1 <= value <= max_value:
+            fail(lineno, f"{what} {value} outside 1..{max_value}")
+        if values[vertex - 1] != -1:
+            fail(lineno, f"vertex {vertex} listed twice")
+        values[vertex - 1] = value - 1
+    missing = np.nonzero(values == -1)[0]
+    if missing.size:
+        fail(len(text.split("\n")), f"no {what} given for vertex {missing[0] + 1}")
+    return values
+
+
+def read_labels_loop(path):
+    """``{vertex: cluster}``, both 0-indexed, of a label file parsed one line
+    at a time; the first bad line raises :class:`LoopFormatError`."""
+    def fail(lineno, message):
+        raise LoopFormatError(f"{path}:{lineno}: {message}")
+
+    text = Path(path).read_text(encoding="utf-8")
+    out = {}
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            fail(lineno, f"expected 'vertex cluster', got {line!r}")
+        try:
+            vertex, value = int(parts[0]), int(parts[1])
+        except ValueError:
+            fail(lineno, f"non-integer field in {line!r}")
+        if vertex < 1:
+            fail(lineno, f"vertex {vertex} outside 1..")
+        if value < 1:
+            fail(lineno, f"cluster {value} must be >= 1")
+        if vertex - 1 in out:
+            fail(lineno, f"vertex {vertex} listed twice")
+        out[vertex - 1] = value - 1
+    if not out:
+        fail(1, "no labels found")
+    return out

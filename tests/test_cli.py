@@ -162,6 +162,20 @@ class TestFitCommand:
                               "more than the ")
         assert not (tmp_path / "run").exists()
 
+    def test_short_partition_for_a_trillion_vertices_exits_one(self, tmp_path, capsys):
+        # the partition reader refuses the file before allocating N entries
+        network = tmp_path / "network.txt"
+        partition = tmp_path / "partition.txt"
+        network.write_text("rsm v1 N=1000000000000 S=1 C=1\n")
+        partition.write_text("1 1\n")
+        code = main(["fit", "--network", str(network), "--partition",
+                     str(partition), "--k", "2", "--seed", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {partition}:2: no subgraph given for vertex 2\n")
+        assert not (tmp_path / "run").exists()
+
 
 class TestSelectKCommand:
     def test_scan_writes_curve_and_prints_winner(self, tmp_path, capsys):
@@ -209,7 +223,12 @@ class TestEvalCommand:
         a.write_text("1 1\n2 2\n")
         b.write_text("1 1\n3 2\n")
         assert main(["eval", str(a), str(b)]) == 1
-        assert "different vertex sets" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "different vertex sets" in err
+        assert err == (f"error: label files cover different vertex sets: "
+                       f"vertex 2 is listed only in {a}\n")
+        assert main(["eval", str(b), str(a)]) == 1
+        assert capsys.readouterr().err.endswith(f"vertex 2 is listed only in {a}\n")
 
 
 class TestDebugOracle:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -140,16 +141,10 @@ ODD_TOKENS = ["+1", "1_000", "0_2", "\u0661", "\uff12", "\u00b2", "1.0", "x", ""
               "9223372036854775808", "9223372036854775807"]
 
 
-@st.composite
-def corrupted_network_files(draw):
-    """The text of a network file: a valid edge list in any order, then up
-    to three edits that may break lines in different ways."""
-    n = draw(st.integers(0, 5))
-    c = draw(st.integers(1, 3))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
-    lines = [[str(i), str(j), str(draw(st.integers(1, c)))] for i, j in chosen]
-    small = st.integers(-1, n + 2).map(str)
+def edited_lines(draw, lines, small, key):
+    """The text lines of ``lines``, lists of ``key + 1`` tokens whose first
+    ``key`` name the line, after up to three edits that may break lines in
+    different ways; ``small`` draws the tokens of changed and inserted lines."""
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["token", "blank", "fields", "repeat", "insert"]))
         at = draw(st.integers(0, len(lines)))
@@ -167,11 +162,56 @@ def corrupted_network_files(draw):
                 line.append(draw(small))
         elif kind == "repeat" and lines:
             line = list(lines[min(at, len(lines) - 1)])
-            line[2:] = [draw(small)]
+            line[key:] = [draw(small)]
             lines.insert(draw(st.integers(at, len(lines))), line)
         else:
-            lines.insert(at, [draw(small) for _ in range(3)])
-    return "\n".join([f"rsm v1 N={n} S=1 C={c}"] + [" ".join(x) for x in lines]) + "\n"
+            lines.insert(at, [draw(small) for _ in range(key + 1)])
+    return [" ".join(x) for x in lines]
+
+
+@st.composite
+def corrupted_network_files(draw):
+    """The text of a network file: a valid edge list in any order, then up
+    to three edits that may break lines in different ways."""
+    n = draw(st.integers(0, 5))
+    c = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    lines = [[str(i), str(j), str(draw(st.integers(1, c)))] for i, j in chosen]
+    small = st.integers(-1, n + 2).map(str)
+    return "\n".join([f"rsm v1 N={n} S=1 C={c}"] + edited_lines(draw, lines, small, 2)) + "\n"
+
+
+@st.composite
+def corrupted_partition_files(draw):
+    """``(text, N, S)``: a partition file listing all or some of the
+    vertices ``1..N`` in any order, then up to three edits."""
+    n = draw(st.integers(0, 5))
+    s = draw(st.integers(1, 3))
+    vertices = draw(st.permutations(range(1, n + 1)))
+    if draw(st.booleans()):
+        vertices = vertices[:draw(st.integers(0, n))]
+    lines = [[str(v), str(draw(st.integers(1, s)))] for v in vertices]
+    small = st.integers(-1, n + 2).map(str)
+    return "\n".join(edited_lines(draw, lines, small, 1)) + "\n", n, s
+
+
+@st.composite
+def corrupted_label_files(draw):
+    """The text of a label file: distinct vertices with clusters, then up
+    to three edits."""
+    vertices = draw(st.lists(st.integers(1, 9), unique=True, max_size=6))
+    lines = [[str(v), str(draw(st.integers(1, 4)))] for v in vertices]
+    small = st.integers(-1, 10).map(str)
+    return "\n".join(edited_lines(draw, lines, small, 1)) + "\n"
+
+
+def outcome(read, path, error):
+    """What ``read(path)`` returns, or the text of the ``error`` it raises."""
+    try:
+        return read(path)
+    except error as exc:
+        return str(exc)
 
 
 class TestReaderAgainstTheLoop:
@@ -207,6 +247,19 @@ class TestReaderAgainstTheLoop:
 
 
 class TestPartitionFile:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=30))
+    def test_write_then_read_round_trips(self, labels):
+        s = max(labels, default=0) + 1
+        net = TypedNetwork.from_edges(len(labels), [], [], [], labels,
+                                      n_types=1, n_subgraphs=s)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "partition.txt"
+            write_partition_file(path, net)
+            sub = read_partition_file(path, len(labels), s)
+        assert sub.dtype == np.int64
+        assert sub.tolist() == labels
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "partition.txt"
         net = small_net()
@@ -232,6 +285,15 @@ class TestPartitionFile:
         with pytest.raises(FormatError, match="subgraph 5 outside 1..2"):
             read_partition_file(path, 2, 2)
 
+    def test_a_trillion_vertex_header_is_refused_before_allocating(self, tmp_path):
+        # the length-N array is allocated only once N distinct vertices in
+        # range are listed, so a short file is refused at once
+        path = tmp_path / "partition.txt"
+        path.write_text("1 1\n")
+        with pytest.raises(FormatError) as raised:
+            read_partition_file(path, 10 ** 12, 1)
+        assert str(raised.value) == f"{path}:2: no subgraph given for vertex 2"
+
     def test_load_network_combines_both_files(self, tmp_path):
         net = small_net()
         write_network_file(tmp_path / "n.txt", net)
@@ -242,7 +304,85 @@ class TestPartitionFile:
         assert loaded.n_types == 3 and loaded.n_subgraphs == 2
 
 
+class TestPartitionReaderAgainstTheLoop:
+    """The partition reader returns the loop's values, or raises the loop's
+    message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_partition_files())
+    @example(("1 1\n3 2\n", 3, 2))
+    @example(("2 1\n1 2\n2 1\n", 2, 2))
+    @example(("1 1\n99999999999999999999 1\n", 2, 1))
+    @example(("1 -99999999999999999999\n", 1, 1))
+    @example(("\n\n", 2, 1))
+    def test_same_values_or_same_message(self, case):
+        text, n, s = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "partition.txt"
+            path.write_text(text, encoding="utf-8")
+            want = outcome(lambda p: oracles.read_pairs_loop(p, n, s, "subgraph"),
+                           path, oracles.LoopFormatError)
+            got = outcome(lambda p: read_partition_file(p, n, s), path, FormatError)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.tolist() == want.tolist()
+
+
+class TestLabelsReaderAgainstTheLoop:
+    """The label reader returns the loop's dict, or raises the loop's
+    message.  The one exception is a value past int64: the loop accepts a
+    vertex or cluster of 2**63 or more, which the reader refuses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_label_files())
+    @example("5 2\n9 1\n")
+    @example("1 1\n\n1 2\n")
+    @example("99999999999999999999 1\n")
+    @example("1 99999999999999999999\n2 0\n")
+    @example("1 -99999999999999999999\n")
+    @example("99999999999999999999 0\n")
+    @example("1 1\n1 99999999999999999999\n")
+    def test_same_labels_or_same_message(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.txt"
+            path.write_text(text, encoding="utf-8")
+            want = outcome(oracles.read_labels_loop, path, oracles.LoopFormatError)
+            got = outcome(read_labels_file, path, FormatError)
+        past = re.fullmatch(r".*:(\d+): (?:vertex|cluster) (\d+) outside "
+                            r"1\.\.9223372036854775807", got if isinstance(got, str) else "")
+        if past and got != want:
+            # the exempt case: the loop accepted the value, and any line it
+            # blames is this one or a later one
+            assert int(past[2]) >= 2 ** 63
+            if isinstance(want, str):
+                assert int(want.rsplit(":", 2)[1]) >= int(past[1])
+            return
+        assert got == want
+
+
 class TestLabelsFile:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 63 - 2), min_size=1, max_size=30))
+    def test_write_then_read_round_trips(self, labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.txt"
+            write_labels_file(path, np.array(labels))
+            assert read_labels_file(path) == dict(enumerate(labels))
+
+    @pytest.mark.parametrize("line,message", [
+        ("99999999999999999999 1", "vertex 99999999999999999999 outside "
+                                   "1..9223372036854775807"),
+        ("1 9223372036854775808", "cluster 9223372036854775808 outside "
+                                  "1..9223372036854775807"),
+    ])
+    def test_values_past_int64_rejected(self, tmp_path, line, message):
+        path = tmp_path / "labels.txt"
+        path.write_text(f"1 1\n{line}\n")
+        with pytest.raises(FormatError) as raised:
+            read_labels_file(path)
+        assert str(raised.value) == f"{path}:2: {message}"
+
     def test_round_trip_is_one_indexed_on_disk(self, tmp_path):
         path = tmp_path / "labels.txt"
         write_labels_file(path, np.array([0, 2, 1]))
