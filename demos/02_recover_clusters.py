@@ -22,10 +22,10 @@ def main():
 
     print()
     print("restart summary (winner marked with *):")
-    for summary in result.restarts:
-        marker = "*" if summary.restart_index == result.restart_index else " "
+    for index, summary in enumerate(result.restarts):
+        marker = "*" if index == result.restart_index else " "
         state = "converged" if summary.converged else "hit the iteration cap"
-        print(f" {marker} restart {summary.restart_index}: "
+        print(f" {marker} restart {index}: "
               f"bound {summary.final_elbo:.3f} after "
               f"{summary.n_iterations} iterations ({state})")
 

@@ -139,10 +139,9 @@ def cmd_fit(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--k must be >= 1, got {args.k}")
     seed = _resolve_seed(args.seed)
     net = _load_validated(args)
-    result = fit(net, _fit_config(args, args.k, seed))
-    write_result_bundle(args.out, result, seed=seed, n_clusters=args.k,
-                        n_restarts=args.restarts, epsilon_converge=args.epsilon,
-                        max_iterations=args.max_iter)
+    config = _fit_config(args, args.k, seed)
+    result = fit(net, config)
+    write_result_bundle(args.out, result, config)
     print(f"final elbo: {result.final_elbo!r}")
     print(f"iterations: {result.n_iterations}")
     print(f"converged: {'yes' if result.converged else 'no'}")

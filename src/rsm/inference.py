@@ -61,15 +61,15 @@ from .params import (
 class FitConfig:
     """Knobs of :func:`fit`.
 
-    priors defaults to every hyperparameter equal to ``prior_concentration``
-    (1/2 unless overridden), built to match the network and ``n_clusters``;
-    pass an explicit :class:`~rsm.params.PriorHyperparams` to override.
-    Restart r initializes from seed ``seed + r``.
+    priors defaults to the noninformative 1/2 everywhere
+    (:meth:`~rsm.params.PriorHyperparams.jeffreys`), built to match the
+    network and ``n_clusters``; pass an explicit
+    :class:`~rsm.params.PriorHyperparams` to override.  Restart r
+    initializes from seed ``seed + r``.
     """
 
     n_clusters: int
     priors: PriorHyperparams | None = None
-    prior_concentration: float = 0.5
     n_restarts: int = 5
     max_iterations: int = 200
     epsilon_converge: float = 1e-6
@@ -84,9 +84,6 @@ class FitConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.epsilon_converge > 0:
             raise ValueError(f"epsilon_converge must be > 0, got {self.epsilon_converge}")
-        if not self.prior_concentration > 0:
-            raise ValueError(
-                f"prior_concentration must be > 0, got {self.prior_concentration}")
 
 
 def _check_priors(priors: PriorHyperparams, expected: tuple[int, int, int]) -> None:
@@ -326,11 +323,11 @@ def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResu
     k = config.n_clusters
     priors = config.priors
     if priors is None:
-        priors = PriorHyperparams.constant(net.n_subgraphs, k, net.n_types,
-                                           config.prior_concentration)
+        priors = PriorHyperparams.jeffreys(net.n_subgraphs, k, net.n_types)
     _check_priors(priors, (net.n_subgraphs, k, net.n_types))
 
-    runs: list[tuple] = []
+    # a failed restart has no state
+    runs: list[tuple[VariationalState | None, RestartSummary]] = []
     errors: list[str] = []
     for r in range(config.n_restarts):
         tau0 = kmedoid_init(distances, k, seed=config.seed + r)
@@ -340,25 +337,13 @@ def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResu
                 epsilon_converge=config.epsilon_converge,
                 max_iterations=config.max_iterations)
         except FloatingPointError as exc:
-            runs.append(None)
             errors.append(f"restart {r}: {exc}")
-            continue
-        runs.append((state, trace, converged))
-    if all(run is None for run in runs):
+            state, trace, converged = None, (), False
+        runs.append((state, RestartSummary(elbo_trace=trace, converged=converged)))
+    if len(errors) == len(runs):
         raise FloatingPointError("every restart failed: " + "; ".join(errors))
 
-    finals = [run[1][-1] if run is not None else -np.inf for run in runs]
-    best = int(np.argmax(finals))
-    state, trace, converged = runs[best]
-    map_labels = (np.argmax(state.tau, axis=1) if state.tau.size
-                  else np.zeros(net.n_vertices, dtype=np.int64))
-    summaries = tuple(
-        RestartSummary(restart_index=r, final_elbo=float(run[1][-1]),
-                       n_iterations=len(run[1]), converged=run[2])
-        if run is not None else
-        RestartSummary(restart_index=r, final_elbo=float("nan"),
-                       n_iterations=0, converged=False)
-        for r, run in enumerate(runs))
-    return FitResult(state=state, elbo_trace=trace, map_labels=map_labels,
-                     n_iterations=len(trace), restart_index=best,
-                     converged=converged, restarts=summaries)
+    best = int(np.argmax([-np.inf if state is None else record.final_elbo
+                          for state, record in runs]))
+    return FitResult(state=runs[best][0], restart_index=best,
+                     restarts=tuple(record for _, record in runs))

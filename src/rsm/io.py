@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .inference import FitConfig
 from .network import TypedNetwork
 from .params import FitResult, RsmParams
 
@@ -61,6 +62,7 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.n
     bad, the earliest is reported, naming the first rule it breaks of:
     three fields, integers, source and destination in ``1..N``, no
     self-loop, type in ``1..C``, and no pair listed on an earlier line.
+    A header whose N does not fit in int64 is refused.
     """
     text = Path(path).read_text(encoding="utf-8")
     body = text.lstrip()
@@ -75,6 +77,8 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.n
     n, s, c = (int(g) for g in match.groups())
     if s < 1 or c < 1:
         _fail(path, lineno, f"S and C must be >= 1, got S={s} C={c}")
+    if n > _INT64_MAX:
+        _fail(path, lineno, f"N={n} outside 0..{_INT64_MAX}")
     src, dst, typ = _read_rows(path, body, ("src", "dst", "type"), [
         (f"source vertex {{src}} outside 1..{n}", lambda i, j, t: (i < 1) | (i > n)),
         (f"destination vertex {{dst}} outside 1..{n}", lambda i, j, t: (j < 1) | (j > n)),
@@ -281,10 +285,9 @@ def write_elbo_trace(path, trace: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def write_result_bundle(out_dir, result: FitResult, *, seed: int,
-                        n_clusters: int, n_restarts: int, epsilon_converge: float,
-                        max_iterations: int) -> dict[str, Path]:
-    """Write labels, parameter report, bound trace, and run metadata.
+def write_result_bundle(out_dir, result: FitResult, config: FitConfig) -> dict[str, Path]:
+    """Write labels, parameter report, bound trace, and run metadata,
+    which records ``config``, the configuration of the fit.
 
     Returns the paths written, keyed by role.
     """
@@ -301,20 +304,20 @@ def write_result_bundle(out_dir, result: FitResult, *, seed: int,
     write_elbo_trace(paths["elbo_trace"], result.elbo_trace)
     metadata = {
         "command": "fit",
-        "seed": seed,
-        "n_clusters": n_clusters,
-        "n_restarts": n_restarts,
-        "epsilon_converge": epsilon_converge,
-        "max_iterations": max_iterations,
+        "seed": config.seed,
+        "n_clusters": config.n_clusters,
+        "n_restarts": config.n_restarts,
+        "epsilon_converge": config.epsilon_converge,
+        "max_iterations": config.max_iterations,
         "best_restart": result.restart_index,
         "converged": result.converged,
         "n_iterations": result.n_iterations,
         "final_elbo": result.final_elbo,
         "restarts": [
-            {"restart": r.restart_index,
+            {"restart": i,
              "final_elbo": None if np.isnan(r.final_elbo) else r.final_elbo,
              "n_iterations": r.n_iterations, "converged": r.converged}
-            for r in result.restarts
+            for i, r in enumerate(result.restarts)
         ],
     }
     paths["metadata"].write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n",

@@ -32,7 +32,7 @@ def _physical_memory() -> int | None:
         return None
 
 
-# A discordance matrix larger than this is refused before it is allocated.
+# A discordance matrix that needs more than this is refused before it is allocated.
 PHYSICAL_MEMORY = _physical_memory()
 
 
@@ -47,11 +47,12 @@ def distance_matrix(net: TypedNetwork) -> np.ndarray:
     integer of at most 2(N - 2), far below 2**53, so the float sums are
     exact in any order.
 
-    Raises ValueError, naming N and the size, when one N x N float64 matrix
-    would not fit in the machine's physical memory.
+    Its peak is three N x N float64 arrays: the indicator, the result, and
+    one product's temporary.  Raises ValueError, naming N and that size,
+    when they would not fit in the machine's physical memory.
     """
     n = net.n_vertices
-    size = 8 * n * n
+    size = 3 * 8 * n * n
     if PHYSICAL_MEMORY is not None and size > PHYSICAL_MEMORY:
         raise ValueError(
             f"the discordance matrix of a {n}-vertex network takes "

@@ -256,12 +256,24 @@ class VariationalState:
 
 @dataclass(frozen=True)
 class RestartSummary:
-    """Per-restart metadata collected by :func:`rsm.inference.fit`."""
+    """One restart of :func:`rsm.inference.fit`: its bound per iteration
+    (empty if it failed numerically) and whether it met the stopping
+    tolerance before the iteration cap."""
 
-    restart_index: int
-    final_elbo: float
-    n_iterations: int
+    elbo_trace: np.ndarray
     converged: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "elbo_trace", _readonly(self.elbo_trace, np.float64))
+
+    @property
+    def final_elbo(self) -> float:
+        """The last bound value, or NaN for a failed restart."""
+        return float(self.elbo_trace[-1]) if len(self.elbo_trace) else float("nan")
+
+    @property
+    def n_iterations(self) -> int:
+        return len(self.elbo_trace)
 
 
 @dataclass(frozen=True)
@@ -272,38 +284,38 @@ class FitResult:
         The variational state of the winning restart, self-consistent with
         the last bound value (hyperparameters are the update outputs for
         ``state.tau``).
-    elbo_trace:
-        Bound value per iteration of the winning restart, one entry per
-        update sweep.
-    map_labels:
-        Length-N hard assignment, ``argmax_k tau[i, k]`` with ties broken
-        toward the smallest cluster index (0-indexed in memory).
-    n_iterations:
-        Iterations run by the winning restart (== len(elbo_trace)).
     restart_index:
         Which restart won (0-indexed); ties in final bound go to the lowest
         index.
-    converged:
-        Whether the winning restart met the stopping tolerance before the
-        iteration cap.
     restarts:
         One :class:`RestartSummary` per restart, in restart order.
+
+    ``elbo_trace``, ``n_iterations``, ``converged`` and ``final_elbo`` read
+    the winning restart's record; ``map_labels`` is the length-N hard
+    assignment ``argmax_k tau[i, k]``, ties broken toward the smallest
+    cluster index (0-indexed in memory).
     """
 
     state: VariationalState
-    elbo_trace: np.ndarray
-    map_labels: np.ndarray
-    n_iterations: int
     restart_index: int
-    converged: bool
-    restarts: tuple[RestartSummary, ...] = ()
+    restarts: tuple[RestartSummary, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "elbo_trace",
-                           _readonly(np.asarray(self.elbo_trace, dtype=np.float64)))
-        object.__setattr__(self, "map_labels",
-                           _readonly(np.asarray(self.map_labels, dtype=np.int64)))
+    @property
+    def elbo_trace(self) -> np.ndarray:
+        return self.restarts[self.restart_index].elbo_trace
+
+    @property
+    def n_iterations(self) -> int:
+        return self.restarts[self.restart_index].n_iterations
+
+    @property
+    def converged(self) -> bool:
+        return self.restarts[self.restart_index].converged
 
     @property
     def final_elbo(self) -> float:
-        return float(self.elbo_trace[-1])
+        return self.restarts[self.restart_index].final_elbo
+
+    @cached_property
+    def map_labels(self) -> np.ndarray:
+        return _readonly(np.argmax(self.state.tau, axis=1), np.int64)

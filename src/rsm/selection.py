@@ -22,21 +22,22 @@ logger = logging.getLogger(__name__)
 class SelectionResult:
     """Best fit per candidate K, and the winner.
 
-    k_star:
-        Candidate with the highest final bound; ties go to the smallest K.
     per_k:
         Mapping K -> winning :class:`~rsm.params.FitResult` for that K.
     failures:
         Mapping K -> diagnostic for candidates excluded because every
         restart failed numerically.
+
+    ``k_star`` is the candidate with the highest final bound; ties go to
+    the smallest K.
     """
 
-    k_star: int
     per_k: dict[int, FitResult]
     failures: dict[int, str]
 
-    def best_elbo(self, k: int) -> float:
-        return self.per_k[k].final_elbo
+    @property
+    def k_star(self) -> int:
+        return max(self.per_k, key=lambda k: (self.per_k[k].final_elbo, -k))
 
     def curve(self) -> list[tuple[int, float]]:
         """(K, best bound) pairs in increasing K order."""
@@ -50,8 +51,8 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     collapsed and order is irrelevant.  Candidate K is fitted with seed
     ``config.seed + 1000 * K`` (restarts then offset that, as in
     :func:`~rsm.inference.fit`), so runs are reproducible and independent of
-    enumeration order.  ``config.priors`` must be None: shape-correct priors
-    at ``config.prior_concentration`` are built per K.
+    enumeration order.  ``config.priors`` must be None: the default priors
+    are built per K.
 
     The network's discordance matrix
     (:func:`~rsm.medoids.distance_matrix`) is built once, here; every K's
@@ -63,8 +64,7 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     if any(k < 1 for k in ks):
         raise ValueError(f"cluster counts must be >= 1, got {ks}")
     if config.priors is not None:
-        raise ValueError("select_k builds priors per K; leave config.priors unset "
-                         "and use config.prior_concentration")
+        raise ValueError("select_k builds priors per K; leave config.priors unset")
 
     distances = medoids.distance_matrix(net)
     per_k: dict[int, FitResult] = {}
@@ -80,6 +80,4 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
         raise FloatingPointError(
             "every candidate K failed: " +
             "; ".join(f"K={k}: {msg}" for k, msg in failures.items()))
-
-    k_star = max(per_k, key=lambda k: (per_k[k].final_elbo, -k))
-    return SelectionResult(k_star=k_star, per_k=per_k, failures=failures)
+    return SelectionResult(per_k=per_k, failures=failures)

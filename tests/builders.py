@@ -1,10 +1,12 @@
-"""Random-instance builders, and the refusal of invalid networks, shared
-across test modules."""
+"""Random-instance builders, a strategy for random dense network inputs,
+and the refusal of invalid networks, shared across test modules."""
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rsm import RsmParams, VariationalState, sample_network
 
@@ -56,3 +58,26 @@ def random_state(rng, net, n_clusters):
         b=rng.uniform(0.3, 9.0, size=(s, s)),
         xi=rng.uniform(0.3, 6.0, size=(n_clusters, n_clusters, c)),
     )
+
+
+@st.composite
+def dense_inputs(draw, max_vertices=8, valid=False):
+    """(x, subgraph_of, n_types, n_subgraphs) with arbitrary diagonals.
+
+    Unless ``valid``, off-diagonal types may fall outside ``0..n_types`` and
+    subgraph labels outside ``0..n_subgraphs - 1``.
+    """
+    n = draw(st.integers(0, max_vertices))
+    n_types = draw(st.integers(1, 4))
+    n_subgraphs = draw(st.integers(1, 3))
+    types = st.one_of(st.just(0), st.integers(1, n_types))
+    labels = st.integers(0, n_subgraphs - 1)
+    if not valid:
+        types = st.one_of(types, st.integers(-3, n_types + 3))
+        labels = st.one_of(labels, st.integers(-2, n_subgraphs + 1))
+    x = draw(arrays(np.int64, (n, n), elements=types))
+    if n:
+        diagonal = draw(arrays(np.int64, n, elements=st.integers(-3, n_types + 3)))
+        np.fill_diagonal(x, diagonal)
+    sub = draw(arrays(np.int64, n, elements=labels))
+    return x, sub, n_types, n_subgraphs

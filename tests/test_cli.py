@@ -146,7 +146,8 @@ class TestFitCommand:
                         reason="the system does not report its physical memory")
     def test_network_too_large_for_memory_exits_one(self, tmp_path, capsys):
         # two edges among a million vertices load as an edge list; the
-        # 7.3 TiB discordance matrix is refused before it is allocated
+        # 21.8 TiB the discordance matrix needs is refused before it is
+        # allocated
         n = 1_000_000
         network = tmp_path / "network.txt"
         partition = tmp_path / "partition.txt"
@@ -158,7 +159,7 @@ class TestFitCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the discordance matrix of a 1000000-vertex "
-                              "network takes 7450.6 GiB (8000000000000 bytes), "
+                              "network takes 22351.7 GiB (24000000000000 bytes), "
                               "more than the ")
         assert not (tmp_path / "run").exists()
 

@@ -17,36 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import oracles
-from builders import refused
+from builders import dense_inputs, refused
 
 from rsm import PriorHyperparams, TypedNetwork, m_step_gamma, validate_network
 from rsm.io import read_network_file, write_network_file
-
-
-@st.composite
-def dense_inputs(draw, max_vertices=8, valid=False):
-    """(x, subgraph_of, n_types, n_subgraphs) with arbitrary diagonals.
-
-    Unless ``valid``, off-diagonal types may fall outside ``0..n_types`` and
-    subgraph labels outside ``0..n_subgraphs - 1``.
-    """
-    n = draw(st.integers(0, max_vertices))
-    n_types = draw(st.integers(1, 4))
-    n_subgraphs = draw(st.integers(1, 3))
-    types = st.one_of(st.just(0), st.integers(1, n_types))
-    labels = st.integers(0, n_subgraphs - 1)
-    if not valid:
-        types = st.one_of(types, st.integers(-3, n_types + 3))
-        labels = st.one_of(labels, st.integers(-2, n_subgraphs + 1))
-    x = draw(arrays(np.int64, (n, n), elements=types))
-    if n:
-        diagonal = draw(arrays(np.int64, n, elements=st.integers(-3, n_types + 3)))
-        np.fill_diagonal(x, diagonal)
-    sub = draw(arrays(np.int64, n, elements=labels))
-    return x, sub, n_types, n_subgraphs
 
 
 def off_diagonal(x):

@@ -10,9 +10,11 @@ import re
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from builders import random_instance, random_state, random_tau, refused
+from builders import dense_inputs, random_instance, random_state, random_tau, refused
 
 from rsm import (
     FitConfig,
@@ -24,6 +26,7 @@ from rsm import (
     distance_matrix,
     e_step,
     elbo,
+    exact_log_evidence,
     expand_scenario,
     fit,
     fit_single,
@@ -428,20 +431,39 @@ class TestFit:
                 "priors shaped for (S, K, C) = (1, 3, 3), expected (2, 3, 3)")):
             fit(sample.network, FitConfig(n_clusters=3, priors=priors))
 
-    def test_prior_concentration_builds_matching_priors(self):
-        sample = demo_sample(seed=8)
-        by_knob = fit(sample.network,
-                      FitConfig(n_clusters=2, n_restarts=1, seed=0,
-                                prior_concentration=1.0))
-        explicit = fit(sample.network,
-                       FitConfig(n_clusters=2, n_restarts=1, seed=0,
-                                 priors=PriorHyperparams.uniform(2, 2, 3)))
-        np.testing.assert_array_equal(by_knob.elbo_trace, explicit.elbo_trace)
-
     def test_recovers_demo_clusters(self):
         sample = demo_sample(seed=9)
         result = fit(sample.network, FitConfig(n_clusters=3, seed=0))
         assert adjusted_rand_index(result.map_labels, sample.true_labels) >= 0.9
+
+
+class TestFitOnRandomShapes:
+    """``fit`` on random small networks: N=0 to 8, C=1 to 4, S=1 to 3, with
+    empty subgraphs, networks without edges and K > N among them."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(dense_inputs(valid=True), st.data())
+    def test_bound_and_counts(self, inputs, data):
+        x, sub, n_types, n_subgraphs = inputs
+        net = TypedNetwork(x, sub, n_types=n_types, n_subgraphs=n_subgraphs)
+        n = net.n_vertices
+        k = data.draw(st.sampled_from([k for k in range(1, 5) if k ** n <= 4096]))
+        result = fit(net, FitConfig(n_clusters=k, n_restarts=2, seed=0))
+        priors = PriorHyperparams.jeffreys(n_subgraphs, k, n_types)
+
+        # the bound is at most the exact evidence; ties are real (gaps of
+        # about 1e-14 occur), hence the relative slack
+        exact = exact_log_evidence(net, k, priors)
+        assert result.final_elbo <= exact + 1e-9 * (1 + abs(exact))
+
+        state = result.state
+        sizes = np.bincount(net.subgraph_of, minlength=n_subgraphs)
+        np.testing.assert_allclose(state.chi.sum(axis=1) - priors.chi0.sum(axis=1),
+                                   sizes, rtol=0, atol=1e-9)
+        assert state.xi.sum() - priors.xi0.sum() == pytest.approx(len(net.src),
+                                                                   abs=1e-9)
+        np.testing.assert_array_equal(state.a + state.b - priors.a0 - priors.b0,
+                                      np.outer(sizes, sizes) - np.diag(sizes))
 
 
 class TestFitConfig:
@@ -454,5 +476,3 @@ class TestFitConfig:
             FitConfig(n_clusters=1, max_iterations=0)
         with pytest.raises(ValueError, match="epsilon_converge"):
             FitConfig(n_clusters=1, epsilon_converge=0.0)
-        with pytest.raises(ValueError, match="prior_concentration"):
-            FitConfig(n_clusters=1, prior_concentration=-1.0)

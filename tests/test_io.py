@@ -87,6 +87,19 @@ class TestNetworkFile:
         with pytest.raises(FormatError, match=r"bad\.txt:1: bad header"):
             read_network_file(path)
 
+    def test_header_past_int64_is_refused_naming_n(self, tmp_path):
+        # no such network can be built, and the edge line's id, past int64
+        # but within 1..N, breaks no line rule
+        path = tmp_path / "bad.txt"
+        path.write_text("rsm v1 N=100000000000000000000 S=1 C=1\n"
+                        "99999999999999999999 1 1\n")
+        with pytest.raises(FormatError) as raised:
+            read_network_file(path)
+        assert str(raised.value) == (f"{path}:1: N=100000000000000000000 "
+                                     f"outside 0..{2 ** 63 - 1}")
+        path.write_text(f"rsm v1 N={2 ** 63 - 1} S=1 C=1\n{2 ** 63 - 1} 1 1\n")
+        assert read_network_file(path)[0] == 2 ** 63 - 1
+
     @pytest.mark.parametrize("line,message", [
         ("0 2 1", "source vertex 0"),
         ("1 4 1", "destination vertex 4"),
@@ -475,10 +488,9 @@ def tiny_result():
         b=[[6.0]],
         xi=np.full((2, 2, 2), 1.0),
     )
-    return FitResult(state=state, elbo_trace=[-1.5, -1.0], map_labels=[0, 1],
-                     n_iterations=2, restart_index=0, converged=True,
-                     restarts=(RestartSummary(0, -1.0, 2, True),
-                               RestartSummary(1, float("nan"), 0, False)))
+    return FitResult(state=state, restart_index=0,
+                     restarts=(RestartSummary([-1.5, -1.0], True),
+                               RestartSummary([], False)))
 
 
 class TestReports:
@@ -496,9 +508,8 @@ class TestReports:
         assert path.read_text() == "iteration,elbo\n1,-1.5\n2,-1.0\n"
 
     def test_result_bundle_files_and_metadata(self, tmp_path):
-        paths = write_result_bundle(tmp_path / "out", tiny_result(), seed=3,
-                                    n_clusters=2, n_restarts=2,
-                                    epsilon_converge=1e-6, max_iterations=200)
+        paths = write_result_bundle(tmp_path / "out", tiny_result(),
+                                    FitConfig(n_clusters=2, n_restarts=2, seed=3))
         for role in ("labels", "parameters", "elbo_trace", "metadata"):
             assert paths[role].exists()
         assert paths["labels"].read_text() == "1 1\n2 2\n"
@@ -508,16 +519,16 @@ class TestReports:
         assert metadata["final_elbo"] == -1.0
         assert metadata["best_restart"] == 0
         # a failed restart serializes its bound as null
-        assert metadata["restarts"][1]["final_elbo"] is None
+        assert metadata["restarts"][1] == {"restart": 1, "final_elbo": None,
+                                           "n_iterations": 0, "converged": False}
         assert metadata["restarts"][0]["converged"] is True
 
     def test_bundle_round_trips_through_a_real_fit(self, tmp_path):
         spec = demo_spec()
         sample = sample_network(expand_scenario(spec), spec.subgraph_labels(), 0)
-        result = fit(sample.network, FitConfig(n_clusters=3, n_restarts=2, seed=0))
-        paths = write_result_bundle(tmp_path / "run", result, seed=0,
-                                    n_clusters=3, n_restarts=2,
-                                    epsilon_converge=1e-6, max_iterations=200)
+        config = FitConfig(n_clusters=3, n_restarts=2, seed=0)
+        result = fit(sample.network, config)
+        paths = write_result_bundle(tmp_path / "run", result, config)
         labels = read_labels_file(paths["labels"])
         assert sorted(labels) == list(range(30))
         np.testing.assert_array_equal(

@@ -89,12 +89,13 @@ class TestInitDistance:
 class TestMemoryRefusal:
     def test_refuses_a_matrix_past_physical_memory(self, monkeypatch):
         net = distinct_rows_net(10)
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 8 * 10 * 10)
+        # the peak is three 10 x 10 float64 arrays
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 3 * 8 * 10 * 10)
         assert distance_matrix(net).shape == (10, 10)
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 8 * 10 * 10 - 1)
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 3 * 8 * 10 * 10 - 1)
         with pytest.raises(ValueError, match=re.escape(
                 "the discordance matrix of a 10-vertex network takes 0.0 GiB "
-                "(800 bytes), more than the 0.0 GiB of physical memory")):
+                "(2400 bytes), more than the 0.0 GiB of physical memory")):
             distance_matrix(net)
 
 

@@ -140,10 +140,8 @@ class TestFitResult:
     def make_result(self):
         state = VariationalState(tau=[[1.0]], chi=[[1.5]], a=[[1.0]], b=[[1.0]],
                                  xi=np.full((1, 1, 1), 0.5))
-        summaries = (RestartSummary(0, -5.0, 3, True),)
-        return FitResult(state=state, elbo_trace=[-7.0, -5.0], map_labels=[0],
-                         n_iterations=2, restart_index=0, converged=True,
-                         restarts=summaries)
+        return FitResult(state=state, restart_index=0,
+                         restarts=(RestartSummary([-7.0, -5.0], True),))
 
     def test_final_elbo_is_last_trace_entry(self):
         assert self.make_result().final_elbo == -5.0

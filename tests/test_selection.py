@@ -74,8 +74,7 @@ class TestSelectK:
                           FitConfig(n_clusters=1, n_restarts=1, seed=0))
         curve = dict(result.curve())
         for k in (1, 2):
-            assert result.best_elbo(k) == curve[k]
-            assert result.best_elbo(k) == result.per_k[k].final_elbo
+            assert curve[k] == result.per_k[k].final_elbo
 
     def test_rejects_empty_candidate_set(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -88,5 +87,5 @@ class TestSelectK:
     def test_rejects_explicit_priors(self):
         config = FitConfig(n_clusters=2,
                            priors=PriorHyperparams.jeffreys(1, 2, 1))
-        with pytest.raises(ValueError, match="prior_concentration"):
+        with pytest.raises(ValueError, match="leave config.priors unset"):
             select_k(empty_vertex_net(), [1, 2], config)
