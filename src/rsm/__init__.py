@@ -29,7 +29,7 @@ from .inference import (
 from .medoids import distance_matrix, kmedoid_init
 from .metrics import adjusted_rand_index
 from .network import TypedNetwork, ValidationReport, validate_network
-from .oracle import OracleLimits, exact_log_evidence
+from .oracle import exact_log_evidence
 from .params import (
     FitResult,
     PriorHyperparams,
@@ -45,7 +45,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "GeneratedSample",
-    "OracleLimits",
     "PriorHyperparams",
     "RestartSummary",
     "RsmParams",

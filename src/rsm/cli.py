@@ -31,7 +31,7 @@ from .io import (
 )
 from .metrics import adjusted_rand_index
 from .network import TypedNetwork, validate_network
-from .oracle import OracleLimits, exact_log_evidence
+from .oracle import exact_log_evidence
 from .params import PriorHyperparams
 from .selection import select_k
 
@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--network", required=True, help="network file")
     oracle.add_argument("--partition", required=True, help="subgraph partition file")
     oracle.add_argument("--k", type=int, required=True, help="number of clusters")
-    oracle.add_argument("--max-enum", type=int, default=OracleLimits().max_enumeration,
-                        help="assignment budget (default 4096)")
+    oracle.add_argument("--max-enum", type=int, default=4096,
+                        help="assignment budget (default %(default)s)")
     return parser
 
 
@@ -190,8 +190,7 @@ def cmd_debug_oracle(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--k must be >= 1, got {args.k}")
     net = _load_validated(args)
     priors = PriorHyperparams.jeffreys(net.n_subgraphs, args.k, net.n_types)
-    value = exact_log_evidence(net, args.k, priors,
-                               OracleLimits(max_enumeration=args.max_enum))
+    value = exact_log_evidence(net, args.k, priors, max_enumeration=args.max_enum)
     print(f"log evidence: {value!r}")
     return 0
 

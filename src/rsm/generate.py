@@ -20,7 +20,7 @@ from .network import TypedNetwork, _readonly
 from .params import RsmParams, check_row_stochastic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """Structured parameterization of the generative model.
 
@@ -95,7 +95,7 @@ class ScenarioSpec:
         return np.repeat(np.arange(self.n_subgraphs), self.subgraph_sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratedSample:
     """A sampled network together with the clusters and parameters behind it."""
 

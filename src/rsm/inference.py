@@ -93,6 +93,24 @@ def _check_priors(priors: PriorHyperparams, expected: tuple[int, int, int]) -> N
         raise ValueError(f"priors shaped for (S, K, C) = {shape}, expected {expected}")
 
 
+def _check_state(net: TypedNetwork, state: VariationalState) -> None:
+    """Reject a state whose (N, S, C), read from its tau rows, chi rows and
+    xi types, is not the network's."""
+    shape = (state.tau.shape[0], state.chi.shape[0], state.xi.shape[2])
+    expected = (net.n_vertices, net.n_subgraphs, net.n_types)
+    if shape != expected:
+        raise ValueError(f"state dimensions (N, S, C) = {shape} do not match "
+                         f"the network's {expected}")
+
+
+def _check_tau(tau, n_rows: int) -> np.ndarray:
+    """tau as float64, refused unless it is a matrix with ``n_rows`` rows."""
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.ndim != 2 or tau.shape[0] != n_rows:
+        raise ValueError(f"tau must be {n_rows} x K, got shape {tau.shape}")
+    return tau
+
+
 def m_step_gamma(net: TypedNetwork, priors: PriorHyperparams
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior Beta parameters of the presence probabilities.
@@ -119,14 +137,14 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
 
     chi[s, k] gains the total responsibility mass for cluster k among the
     vertices of subgraph s, so each row's added mass equals the subgraph
-    size.  A subgraph label outside the priors' ``0..S - 1``, or tau with
-    another K than the priors, is rejected; either message names the
-    priors' (S, K, C).
+    size.  A tau with another row count than the labels is rejected.  So
+    are a subgraph label outside the priors' ``0..S - 1`` and a tau with
+    another K than the priors; either message names the priors' (S, K, C).
     """
-    tau = np.asarray(tau, dtype=np.float64)
+    sub = np.asarray(subgraph_of, dtype=np.int64)
+    tau = _check_tau(tau, len(sub))
     shape = (priors.n_subgraphs, priors.n_clusters, priors.n_types)
     _check_priors(priors, (shape[0], tau.shape[1], shape[2]))
-    sub = np.asarray(subgraph_of, dtype=np.int64)
     bad = np.nonzero((sub < 0) | (sub >= shape[0]))[0]
     if len(bad):
         raise ValueError(f"subgraph label {sub[bad[0]]} at vertex {bad[0]} outside "
@@ -140,10 +158,10 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
 
     xi[k, l, c] gains sum over ordered pairs (i, j), i != j, of
     tau[i, k] * tau[j, l] for each edge i->j of type c, so the total added
-    mass equals the number of present edges.  Priors shaped for another
-    network or K are rejected.
+    mass equals the number of present edges.  A tau with another row count
+    than N, and priors shaped for another network or K, are rejected.
     """
-    tau = np.asarray(tau, dtype=np.float64)
+    tau = _check_tau(tau, net.n_vertices)
     _check_priors(priors, (net.n_subgraphs, tau.shape[1], net.n_types))
     out_sums, _ = _neighbour_sums(_type_operator(net), tau, net.n_types)
     return _update_xi(out_sums, tau, priors.xi0)
@@ -217,8 +235,10 @@ def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
     """One synchronous responsibility sweep.
 
     Every row of the returned tau is computed from the previous tau (no
-    in-sweep feedback), normalized in the log domain, and sums to 1.
+    in-sweep feedback), normalized in the log domain, and sums to 1.  A
+    state shaped for another network is rejected.
     """
+    _check_state(net, state)
     out_sums, in_sums = _neighbour_sums(_type_operator(net), state.tau, net.n_types)
     scores = _scores(out_sums, in_sums, state.chi, state.xi, net.subgraph_of)
     return _normalize_scores(scores)
@@ -233,9 +253,9 @@ def elbo(net: TypedNetwork, state: VariationalState,
     hyperparameter sweep during fitting.  Zero-responsibility entries
     contribute zero entropy.  The prior terms come from the normalizers
     cached on ``priors``, which must match the network and the state's K.
+    A state shaped for another network is rejected.
     """
-    if state.tau.shape[0] != net.n_vertices or state.chi.shape[0] != net.n_subgraphs:
-        raise ValueError("state does not match the network's dimensions")
+    _check_state(net, state)
     _check_priors(priors, (net.n_subgraphs, state.tau.shape[1], net.n_types))
     gamma_term = float((betaln(state.a, state.b) - priors.log_beta0).sum())
     alpha_term = float((log_dirichlet_norm(state.chi, axis=1)

@@ -17,9 +17,11 @@ operators of :mod:`rsm.inference`, the k-medoid discordance of
 :mod:`rsm.medoids`) reads the edge list itself.
 
 A :class:`TypedNetwork` is valid by construction: every edge type lies in
-``1..n_types`` and every subgraph label in ``0..n_subgraphs - 1``.
-:func:`validate_network` holds that rule; the constructor refuses a network
-it finds violations in, and code that takes a network checks it no further.
+``1..n_types`` and every subgraph label in ``0..n_subgraphs - 1``.  The one
+construction path refuses a network that breaks a rule, naming the first
+offender, and code that takes a network checks it no further.
+:func:`validate_network` reports what a valid network may still hold: empty
+subgraphs.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _refuse_first(src: np.ndarray, dst: np.ndarray, bad: np.ndarray, what: str) 
         raise ValueError(f"edge ({src[e]}, {dst[e]}) {what}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class TypedNetwork:
     """A directed network whose present edges carry a categorical type.
 
@@ -77,9 +79,10 @@ class TypedNetwork:
     from them.
 
     Raises ValueError for inconsistent shapes, counts below 1, types that
-    are not int64 integers, and for the violations :func:`validate_network`
-    reports (an off-diagonal type outside ``0..n_types``, a label outside
-    ``0..n_subgraphs - 1``), as ``"invalid network: "`` followed by them.
+    are not int64 integers, and for an off-diagonal type outside
+    ``0..n_types`` or a label outside ``0..n_subgraphs - 1``, as
+    ``"invalid network: "`` followed by the first such fault (types before
+    labels).
     """
 
     src: np.ndarray
@@ -118,8 +121,8 @@ class TypedNetwork:
         return net
 
     def _set_edges(self, n, src, dst, types, subgraph_of, n_types, n_subgraphs):
-        """The one construction path: check, sort and store the edge list,
-        then refuse what :func:`validate_network` finds."""
+        """The one construction path: check, sort and store the edge list;
+        each rule names the first edge or vertex that breaks it."""
         edges = [np.asarray(v) for v in (src, dst, types)]
         if any(v.ndim != 1 or v.shape != edges[0].shape for v in edges):
             raise ValueError("src, dst and types must be equal-length vectors, got "
@@ -130,6 +133,7 @@ class TypedNetwork:
         sub = np.asarray(subgraph_of)
         if sub.ndim != 1 or sub.shape[0] != n:
             raise ValueError(f"subgraph_of must be a length-{n} vector, got shape {sub.shape}")
+        sub = sub.astype(np.int64)
         if n_types < 1:
             raise ValueError(f"n_types must be >= 1, got {n_types}")
         if n_subgraphs < 1:
@@ -144,15 +148,22 @@ class TypedNetwork:
             _refuse_first(src[1:], dst[1:], (src[1:] == src[:-1]) & (dst[1:] == dst[:-1]),
                           "is listed twice")
         _refuse_first(src, dst, types == 0, "has type 0, which marks an absent pair")
+        bad = (types < 0) | (types > n_types)
+        if bad.any():
+            e = np.argmax(bad)
+            raise ValueError(f"invalid network: edge type {types[e]} at "
+                             f"({src[e]}, {dst[e]}) outside 0..{n_types}")
+        bad = (sub < 0) | (sub >= n_subgraphs)
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValueError(f"invalid network: subgraph label {sub[i]} at vertex {i} "
+                             f"outside 0..{n_subgraphs - 1}")
         for name, value in (("src", src), ("dst", dst), ("types", types),
                             ("subgraph_of", sub)):
-            object.__setattr__(self, name, _readonly(value, np.int64))
+            object.__setattr__(self, name, _readonly(value))
         object.__setattr__(self, "n_vertices", int(n))
         object.__setattr__(self, "n_types", n_types)
         object.__setattr__(self, "n_subgraphs", n_subgraphs)
-        report = validate_network(self)
-        if not report.ok:
-            raise ValueError("invalid network: " + "; ".join(report.violations))
 
     @property
     def edge_types(self) -> np.ndarray:
@@ -172,7 +183,9 @@ class TypedNetwork:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate_network`: hard violations plus warnings."""
+    """Outcome of :func:`validate_network`.  ``violations`` is always empty,
+    since a built network has none, and ``ok`` always true; both stay for
+    callers that still read them."""
 
     violations: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
@@ -183,35 +196,11 @@ class ValidationReport:
 
 
 def validate_network(net: TypedNetwork) -> ValidationReport:
-    """Check label and type ranges of a network.
+    """Warn about each subgraph with no vertices.
 
-    Violations (reject): an edge type outside ``0..n_types``, or a subgraph
-    label outside ``0..n_subgraphs - 1``; :class:`TypedNetwork` refuses a
-    network with any.  Warnings (accept): a subgraph with no vertices.
+    A network's types and labels are checked when it is built, so the
+    report holds warnings only.
     """
-    violations: list[str] = []
-    warnings: list[str] = []
-
-    bad = np.nonzero((net.types < 0) | (net.types > net.n_types))[0]
-    for e in bad[:20]:
-        violations.append(
-            f"edge type {net.types[e]} at ({net.src[e]}, {net.dst[e]}) "
-            f"outside 0..{net.n_types}"
-        )
-    if len(bad) > 20:
-        violations.append(f"... and {len(bad) - 20} more edge-type violations")
-
-    sub = net.subgraph_of
-    bad_sub = np.nonzero((sub < 0) | (sub >= net.n_subgraphs))[0]
-    for i in bad_sub[:20]:
-        violations.append(
-            f"subgraph label {sub[i]} at vertex {i} outside 0..{net.n_subgraphs - 1}"
-        )
-    if len(bad_sub) > 20:
-        violations.append(f"... and {len(bad_sub) - 20} more subgraph-label violations")
-
-    counts = np.bincount(sub[(sub >= 0) & (sub < net.n_subgraphs)], minlength=net.n_subgraphs)
-    for s in np.nonzero(counts == 0)[0]:
-        warnings.append(f"subgraph {s} has no vertices")
-
-    return ValidationReport(tuple(violations), tuple(warnings))
+    counts = np.bincount(net.subgraph_of, minlength=net.n_subgraphs)
+    return ValidationReport(warnings=tuple(
+        f"subgraph {s} has no vertices" for s in np.nonzero(counts == 0)[0]))

@@ -13,21 +13,12 @@ they share only the check that rejects priors of another shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
 
 from .inference import _check_priors
 from .network import TypedNetwork
 from .params import PriorHyperparams
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    """Enumeration budget: refuse instances with more than this many assignments."""
-
-    max_enumeration: int = 4096
 
 
 def _log_beta(a, b):
@@ -39,8 +30,8 @@ def _log_dirichlet(x, axis):
 
 
 def exact_log_evidence(net: TypedNetwork, n_clusters: int,
-                       priors: PriorHyperparams,
-                       limits: OracleLimits = OracleLimits()) -> float:
+                       priors: PriorHyperparams, *,
+                       max_enumeration: int = 4096) -> float:
     """log p(network | K) marginalized over parameters and assignments.
 
     Enumerates all ``n_clusters ** n_vertices`` assignments; each
@@ -51,7 +42,7 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
 
     Raises ValueError for priors shaped for another network or K, as
     :func:`rsm.inference.fit` does, or when the assignment count exceeds
-    ``limits.max_enumeration``.
+    the enumeration budget ``max_enumeration``.
     """
     n = net.n_vertices
     k = int(n_clusters)
@@ -59,10 +50,10 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
         raise ValueError(f"n_clusters must be >= 1, got {k}")
     _check_priors(priors, (net.n_subgraphs, k, net.n_types))
     n_assignments = k ** n
-    if n_assignments > limits.max_enumeration:
+    if n_assignments > max_enumeration:
         raise ValueError(
             f"{k}^{n} = {n_assignments} assignments exceed the enumeration "
-            f"budget {limits.max_enumeration}")
+            f"budget {max_enumeration}")
 
     # Presence factor: counts depend only on the observed presence pattern.
     sub = net.subgraph_of

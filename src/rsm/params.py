@@ -18,7 +18,7 @@ from .network import _readonly
 ROW_SUM_TOL = 1e-10
 
 
-def check_row_stochastic(arr: np.ndarray, name: str, tol: float = ROW_SUM_TOL) -> None:
+def check_row_stochastic(arr: np.ndarray, name: str) -> None:
     """Raise ValueError unless ``arr`` is nonnegative with unit sums on the last axis."""
     arr = np.asarray(arr, dtype=np.float64)
     if arr.size == 0:
@@ -26,7 +26,7 @@ def check_row_stochastic(arr: np.ndarray, name: str, tol: float = ROW_SUM_TOL) -
     if np.any(arr < 0):
         raise ValueError(f"{name} has negative entries")
     sums = arr.sum(axis=-1)
-    if not np.all(np.abs(sums - 1.0) <= tol):
+    if not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL):
         worst = float(np.max(np.abs(sums - 1.0)))
         raise ValueError(f"{name} rows must sum to 1 (worst deviation {worst:.3e})")
 
@@ -37,7 +37,41 @@ def log_dirichlet_norm(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return gammaln(x).sum(axis=axis) - gammaln(x.sum(axis=axis))
 
 
-@dataclass(frozen=True)
+def _set_tables(record, sk: str, ss: tuple[str, ...], kkc: str,
+                k: int | None = None) -> None:
+    """Store ``record``'s S x K table ``sk``, its S x S tables ``ss`` and its
+    K x K x C table ``kkc`` as read-only float64 copies.
+
+    S and K are read from the S x K table, which must have ``k`` columns
+    when ``k`` is given; a table of another shape is refused by name.
+    """
+    tables = {name: np.asarray(getattr(record, name), dtype=np.float64)
+              for name in (sk, *ss, kkc)}
+    first = tables[sk]
+    if first.ndim != 2 or (k is not None and first.shape[1] != k):
+        raise ValueError(f"{sk} must be S x {'K' if k is None else k}, "
+                         f"got shape {first.shape}")
+    s, k = first.shape
+    square = [tables[name] for name in ss]
+    if any(t.shape != (s, s) for t in square):
+        got = " and ".join(str(t.shape) for t in square)
+        raise ValueError(f"{' and '.join(ss)} must be {s} x {s}, got "
+                         f"{'shape ' if len(ss) == 1 else ''}{got}")
+    last = tables[kkc]
+    if last.ndim != 3 or last.shape[:2] != (k, k):
+        raise ValueError(f"{kkc} must be {k} x {k} x C, got shape {last.shape}")
+    for name, value in tables.items():
+        object.__setattr__(record, name, _readonly(value))
+
+
+def _check_positive(record, names: tuple[str, ...]) -> None:
+    """Refuse a table of ``record`` with an entry that is not strictly positive."""
+    for name in names:
+        if not np.all(getattr(record, name) > 0):
+            raise ValueError(f"{name} entries must be strictly positive")
+
+
+@dataclass(frozen=True, eq=False)
 class RsmParams:
     """Generative parameters of the model.
 
@@ -56,24 +90,11 @@ class RsmParams:
     pi: np.ndarray
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        gamma = np.asarray(self.gamma, dtype=np.float64)
-        pi = np.asarray(self.pi, dtype=np.float64)
-        if alpha.ndim != 2:
-            raise ValueError(f"alpha must be S x K, got shape {alpha.shape}")
-        s = alpha.shape[0]
-        if gamma.shape != (s, s):
-            raise ValueError(f"gamma must be {s} x {s}, got shape {gamma.shape}")
-        k = alpha.shape[1]
-        if pi.ndim != 3 or pi.shape[0] != k or pi.shape[1] != k:
-            raise ValueError(f"pi must be {k} x {k} x C, got shape {pi.shape}")
-        check_row_stochastic(alpha, "alpha")
-        check_row_stochastic(pi, "pi")
-        if np.any(gamma < 0) or np.any(gamma > 1):
+        _set_tables(self, "alpha", ("gamma",), "pi")
+        check_row_stochastic(self.alpha, "alpha")
+        check_row_stochastic(self.pi, "pi")
+        if np.any(self.gamma < 0) or np.any(self.gamma > 1):
             raise ValueError("gamma entries must lie in [0, 1]")
-        object.__setattr__(self, "alpha", _readonly(alpha))
-        object.__setattr__(self, "gamma", _readonly(gamma))
-        object.__setattr__(self, "pi", _readonly(pi))
 
     @property
     def n_subgraphs(self) -> int:
@@ -88,7 +109,7 @@ class RsmParams:
         return self.pi.shape[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorHyperparams:
     """Conjugate prior hyperparameters.
 
@@ -101,7 +122,7 @@ class PriorHyperparams:
 
     All entries must be strictly positive.  The default used throughout is
     the noninformative value 1/2 everywhere (:meth:`jeffreys`); the flat
-    alternative is 1 everywhere (:meth:`uniform`).
+    alternative is 1 everywhere (:meth:`constant` with ``value=1.0``).
 
     The prior-only normalizers of the bound (:attr:`log_beta0`,
     :attr:`log_norm_chi0`, :attr:`log_norm_xi0`) are computed on first use
@@ -115,24 +136,8 @@ class PriorHyperparams:
     xi0: np.ndarray
 
     def __post_init__(self):
-        chi0 = np.asarray(self.chi0, dtype=np.float64)
-        a0 = np.asarray(self.a0, dtype=np.float64)
-        b0 = np.asarray(self.b0, dtype=np.float64)
-        xi0 = np.asarray(self.xi0, dtype=np.float64)
-        if chi0.ndim != 2:
-            raise ValueError(f"chi0 must be S x K, got shape {chi0.shape}")
-        s, k = chi0.shape
-        if a0.shape != (s, s) or b0.shape != (s, s):
-            raise ValueError(f"a0 and b0 must be {s} x {s}, got {a0.shape} and {b0.shape}")
-        if xi0.ndim != 3 or xi0.shape[:2] != (k, k):
-            raise ValueError(f"xi0 must be {k} x {k} x C, got shape {xi0.shape}")
-        for name, arr in (("chi0", chi0), ("a0", a0), ("b0", b0), ("xi0", xi0)):
-            if arr.size and not np.all(arr > 0):
-                raise ValueError(f"{name} entries must be strictly positive")
-        object.__setattr__(self, "chi0", _readonly(chi0))
-        object.__setattr__(self, "a0", _readonly(a0))
-        object.__setattr__(self, "b0", _readonly(b0))
-        object.__setattr__(self, "xi0", _readonly(xi0))
+        _set_tables(self, "chi0", ("a0", "b0"), "xi0")
+        _check_positive(self, ("chi0", "a0", "b0", "xi0"))
 
     @classmethod
     def constant(cls, n_subgraphs: int, n_clusters: int, n_types: int,
@@ -152,11 +157,6 @@ class PriorHyperparams:
     def jeffreys(cls, n_subgraphs: int, n_clusters: int, n_types: int) -> "PriorHyperparams":
         """Noninformative prior: 1/2 everywhere (the default)."""
         return cls.constant(n_subgraphs, n_clusters, n_types, 0.5)
-
-    @classmethod
-    def uniform(cls, n_subgraphs: int, n_clusters: int, n_types: int) -> "PriorHyperparams":
-        """Flat prior: 1 everywhere."""
-        return cls.constant(n_subgraphs, n_clusters, n_types, 1.0)
 
     @property
     def n_subgraphs(self) -> int:
@@ -186,7 +186,7 @@ class PriorHyperparams:
         return _readonly(log_dirichlet_norm(self.xi0, axis=2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationalState:
     """Posterior approximation after an update sweep.
 
@@ -208,29 +208,12 @@ class VariationalState:
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=np.float64)
-        chi = np.asarray(self.chi, dtype=np.float64)
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        xi = np.asarray(self.xi, dtype=np.float64)
         if tau.ndim != 2:
             raise ValueError(f"tau must be N x K, got shape {tau.shape}")
-        k = tau.shape[1]
-        if chi.ndim != 2 or chi.shape[1] != k:
-            raise ValueError(f"chi must be S x {k}, got shape {chi.shape}")
-        s = chi.shape[0]
-        if a.shape != (s, s) or b.shape != (s, s):
-            raise ValueError(f"a and b must be {s} x {s}")
-        if xi.ndim != 3 or xi.shape[:2] != (k, k):
-            raise ValueError(f"xi must be {k} x {k} x C, got shape {xi.shape}")
+        _set_tables(self, "chi", ("a", "b"), "xi", k=tau.shape[1])
         check_row_stochastic(tau, "tau")
-        for name, arr in (("chi", chi), ("a", a), ("b", b), ("xi", xi)):
-            if arr.size and not np.all(arr > 0):
-                raise ValueError(f"{name} entries must be strictly positive")
+        _check_positive(self, ("chi", "a", "b", "xi"))
         object.__setattr__(self, "tau", _readonly(tau))
-        object.__setattr__(self, "chi", _readonly(chi))
-        object.__setattr__(self, "a", _readonly(a))
-        object.__setattr__(self, "b", _readonly(b))
-        object.__setattr__(self, "xi", _readonly(xi))
 
     @classmethod
     def _unchecked(cls, tau, chi, a, b, xi) -> "VariationalState":
@@ -254,7 +237,7 @@ class VariationalState:
         return self.tau.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RestartSummary:
     """One restart of :func:`rsm.inference.fit`: its bound per iteration
     (empty if it failed numerically) and whether it met the stopping
@@ -276,7 +259,7 @@ class RestartSummary:
         return len(self.elbo_trace)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a (multi-restart) fit.
 

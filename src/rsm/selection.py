@@ -18,7 +18,7 @@ from .params import FitResult
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Best fit per candidate K, and the winner.
 

@@ -35,11 +35,10 @@ def random_instance(rng, n_vertices, n_subgraphs, n_clusters, n_types):
     return sample_network(params, sub, seed=int(rng.integers(2 ** 31)))
 
 
-def refused(*violations):
-    """Expect ``TypedNetwork`` construction to fail naming exactly these
-    violations, in order."""
-    message = "invalid network: " + "; ".join(violations)
-    return pytest.raises(ValueError, match=re.escape(message) + "$")
+def refused(violation):
+    """Expect ``TypedNetwork`` construction to fail naming exactly this
+    violation."""
+    return pytest.raises(ValueError, match=re.escape("invalid network: " + violation) + "$")
 
 
 def random_tau(rng, n_vertices, n_clusters):

@@ -83,26 +83,20 @@ def presence_counts(x, sub, n_subgraphs):
 
 
 def validation_violations(x, sub, n_types, n_subgraphs):
-    """The violations ``validate_network`` reports, from a scan of the dense
-    input matrix: off-diagonal entries outside ``0..n_types`` in row-major
-    order, then subgraph labels outside ``0..n_subgraphs - 1``; at most 20
-    of each kind are itemized and the rest summarized."""
+    """Every range fault of a network, from a scan of the dense input
+    matrix: off-diagonal entries outside ``0..n_types`` in row-major order,
+    then subgraph labels outside ``0..n_subgraphs - 1``."""
     x = np.array(x, copy=True)
     if x.size:
         np.fill_diagonal(x, 0)
     sub = np.asarray(sub)
     violations = []
     bad = np.argwhere((x < 0) | (x > n_types))
-    for i, j in bad[:20]:
+    for i, j in bad:
         violations.append(f"edge type {x[i, j]} at ({i}, {j}) outside 0..{n_types}")
-    if len(bad) > 20:
-        violations.append(f"... and {len(bad) - 20} more edge-type violations")
-    bad_sub = np.nonzero((sub < 0) | (sub >= n_subgraphs))[0]
-    for i in bad_sub[:20]:
+    for i in np.nonzero((sub < 0) | (sub >= n_subgraphs))[0]:
         violations.append(
             f"subgraph label {sub[i]} at vertex {i} outside 0..{n_subgraphs - 1}")
-    if len(bad_sub) > 20:
-        violations.append(f"... and {len(bad_sub) - 20} more subgraph-label violations")
     return violations
 
 

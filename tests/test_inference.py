@@ -244,8 +244,8 @@ class TestFitSingle:
 class TestUpdatesRejectInvalidNetworks:
     """No update can be handed a network with a fault it would misread: one
     edge of type 5 with C=2 among four edges, or a subgraph label -1 with
-    S=2.  Construction refuses such a network, naming each fault.  The mixing
-    update takes bare labels, and checks them."""
+    S=2.  Construction refuses such a network, naming its first fault.  The
+    mixing update takes bare labels, and checks them."""
 
     x = np.array([[0, 1, 0],
                   [2, 0, 5],
@@ -265,8 +265,8 @@ class TestUpdatesRejectInvalidNetworks:
                          PriorHyperparams.jeffreys(2, 2, 2))
 
     def test_type_update(self):
-        # xi has no slot for type 5; both faults are named, types first
-        with refused(self.type_fault, self.label_fault):
+        # xi has no slot for type 5; types are checked before labels
+        with refused(self.type_fault):
             TypedNetwork(self.x, [0, -1, 1], n_types=2, n_subgraphs=2)
 
     def test_responsibility_update(self):
@@ -330,6 +330,46 @@ class TestPriorsShapedForAnotherNetwork:
             elbo(net, state, PriorHyperparams.jeffreys(*shape))
 
 
+class TestStatesShapedForAnotherNetwork:
+    """The sweep, the bound and the type and mixing updates refuse a state
+    or tau shaped for another network (N = 12, S = 3, C = 3), naming both
+    shapes, where they would otherwise misread rows or fail in a product."""
+
+    def network(self):
+        return random_instance(np.random.default_rng(21), 12, 3, 3, 3).network
+
+    @staticmethod
+    def state(n, s, c, k=3):
+        return VariationalState(tau=np.full((n, k), 1.0 / k), chi=np.ones((s, k)),
+                                a=np.ones((s, s)), b=np.ones((s, s)),
+                                xi=np.ones((k, k, c)))
+
+    def test_responsibility_update(self):
+        # four chi rows would be read as the mixing rows of subgraphs 0..2
+        with pytest.raises(ValueError, match=re.escape(
+                "state dimensions (N, S, C) = (12, 4, 3) do not match "
+                "the network's (12, 3, 3)")):
+            e_step(self.network(), self.state(12, 4, 3))
+
+    def test_bound(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "state dimensions (N, S, C) = (12, 3, 2) do not match "
+                "the network's (12, 3, 3)")):
+            elbo(self.network(), self.state(12, 3, 2), PriorHyperparams.jeffreys(3, 3, 3))
+
+    def test_type_update(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "tau must be 12 x K, got shape (6, 3)")):
+            m_step_pi(self.network(), np.full((6, 3), 1.0 / 3),
+                      PriorHyperparams.jeffreys(3, 3, 3))
+
+    def test_mixing_update(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "tau must be 12 x K, got shape (6, 3)")):
+            m_step_alpha(self.network().subgraph_of, np.full((6, 3), 1.0 / 3),
+                         PriorHyperparams.jeffreys(3, 3, 3))
+
+
 class TestCountConservation:
     def test_invariants_hold_after_every_update_sweep(self):
         rng = np.random.default_rng(16)
@@ -380,6 +420,33 @@ class TestPermutationEquivariance:
                                    rtol=1e-7, atol=1e-12)
         np.testing.assert_allclose(state_a.chi, state_b.chi, rtol=1e-9)
         np.testing.assert_allclose(state_a.xi, state_b.xi, rtol=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(dense_inputs(valid=True), st.data())
+    def test_vertex_and_cluster_permutations_permute_the_fit(self, inputs, data):
+        # vertex p[i] of the network is vertex i of the permuted one, and
+        # cluster q[l] of a start is cluster l of the permuted start; hard
+        # and soft starts alike
+        x, sub, n_types, n_subgraphs = inputs
+        n = len(x)
+        k = data.draw(st.integers(1, 4), label="k")
+        p = np.array(data.draw(st.permutations(range(n)), label="p"), dtype=np.int64)
+        q = np.array(data.draw(st.permutations(range(k)), label="q"), dtype=np.int64)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="hard start"):
+            tau0 = np.eye(k)[rng.integers(0, k, size=n)]
+        else:
+            tau0 = random_tau(rng, n, k)
+        net = TypedNetwork(x, sub, n_types, n_subgraphs)
+        permuted = TypedNetwork(x[p][:, p], sub[p], n_types, n_subgraphs)
+        priors = PriorHyperparams.jeffreys(n_subgraphs, k, n_types)
+        options = dict(epsilon_converge=1e-10, max_iterations=30)
+
+        state_a, trace_a, _ = fit_single(net, tau0, priors, **options)
+        state_b, trace_b, _ = fit_single(permuted, tau0[p][:, q], priors, **options)
+        assert len(trace_a) == len(trace_b)
+        np.testing.assert_allclose(trace_b, trace_a, rtol=1e-9)
+        np.testing.assert_allclose(state_b.tau, state_a.tau[p][:, q], rtol=0, atol=1e-9)
 
 
 class TestFit:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from builders import refused
 
-from rsm import TypedNetwork, validate_network
+from rsm import FitConfig, PriorHyperparams, TypedNetwork, validate_network
 
 
 def small_net():
@@ -20,6 +20,16 @@ class TestTypedNetwork:
         assert net.n_vertices == 3
         assert net.n_types == 3
         assert net.n_subgraphs == 2
+
+    def test_identity_equality_and_hashing(self):
+        # records holding arrays compare by identity, so comparing two
+        # never asks numpy for the truth value of an array
+        net = small_net()
+        assert net == net
+        assert (net == small_net()) is False
+        assert {net} == {net}
+        config = FitConfig(n_clusters=2, priors=PriorHyperparams.jeffreys(2, 2, 3))
+        assert hash(config) == hash(config)
 
     def test_arrays_are_read_only(self):
         net = small_net()
@@ -94,8 +104,8 @@ class TestOffdiagonal:
 
 
 class TestValidateNetwork:
-    """``validate_network`` holds the range rule; construction refuses a
-    network it finds violations in, and the report keeps the warnings."""
+    """Construction refuses a type or label out of range, naming the first;
+    ``validate_network`` reports the warnings a built network may hold."""
 
     def test_clean_network_passes(self):
         report = validate_network(small_net())
@@ -121,13 +131,6 @@ class TestValidateNetwork:
     def test_subgraph_label_out_of_range(self):
         with refused("subgraph label 5 at vertex 1 outside 0..1"):
             TypedNetwork(np.zeros((2, 2), dtype=int), [0, 5], 1, 2)
-
-    def test_many_violations_are_summarized(self):
-        n = 30
-        x = np.full((n, n), 9)
-        itemized = [f"edge type 9 at (0, {j}) outside 0..2" for j in range(1, 21)]
-        with refused(*itemized, f"... and {n * (n - 1) - 20} more edge-type violations"):
-            TypedNetwork(x, np.zeros(n, dtype=int), n_types=2, n_subgraphs=1)
 
     def test_empty_subgraph_warns_but_passes(self):
         net = TypedNetwork(np.zeros((2, 2), dtype=int), [0, 0], 1, 3)

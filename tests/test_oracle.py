@@ -11,7 +11,6 @@ from builders import random_instance
 
 from rsm import (
     FitConfig,
-    OracleLimits,
     PriorHyperparams,
     TypedNetwork,
     exact_log_evidence,
@@ -106,8 +105,7 @@ class TestExactLogEvidence:
         with pytest.raises(ValueError, match="8192"):
             exact_log_evidence(net, 2, priors)
         # a raised budget admits the same instance
-        value = exact_log_evidence(net, 2, priors,
-                                   OracleLimits(max_enumeration=8192))
+        value = exact_log_evidence(net, 2, priors, max_enumeration=8192)
         assert np.isfinite(value)
 
     def test_rejects_mismatched_priors(self):

@@ -88,10 +88,6 @@ class TestPriorHyperparams:
         assert np.all(priors.chi0 == 0.5)
         assert np.all(priors.xi0 == 0.5)
 
-    def test_uniform_is_one(self):
-        priors = PriorHyperparams.uniform(1, 2, 2)
-        assert np.all(priors.a0 == 1.0)
-
     def test_dimension_properties(self):
         priors = PriorHyperparams.constant(2, 3, 4, 0.5)
         assert (priors.n_subgraphs, priors.n_clusters, priors.n_types) == (2, 3, 4)
