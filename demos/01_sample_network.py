@@ -7,19 +7,18 @@ printed below pull apart the two halves of the generative story.
 
 import numpy as np
 
-from rsm import demo_spec, expand_scenario, sample_network
+from rsm import demo_params, sample_network
 
 
 def main():
-    spec = demo_spec()
-    params = expand_scenario(spec)
-    print(f"preset: {spec.n_vertices} vertices, {spec.n_subgraphs} subgraphs, "
-          f"{spec.n_clusters} clusters, {spec.n_types} edge types")
-    print(f"edge probability within a subgraph:  {spec.edge_prob_within}")
-    print(f"edge probability across subgraphs:   {spec.edge_prob_between}")
+    params, subgraph_of = demo_params()
+    print(f"preset: {len(subgraph_of)} vertices, {params.n_subgraphs} subgraphs, "
+          f"{params.n_clusters} clusters, {params.n_types} edge types")
+    print(f"edge probability within a subgraph:  {params.gamma[0, 0]}")
+    print(f"edge probability across subgraphs:   {params.gamma[0, 1]}")
     print(f"cluster profile per subgraph:\n{params.alpha}")
 
-    sample = sample_network(params, spec.subgraph_labels(), seed=7)
+    sample = sample_network(params, subgraph_of, seed=7)
     net = sample.network
     x = net.edge_types
     present = x > 0

@@ -9,24 +9,23 @@ shows how tight the approximation is.
 from rsm import (
     FitConfig,
     PriorHyperparams,
-    ScenarioSpec,
     exact_log_evidence,
-    expand_scenario,
     fit,
     sample_network,
+    scenario_params,
 )
 
 
 def tiny_sample():
-    spec = ScenarioSpec(
+    params, subgraph_of = scenario_params(
         alpha=[[0.5, 0.5]],
         type_probs_within=[0.8, 0.2],
         type_probs_between=[0.2, 0.8],
         edge_prob_within=0.5,
         edge_prob_between=0.5,
-        subgraph_sizes=(9,),
+        subgraph_sizes=[9],
     )
-    return sample_network(expand_scenario(spec), spec.subgraph_labels(), seed=3)
+    return sample_network(params, subgraph_of, seed=3)
 
 
 def main():

@@ -9,12 +9,11 @@ is chosen by the converged lower bound.
 
 from .generate import (
     GeneratedSample,
-    ScenarioSpec,
+    benchmark_params,
     benchmark_scenario,
-    benchmark_spec,
-    demo_spec,
-    expand_scenario,
+    demo_params,
     sample_network,
+    scenario_params,
 )
 from .inference import (
     FitConfig,
@@ -48,20 +47,18 @@ __all__ = [
     "PriorHyperparams",
     "RestartSummary",
     "RsmParams",
-    "ScenarioSpec",
     "SelectionResult",
     "TypedNetwork",
     "ValidationReport",
     "VariationalState",
     "adjusted_rand_index",
+    "benchmark_params",
     "benchmark_scenario",
-    "benchmark_spec",
-    "demo_spec",
+    "demo_params",
     "distance_matrix",
     "e_step",
     "elbo",
     "exact_log_evidence",
-    "expand_scenario",
     "fit",
     "fit_single",
     "kmedoid_init",
@@ -69,6 +66,7 @@ __all__ = [
     "m_step_gamma",
     "m_step_pi",
     "sample_network",
+    "scenario_params",
     "select_k",
     "validate_network",
 ]

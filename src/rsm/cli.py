@@ -17,13 +17,14 @@ import secrets
 import sys
 from pathlib import Path
 
-from .generate import benchmark_scenario, sample_network
+from .generate import benchmark_params, sample_network
 from .inference import FitConfig, fit
 from .io import (
     FormatError,
     load_network,
     read_labels_file,
     read_params_file,
+    write_k_curve,
     write_labels_file,
     write_network_file,
     write_partition_file,
@@ -115,10 +116,10 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"invalid scenario: {args.scenario} (choose 1, 2, or 3)")
     seed = _resolve_seed(args.seed)
     if args.scenario is not None:
-        sample = benchmark_scenario(args.scenario, seed)
+        params, subgraph_of = benchmark_params(args.scenario)
     else:
         params, subgraph_of = read_params_file(args.params)
-        sample = sample_network(params, subgraph_of, seed)
+    sample = sample_network(params, subgraph_of, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_network_file(out / "network.txt", sample.network)
@@ -160,11 +161,7 @@ def cmd_select_k(args, parser: argparse.ArgumentParser) -> int:
     for k, message in sorted(selection.failures.items()):
         print(f"warning: K={k} excluded, every restart failed: {message}",
               file=sys.stderr)
-    lines = ["k,best_elbo,n_restarts_converged"]
-    for k, best in selection.curve():
-        n_conv = sum(r.converged for r in selection.per_k[k].restarts)
-        lines.append(f"{k},{best!r},{n_conv}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_k_curve(args.out, selection)
     print(f"k_star: {selection.k_star}")
     return 0
 

@@ -1,13 +1,16 @@
 """Sampling networks from the generative model, plus benchmark presets.
 
-A :class:`ScenarioSpec` describes a structured parameterization: one type
-distribution shared by all within-cluster edges, another shared by all
-between-cluster edges, and an edge probability that depends only on whether
-the two endpoints share a subgraph.  :func:`expand_scenario` turns it into
-full :class:`~rsm.params.RsmParams` tables, and :func:`sample_network` draws
-a network from any such tables.  The sampler keeps only the present edges,
-drawing the uniforms a block of rows at a time, and hands the edge list to
-:meth:`~rsm.network.TypedNetwork.from_edges`; no N x N array is built.
+:func:`sample_network` draws a network from full
+:class:`~rsm.params.RsmParams` tables and a vector of subgraph labels.
+:func:`scenario_params` builds that pair for the structured
+parameterization the presets use: one type distribution shared by all
+within-cluster edges, another shared by all between-cluster edges, an edge
+probability that depends only on whether the two endpoints share a
+subgraph, and vertices laid out contiguously by subgraph size, the rule
+that the parameter files of :mod:`rsm.io` follow too.  The sampler keeps
+only the present edges, drawing the uniforms a block of rows at a time, and
+hands the edge list to :meth:`~rsm.network.TypedNetwork.from_edges`; no
+N x N array is built.
 """
 
 from __future__ import annotations
@@ -16,83 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import TypedNetwork, _readonly
-from .params import RsmParams, check_row_stochastic
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioSpec:
-    """Structured parameterization of the generative model.
-
-    alpha:
-        S x K mixing proportions per subgraph.
-    type_probs_within:
-        Length-C type distribution for edges joining two vertices of the
-        same cluster.
-    type_probs_between:
-        Length-C type distribution for edges joining different clusters.
-    edge_prob_within:
-        Presence probability for vertex pairs in the same subgraph.
-    edge_prob_between:
-        Presence probability for vertex pairs in different subgraphs.
-    subgraph_sizes:
-        Number of vertices per subgraph; vertices are assigned contiguously
-        (the first ``subgraph_sizes[0]`` vertices to subgraph 0, and so on).
-    """
-
-    alpha: np.ndarray
-    type_probs_within: np.ndarray
-    type_probs_between: np.ndarray
-    edge_prob_within: float
-    edge_prob_between: float
-    subgraph_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        u = np.asarray(self.type_probs_within, dtype=np.float64)
-        v = np.asarray(self.type_probs_between, dtype=np.float64)
-        sizes = tuple(int(n) for n in self.subgraph_sizes)
-        if alpha.ndim != 2:
-            raise ValueError(f"alpha must be S x K, got shape {alpha.shape}")
-        if u.ndim != 1 or v.shape != u.shape:
-            raise ValueError("type_probs_within and type_probs_between must be "
-                             "equal-length vectors")
-        if len(sizes) != alpha.shape[0]:
-            raise ValueError(f"need one subgraph size per alpha row, got {len(sizes)} "
-                             f"sizes for {alpha.shape[0]} rows")
-        if any(n < 0 for n in sizes):
-            raise ValueError("subgraph sizes must be nonnegative")
-        check_row_stochastic(alpha, "alpha")
-        check_row_stochastic(u, "type_probs_within")
-        check_row_stochastic(v, "type_probs_between")
-        for name, p in (("edge_prob_within", self.edge_prob_within),
-                        ("edge_prob_between", self.edge_prob_between)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        object.__setattr__(self, "alpha", _readonly(alpha))
-        object.__setattr__(self, "type_probs_within", _readonly(u))
-        object.__setattr__(self, "type_probs_between", _readonly(v))
-        object.__setattr__(self, "subgraph_sizes", sizes)
-
-    @property
-    def n_vertices(self) -> int:
-        return sum(self.subgraph_sizes)
-
-    @property
-    def n_subgraphs(self) -> int:
-        return self.alpha.shape[0]
-
-    @property
-    def n_clusters(self) -> int:
-        return self.alpha.shape[1]
-
-    @property
-    def n_types(self) -> int:
-        return self.type_probs_within.shape[0]
-
-    def subgraph_labels(self) -> np.ndarray:
-        """Length-N vector of contiguous subgraph labels implied by the sizes."""
-        return np.repeat(np.arange(self.n_subgraphs), self.subgraph_sizes)
+from .network import TypedNetwork, _check_integers, _readonly
+from .params import RsmParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,19 +40,52 @@ class GeneratedSample:
         object.__setattr__(self, "true_labels", _readonly(labels))
 
 
-def expand_scenario(spec: ScenarioSpec) -> RsmParams:
-    """Expand a structured scenario into full parameter tables.
+def scenario_params(alpha, type_probs_within, type_probs_between,
+                    edge_prob_within: float, edge_prob_between: float,
+                    subgraph_sizes) -> tuple[RsmParams, np.ndarray]:
+    """Full parameter tables and subgraph labels of a structured scenario,
+    the pair :func:`sample_network` takes.
 
-    gamma gets ``edge_prob_within`` on the diagonal and ``edge_prob_between``
-    elsewhere; every diagonal pi slice is ``type_probs_within`` and every
-    off-diagonal slice is ``type_probs_between``.
+    ``alpha`` (S x K) passes through.  gamma gets ``edge_prob_within`` on
+    the diagonal and ``edge_prob_between`` elsewhere; every diagonal pi
+    slice is ``type_probs_within`` and every off-diagonal slice is
+    ``type_probs_between``, two equal-length type distributions.  The
+    labels are laid out contiguously from ``subgraph_sizes``, one size per
+    subgraph.  :class:`~rsm.params.RsmParams` checks the tables.
     """
-    s, k, c = spec.n_subgraphs, spec.n_clusters, spec.n_types
-    gamma = np.full((s, s), spec.edge_prob_between)
-    np.fill_diagonal(gamma, spec.edge_prob_within)
-    pi = np.broadcast_to(spec.type_probs_between, (k, k, c)).copy()
-    pi[np.arange(k), np.arange(k)] = spec.type_probs_within
-    return RsmParams(alpha=spec.alpha, gamma=gamma, pi=pi)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    u = np.asarray(type_probs_within, dtype=np.float64)
+    v = np.asarray(type_probs_between, dtype=np.float64)
+    if u.ndim != 1 or v.shape != u.shape:
+        raise ValueError("type_probs_within and type_probs_between must be "
+                         "equal-length vectors")
+    # RsmParams refuses an alpha that is not S x K
+    s, k = alpha.shape if alpha.ndim == 2 else (1, 1)
+    gamma = np.full((s, s), edge_prob_between, dtype=np.float64)
+    np.fill_diagonal(gamma, edge_prob_within)
+    pi = np.broadcast_to(v, (k, k, u.shape[0])).copy()
+    pi[np.arange(k), np.arange(k)] = u
+    params = RsmParams(alpha=alpha, gamma=gamma, pi=pi)
+    return params, labels_from_sizes(subgraph_sizes, params.n_subgraphs)
+
+
+def labels_from_sizes(sizes, n_subgraphs: int) -> np.ndarray:
+    """Contiguous subgraph labels: the first ``sizes[0]`` vertices in
+    subgraph 0, the next ``sizes[1]`` in subgraph 1, and so on.
+
+    ``sizes`` must be a vector of ``n_subgraphs`` nonnegative integers.
+    Another shape, a fraction and a negative size are refused with a
+    ValueError naming ``subgraph_sizes``; a value that is not a number
+    fails numpy's conversion to float.
+    """
+    sizes = np.asarray(sizes, dtype=np.float64)
+    if sizes.ndim != 1 or sizes.shape[0] != n_subgraphs:
+        raise ValueError(f"subgraph_sizes must list {n_subgraphs} sizes, "
+                         f"got shape {sizes.shape}")
+    _check_integers(sizes, "subgraph_sizes")
+    if np.any(sizes < 0):
+        raise ValueError(f"subgraph_sizes must be nonnegative, got {sizes.min():g}")
+    return np.repeat(np.arange(n_subgraphs), sizes.astype(np.int64))
 
 
 def sample_network(params: RsmParams, subgraph_of: np.ndarray,
@@ -137,9 +98,12 @@ def sample_network(params: RsmParams, subgraph_of: np.ndarray,
     uniform per ordered pair for the type (row-major), of which only the
     present pairs' are used.  The same seed therefore reproduces the same
     sample bit for bit.  The pairs are drawn a block of rows at a time, so
-    memory grows with the number of edges, not with N².
+    memory grows with the number of edges, not with N².  A label that is
+    not an integer in ``0..S - 1`` is refused with a ValueError.
     """
-    subgraph_of = np.asarray(subgraph_of, dtype=np.int64)
+    subgraph_of = np.asarray(subgraph_of)
+    _check_integers(subgraph_of, "subgraph_of")
+    subgraph_of = subgraph_of.astype(np.int64, copy=False)
     n = subgraph_of.shape[0]
     s = params.n_subgraphs
     if subgraph_of.size and (subgraph_of.min() < 0 or subgraph_of.max() >= s):
@@ -189,8 +153,9 @@ def _draw(params: RsmParams, subgraph_of: np.ndarray, rng: np.random.Generator,
     return src, dst, types, z
 
 
-def benchmark_spec(which: int) -> ScenarioSpec:
-    """One of the three standard benchmark scenarios (100 vertices, K=3, C=3).
+def benchmark_params(which: int) -> tuple[RsmParams, np.ndarray]:
+    """Tables and subgraph labels of benchmark scenario 1, 2 or 3 (100
+    vertices, K=3, C=3).
 
     1. Assortative types in a single subgraph: within-cluster edges are
        mostly type 1, between-cluster edges mostly type 3.
@@ -199,25 +164,25 @@ def benchmark_spec(which: int) -> ScenarioSpec:
        slightly denser between-subgraph connectivity.
     """
     if which == 1:
-        return ScenarioSpec(
+        return scenario_params(
             alpha=[[0.3, 0.3, 0.4]],
             type_probs_within=[0.8, 0.1, 0.1],
             type_probs_between=[0.1, 0.1, 0.8],
             edge_prob_within=0.2,
             edge_prob_between=0.06,
-            subgraph_sizes=(100,),
+            subgraph_sizes=[100],
         )
     if which == 2:
-        return ScenarioSpec(
+        return scenario_params(
             alpha=[[0.3, 0.3, 0.4]],
             type_probs_within=[0.5, 0.45, 0.05],
             type_probs_between=[0.1, 0.45, 0.45],
             edge_prob_within=0.2,
             edge_prob_between=0.06,
-            subgraph_sizes=(100,),
+            subgraph_sizes=[100],
         )
     if which == 3:
-        return ScenarioSpec(
+        return scenario_params(
             alpha=[[0.0, 0.5, 0.5],
                    [0.5, 0.0, 0.5],
                    [0.5, 0.5, 0.0]],
@@ -225,29 +190,28 @@ def benchmark_spec(which: int) -> ScenarioSpec:
             type_probs_between=[0.1, 0.45, 0.45],
             edge_prob_within=0.2,
             edge_prob_between=0.1,
-            subgraph_sizes=(34, 33, 33),
+            subgraph_sizes=[34, 33, 33],
         )
     raise ValueError(f"invalid scenario: {which} (choose 1, 2, or 3)")
 
 
 def benchmark_scenario(which: int, seed: int) -> GeneratedSample:
     """Sample one network from benchmark scenario 1, 2, or 3."""
-    spec = benchmark_spec(which)
-    return sample_network(expand_scenario(spec), spec.subgraph_labels(), seed)
+    return sample_network(*benchmark_params(which), seed)
 
 
-def demo_spec() -> ScenarioSpec:
+def demo_params() -> tuple[RsmParams, np.ndarray]:
     """A small 30-vertex, two-subgraph preset used in documentation and smoke tests.
 
     The two subgraphs prefer opposite clusters, within-subgraph connectivity
     is dense (0.6), and edge types are strongly assortative.
     """
-    return ScenarioSpec(
+    return scenario_params(
         alpha=[[0.1, 0.3, 0.6],
                [0.6, 0.3, 0.1]],
         type_probs_within=[0.8, 0.1, 0.1],
         type_probs_between=[0.1, 0.3, 0.6],
         edge_prob_within=0.6,
         edge_prob_between=0.06,
-        subgraph_sizes=(15, 15),
+        subgraph_sizes=[15, 15],
     )

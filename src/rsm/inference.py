@@ -46,7 +46,7 @@ from scipy.special import betaln, digamma, xlogy
 from . import medoids
 from .medoids import kmedoid_init
 # validate_network stays an attribute here because bench/tracing.py wraps it
-from .network import TypedNetwork, validate_network  # noqa: F401
+from .network import TypedNetwork, _check_integers, validate_network  # noqa: F401
 from .params import (
     FitResult,
     PriorHyperparams,
@@ -137,11 +137,14 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
 
     chi[s, k] gains the total responsibility mass for cluster k among the
     vertices of subgraph s, so each row's added mass equals the subgraph
-    size.  A tau with another row count than the labels is rejected.  So
-    are a subgraph label outside the priors' ``0..S - 1`` and a tau with
-    another K than the priors; either message names the priors' (S, K, C).
+    size.  A tau with another row count than the labels is rejected, and
+    so is a label that is not an integer.  So are a subgraph label outside
+    the priors' ``0..S - 1`` and a tau with another K than the priors;
+    either message names the priors' (S, K, C).
     """
-    sub = np.asarray(subgraph_of, dtype=np.int64)
+    sub = np.asarray(subgraph_of)
+    _check_integers(sub, "subgraph_of")
+    sub = sub.astype(np.int64, copy=False)
     tau = _check_tau(tau, len(sub))
     shape = (priors.n_subgraphs, priors.n_clusters, priors.n_types)
     _check_priors(priors, (shape[0], tau.shape[1], shape[2]))

@@ -1,4 +1,4 @@
-"""Plain-text file formats for networks, partitions, labels, and results.
+"""Plain-text file formats for networks, partitions, labels, fit results and K curves.
 
 All files are UTF-8 with LF line endings and ``.`` as the decimal mark.
 Vertices, subgraphs, clusters, and types are 1-indexed on disk; in-memory
@@ -30,9 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .generate import labels_from_sizes
 from .inference import FitConfig
 from .network import TypedNetwork
 from .params import FitResult, RsmParams
+from .selection import SelectionResult
 
 _HEADER_RE = re.compile(r"^rsm v1 N=(\d+) S=(\d+) C=(\d+)$")
 _INT64_MAX = 2 ** 63 - 1
@@ -46,12 +48,17 @@ def _fail(path, lineno: int, message: str) -> None:
     raise FormatError(f"{path}:{lineno}: {message}")
 
 
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` as UTF-8 text, each ending in one LF."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
 def write_network_file(path, net: TypedNetwork) -> None:
     """Write header plus one ``src dst type`` line per edge, row-major."""
     lines = [f"rsm v1 N={net.n_vertices} S={net.n_subgraphs} C={net.n_types}"]
     for i, j, c in zip(net.src.tolist(), net.dst.tolist(), net.types.tolist()):
         lines.append(f"{i + 1} {j + 1} {c}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]:
@@ -198,7 +205,7 @@ def load_network(network_path, partition_path) -> TypedNetwork:
 def write_labels_file(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     lines = [f"{i + 1} {labels[i] + 1}" for i in range(labels.shape[0])]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def read_labels_file(path) -> dict[int, int]:
@@ -223,8 +230,9 @@ def read_params_file(path) -> tuple[RsmParams, np.ndarray]:
     """Parse a generator parameter JSON file.
 
     Schema: an object with ``alpha`` (S x K), ``gamma`` (S x S), ``pi``
-    (K x K x C) and ``subgraph_sizes`` (length S, summing to N).  Returns the
-    parameters and the contiguous subgraph labels the sizes imply.
+    (K x K x C) and ``subgraph_sizes`` (S nonnegative integers, summing to
+    N).  Returns the parameters and the contiguous subgraph labels the sizes
+    imply, laid out by :func:`~rsm.generate.labels_from_sizes`.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -240,16 +248,10 @@ def read_params_file(path) -> tuple[RsmParams, np.ndarray]:
         params = RsmParams(alpha=np.asarray(data["alpha"], dtype=np.float64),
                            gamma=np.asarray(data["gamma"], dtype=np.float64),
                            pi=np.asarray(data["pi"], dtype=np.float64))
-    except ValueError as exc:
+        return params, labels_from_sizes(data["subgraph_sizes"], params.n_subgraphs)
+    except (TypeError, ValueError) as exc:
+        # TypeError: a value numpy cannot read as a number, such as an object
         raise FormatError(f"{path}:1: {exc}") from exc
-    sizes = np.asarray(data["subgraph_sizes"], dtype=np.int64)
-    if sizes.ndim != 1 or sizes.shape[0] != params.n_subgraphs:
-        raise FormatError(f"{path}:1: subgraph_sizes must list "
-                          f"{params.n_subgraphs} sizes")
-    if np.any(sizes < 0):
-        raise FormatError(f"{path}:1: subgraph sizes must be nonnegative")
-    sub = np.repeat(np.arange(params.n_subgraphs), sizes)
-    return params, sub
 
 
 def _format_row(values) -> str:
@@ -275,14 +277,14 @@ def write_parameter_report(path, result: FitResult) -> None:
     for k in range(pi_mean.shape[0]):
         for l in range(pi_mean.shape[1]):
             lines.append(f"  cluster {k + 1} -> {l + 1}: {_format_row(pi_mean[k, l])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def write_elbo_trace(path, trace: np.ndarray) -> None:
     lines = ["iteration,elbo"]
     for i, value in enumerate(np.asarray(trace, dtype=np.float64), start=1):
         lines.append(f"{i},{float(value)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def write_result_bundle(out_dir, result: FitResult, config: FitConfig) -> dict[str, Path]:
@@ -320,6 +322,15 @@ def write_result_bundle(out_dir, result: FitResult, config: FitConfig) -> dict[s
             for i, r in enumerate(result.restarts)
         ],
     }
-    paths["metadata"].write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8", newline="\n")
+    _write_lines(paths["metadata"], [json.dumps(metadata, indent=2, sort_keys=True)])
     return paths
+
+
+def write_k_curve(path, selection: SelectionResult) -> None:
+    """One ``k,best_elbo,n_restarts_converged`` CSV row per candidate K
+    that has a fit, in increasing K."""
+    lines = ["k,best_elbo,n_restarts_converged"]
+    for k, best in selection.curve():
+        n_conv = sum(r.converged for r in selection.per_k[k].restarts)
+        lines.append(f"{k},{best!r},{n_conv}")
+    _write_lines(path, lines)

@@ -78,8 +78,8 @@ class TypedNetwork:
     :meth:`from_edges`; the :attr:`edge_types` property rebuilds the matrix
     from them.
 
-    Raises ValueError for inconsistent shapes, counts below 1, types that
-    are not int64 integers, and for an off-diagonal type outside
+    Raises ValueError for inconsistent shapes, counts below 1, types or
+    labels that are not int64 integers, and for an off-diagonal type outside
     ``0..n_types`` or a label outside ``0..n_subgraphs - 1``, as
     ``"invalid network: "`` followed by the first such fault (types before
     labels).
@@ -133,6 +133,7 @@ class TypedNetwork:
         sub = np.asarray(subgraph_of)
         if sub.ndim != 1 or sub.shape[0] != n:
             raise ValueError(f"subgraph_of must be a length-{n} vector, got shape {sub.shape}")
+        _check_integers(sub, "subgraph_of")
         sub = sub.astype(np.int64)
         if n_types < 1:
             raise ValueError(f"n_types must be >= 1, got {n_types}")

@@ -93,8 +93,11 @@ class RsmParams:
         _set_tables(self, "alpha", ("gamma",), "pi")
         check_row_stochastic(self.alpha, "alpha")
         check_row_stochastic(self.pi, "pi")
-        if np.any(self.gamma < 0) or np.any(self.gamma > 1):
-            raise ValueError("gamma entries must lie in [0, 1]")
+        outside = ~((self.gamma >= 0) & (self.gamma <= 1))
+        if outside.any():
+            r, s = np.argwhere(outside)[0]
+            raise ValueError(f"gamma entries must lie in [0, 1], got "
+                             f"gamma[{r}, {s}] = {self.gamma[r, s]}")
 
     @property
     def n_subgraphs(self) -> int:

@@ -13,6 +13,10 @@ before the sweep moved to sparse neighbour sums.  It shares the unchanged
 bound and mixing and presence updates with the package, so it checks the
 sparse ``xi`` update and responsibility sweep alone.
 
+:func:`structured_scenario` expands a structured scenario into its
+tables and subgraph labels entry by entry, to check
+:func:`rsm.generate.scenario_params`.
+
 Two more are the data path as it was before it moved to edge lists:
 :func:`dense_sample`, the sampler that draws every uniform in one N x N call
 and keeps the whole type matrix, and :func:`read_network_loop`, the network
@@ -414,6 +418,30 @@ def dense_sample(params, subgraph_of, seed):
     types = np.minimum((rng.random((n, n))[..., None] >= cum_pi).sum(axis=2) + 1, c)
     src, dst = np.nonzero(present)
     return src, dst, types[src, dst], z
+
+
+def structured_scenario(alpha, type_probs_within, type_probs_between,
+                        edge_prob_within, edge_prob_between, subgraph_sizes):
+    """``(gamma, pi, subgraph_of)`` of a structured scenario, one entry at a
+    time: ``gamma[r, s]`` takes the within-subgraph probability when
+    r == s and the between one otherwise, ``pi[k, l]`` the within-cluster
+    type distribution when k == l and the between one otherwise, and the
+    vertices fill subgraph 0 first, then subgraph 1, and so on."""
+    s, k, c = len(alpha), len(alpha[0]), len(type_probs_within)
+    gamma = np.zeros((s, s))
+    for r in range(s):
+        for t in range(s):
+            gamma[r, t] = edge_prob_within if r == t else edge_prob_between
+    pi = np.zeros((k, k, c))
+    for a in range(k):
+        for b in range(k):
+            for t in range(c):
+                pi[a, b, t] = (type_probs_within[t] if a == b
+                               else type_probs_between[t])
+    subgraph_of = []
+    for r, size in enumerate(subgraph_sizes):
+        subgraph_of.extend([r] * size)
+    return gamma, pi, np.array(subgraph_of, dtype=np.int64)
 
 
 class LoopFormatError(ValueError):

@@ -4,6 +4,7 @@ Most tests call ``main`` in process; one subprocess test covers the module
 entry point end to end.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -86,6 +87,50 @@ class TestGenerate:
             main(["generate", "--scenario", "1", "--params", "p.json",
                   "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+
+# sha256 of network.txt, partition.txt and true_labels.txt written by
+# `rsm generate ... --seed 0`.  Any change to the sampler's draws or to the
+# presets changes them; such a change updates them here and says why.
+SEEDED_OUTPUTS = {
+    "--scenario 1": (
+        "bc96fdc2f0eed3f5bea633cb51f1c1fc6b2710f0599f47b10305a5fa9bd89169",
+        "fabf129d1553a36034d14388cf80f79fa7e61a0ab19d135a476c2e7649a458a9",
+        "ee20870c96f279d1697aa07b2e959f6ad7d60821a6d189e871cd372d4afb7915"),
+    "--scenario 2": (
+        "9b61e783b929d92940136bc2a3eb5668641b3b0e0f68581a12f4ee7f97c1c7b1",
+        "fabf129d1553a36034d14388cf80f79fa7e61a0ab19d135a476c2e7649a458a9",
+        "ee20870c96f279d1697aa07b2e959f6ad7d60821a6d189e871cd372d4afb7915"),
+    "--scenario 3": (
+        "8e04fecea989e33f1ba59537fcce0fec89c0255b339417e7ad12d63d6242e6bf",
+        "2f528193b5a286d5ff56508351ee2ef95a408675ea1c6848ef73a3e0450553fc",
+        "3a052d30665052ae1cc21ac9840bb5ed45cba6672b40282dfbca901741ce9d4b"),
+    "--params": (
+        "5f667cfa1201730828916c12e1820a8db6e0a62c1528a01df10f63d89b4cbcb4",
+        "b1fbbed1d2cc8fceca954cd9ed2b14f0490489df10adb994b08b282d45ff7dd6",
+        "7c517c36688c85bcfc0570e98121bb88c06b11e4f258b070b018c9f78ad6c797"),
+}
+SMALL_PARAMS = {
+    "alpha": [[0.7, 0.3], [0.2, 0.8]],
+    "gamma": [[0.5, 0.1], [0.2, 0.4]],
+    "pi": [[[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]], [[0.3, 0.3, 0.4], [0.8, 0.1, 0.1]]],
+    "subgraph_sizes": [7, 5],
+}
+
+
+@pytest.mark.parametrize("source", sorted(SEEDED_OUTPUTS))
+def test_seeded_generate_outputs_are_pinned(tmp_path, source):
+    if source == "--params":
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(SMALL_PARAMS))
+        argv = ["--params", str(path)]
+    else:
+        argv = source.split()
+    out = tmp_path / "data"
+    assert main(["generate", *argv, "--seed", "0", "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("network.txt", "partition.txt", "true_labels.txt"))
+    assert digests == SEEDED_OUTPUTS[source]
 
 
 class TestFitCommand:

@@ -148,6 +148,11 @@ class TestFromEdges:
         with refused("subgraph label 2 at vertex 1 outside 0..1"):
             TypedNetwork.from_edges(3, [0], [1], [1], [0, 2, 0], 1, 2)
 
+    @pytest.mark.parametrize("labels", [[0, 0.7], [0, 1.9], [0, np.nan]])
+    def test_refuses_fractional_subgraph_labels(self, labels):
+        with pytest.raises(ValueError, match="subgraph_of must contain integers"):
+            TypedNetwork.from_edges(2, [], [], [], labels, 1, 2)
+
     def test_checks_run_in_order(self):
         # a vertex out of range is named before a self-loop, a self-loop
         # before a repeat, a repeat before a type of 0

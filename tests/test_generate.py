@@ -17,103 +17,137 @@ import rsm.generate
 from rsm import (
     GeneratedSample,
     RsmParams,
-    ScenarioSpec,
     TypedNetwork,
+    benchmark_params,
     benchmark_scenario,
-    benchmark_spec,
-    demo_spec,
-    expand_scenario,
+    demo_params,
     sample_network,
+    scenario_params,
 )
 
 
-class TestScenarioSpec:
+class TestScenarioParams:
     def test_dimension_properties(self):
-        spec = demo_spec()
-        assert spec.n_vertices == 30
-        assert spec.n_subgraphs == 2
-        assert spec.n_clusters == 3
-        assert spec.n_types == 3
+        params, sub = demo_params()
+        assert sub.shape == (30,)
+        assert params.n_subgraphs == 2
+        assert params.n_clusters == 3
+        assert params.n_types == 3
 
     def test_subgraph_labels_are_contiguous(self):
-        spec = demo_spec()
-        np.testing.assert_array_equal(spec.subgraph_labels(),
-                                      np.repeat([0, 1], 15))
+        _, sub = demo_params()
+        np.testing.assert_array_equal(sub, np.repeat([0, 1], 15))
 
     def test_rejects_size_count_mismatch(self):
-        with pytest.raises(ValueError, match="size"):
-            ScenarioSpec(alpha=[[1.0]], type_probs_within=[1.0],
-                         type_probs_between=[1.0], edge_prob_within=0.5,
-                         edge_prob_between=0.5, subgraph_sizes=(3, 3))
+        with pytest.raises(ValueError, match="subgraph_sizes must list 1 sizes"):
+            scenario_params(alpha=[[1.0]], type_probs_within=[1.0],
+                            type_probs_between=[1.0], edge_prob_within=0.5,
+                            edge_prob_between=0.5, subgraph_sizes=[3, 3])
 
-    def test_rejects_negative_sizes(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ScenarioSpec(alpha=[[1.0]], type_probs_within=[1.0],
-                         type_probs_between=[1.0], edge_prob_within=0.5,
-                         edge_prob_between=0.5, subgraph_sizes=(-1,))
+    @pytest.mark.parametrize("sizes, message", [
+        ([2.7], "must contain integers"),
+        ([-1], "must be nonnegative, got -1"),
+        ([[3]], r"must list 1 sizes, got shape \(1, 1\)"),
+    ], ids=["fractional", "negative", "nested"])
+    def test_rejects_malformed_sizes(self, sizes, message):
+        with pytest.raises(ValueError, match="subgraph_sizes " + message):
+            scenario_params(alpha=[[1.0]], type_probs_within=[1.0],
+                            type_probs_between=[1.0], edge_prob_within=0.5,
+                            edge_prob_between=0.5, subgraph_sizes=sizes)
 
     def test_rejects_probability_outside_unit_interval(self):
-        with pytest.raises(ValueError, match="edge_prob_within"):
-            ScenarioSpec(alpha=[[1.0]], type_probs_within=[1.0],
-                         type_probs_between=[1.0], edge_prob_within=1.2,
-                         edge_prob_between=0.5, subgraph_sizes=(3,))
+        with pytest.raises(ValueError, match=r"got gamma\[0, 0\] = 1.2"):
+            scenario_params(alpha=[[1.0]], type_probs_within=[1.0],
+                            type_probs_between=[1.0], edge_prob_within=1.2,
+                            edge_prob_between=0.5, subgraph_sizes=[3])
 
     def test_rejects_non_stochastic_type_row(self):
-        with pytest.raises(ValueError, match="type_probs_within"):
-            ScenarioSpec(alpha=[[1.0]], type_probs_within=[0.7, 0.7],
-                         type_probs_between=[0.5, 0.5], edge_prob_within=0.5,
-                         edge_prob_between=0.5, subgraph_sizes=(3,))
+        with pytest.raises(ValueError, match="pi rows must sum to 1"):
+            scenario_params(alpha=[[1.0]], type_probs_within=[0.7, 0.7],
+                            type_probs_between=[0.5, 0.5], edge_prob_within=0.5,
+                            edge_prob_between=0.5, subgraph_sizes=[3])
+
+    @pytest.mark.parametrize("alpha", [[0.5, 0.5], 1.0, [[[1.0]]]])
+    def test_rejects_alpha_that_is_not_a_table(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be S x K"):
+            scenario_params(alpha=alpha, type_probs_within=[1.0],
+                            type_probs_between=[1.0], edge_prob_within=0.5,
+                            edge_prob_between=0.5, subgraph_sizes=[2])
+
+    def test_rejects_unequal_type_vectors(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            scenario_params(alpha=[[1.0]], type_probs_within=[1.0],
+                            type_probs_between=[0.5, 0.5], edge_prob_within=0.5,
+                            edge_prob_between=0.5, subgraph_sizes=[3])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_the_loop_expansion(self, data):
+        s, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        alpha = rng.dirichlet(np.ones(k), size=s)
+        within_types, between_types = rng.dirichlet(np.ones(c), size=2)
+        # an integer probability once made np.full build an integer gamma,
+        # which cut the other probability down to 0 or 1
+        probability = st.one_of(st.floats(0, 1), st.sampled_from([0, 1]))
+        within, between = data.draw(probability), data.draw(probability)
+        sizes = data.draw(st.lists(st.integers(0, 5), min_size=s, max_size=s))
+        params, sub = scenario_params(alpha, within_types, between_types,
+                                      within, between, sizes)
+        gamma, pi, labels = oracles.structured_scenario(
+            alpha, within_types, between_types, within, between, sizes)
+        np.testing.assert_array_equal(params.alpha, alpha)
+        np.testing.assert_array_equal(params.gamma, gamma)
+        np.testing.assert_array_equal(params.pi, pi)
+        np.testing.assert_array_equal(sub, labels)
+        assert sub.dtype == np.int64
 
 
 class TestExpandScenario:
     def test_gamma_pattern(self):
-        params = expand_scenario(benchmark_spec(3))
+        params, _ = benchmark_params(3)
         expected = np.full((3, 3), 0.1)
         np.fill_diagonal(expected, 0.2)
         np.testing.assert_array_equal(params.gamma, expected)
 
     def test_pi_pattern(self):
-        spec = benchmark_spec(1)
-        params = expand_scenario(spec)
+        params, _ = benchmark_params(1)
         for k in range(3):
             for l in range(3):
-                expected = (spec.type_probs_within if k == l
-                            else spec.type_probs_between)
+                expected = [0.8, 0.1, 0.1] if k == l else [0.1, 0.1, 0.8]
                 np.testing.assert_array_equal(params.pi[k, l], expected)
 
     def test_alpha_passthrough(self):
-        spec = benchmark_spec(2)
-        params = expand_scenario(spec)
-        np.testing.assert_array_equal(params.alpha, spec.alpha)
+        params, _ = benchmark_params(2)
+        np.testing.assert_array_equal(params.alpha, [[0.3, 0.3, 0.4]])
 
 
 class TestBenchmarkSpecs:
     def test_scenario_one_tables(self):
-        spec = benchmark_spec(1)
-        np.testing.assert_array_equal(spec.alpha, [[0.3, 0.3, 0.4]])
-        np.testing.assert_array_equal(spec.type_probs_within, [0.8, 0.1, 0.1])
-        np.testing.assert_array_equal(spec.type_probs_between, [0.1, 0.1, 0.8])
-        assert spec.edge_prob_within == 0.2
-        assert spec.edge_prob_between == 0.06
-        assert spec.subgraph_sizes == (100,)
+        params, sub = benchmark_params(1)
+        np.testing.assert_array_equal(params.alpha, [[0.3, 0.3, 0.4]])
+        np.testing.assert_array_equal(params.pi[0, 0], [0.8, 0.1, 0.1])
+        np.testing.assert_array_equal(params.pi[0, 1], [0.1, 0.1, 0.8])
+        np.testing.assert_array_equal(params.gamma, [[0.2]])
+        np.testing.assert_array_equal(sub, np.zeros(100))
 
     def test_scenario_two_overlapping_types(self):
-        spec = benchmark_spec(2)
-        np.testing.assert_array_equal(spec.type_probs_within, [0.5, 0.45, 0.05])
-        np.testing.assert_array_equal(spec.type_probs_between, [0.1, 0.45, 0.45])
-        assert spec.subgraph_sizes == (100,)
+        params, sub = benchmark_params(2)
+        np.testing.assert_array_equal(params.pi[1, 1], [0.5, 0.45, 0.05])
+        np.testing.assert_array_equal(params.pi[1, 2], [0.1, 0.45, 0.45])
+        np.testing.assert_array_equal(sub, np.zeros(100))
 
     def test_scenario_three_structure(self):
-        spec = benchmark_spec(3)
-        assert spec.subgraph_sizes == (34, 33, 33)
-        assert spec.edge_prob_between == 0.1
+        params, sub = benchmark_params(3)
+        np.testing.assert_array_equal(np.bincount(sub), [34, 33, 33])
+        assert params.gamma[0, 1] == 0.1
         # each subgraph's mixing row excludes exactly one cluster
-        np.testing.assert_array_equal(np.diag(spec.alpha), [0.0, 0.0, 0.0])
-        np.testing.assert_allclose(spec.alpha.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(np.diag(params.alpha), [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(params.alpha.sum(axis=1), 1.0)
 
     def test_invalid_scenario_number(self):
         with pytest.raises(ValueError, match="invalid scenario"):
-            benchmark_spec(4)
+            benchmark_params(4)
 
     def test_benchmark_scenario_shape(self):
         sample = benchmark_scenario(3, seed=0)
@@ -160,17 +194,17 @@ class TestSampleNetwork:
         assert x.max() <= 3
 
     def test_zero_probability_gives_no_edges(self):
-        spec = ScenarioSpec(alpha=[[0.5, 0.5]], type_probs_within=[1.0],
-                            type_probs_between=[1.0], edge_prob_within=0.0,
-                            edge_prob_between=0.0, subgraph_sizes=(8,))
-        sample = sample_network(expand_scenario(spec), spec.subgraph_labels(), 0)
+        params, sub = scenario_params(alpha=[[0.5, 0.5]], type_probs_within=[1.0],
+                                      type_probs_between=[1.0], edge_prob_within=0.0,
+                                      edge_prob_between=0.0, subgraph_sizes=[8])
+        sample = sample_network(params, sub, 0)
         assert np.count_nonzero(sample.network.edge_types) == 0
 
     def test_unit_probability_gives_complete_digraph(self):
-        spec = ScenarioSpec(alpha=[[1.0]], type_probs_within=[1.0],
-                            type_probs_between=[1.0], edge_prob_within=1.0,
-                            edge_prob_between=1.0, subgraph_sizes=(6,))
-        sample = sample_network(expand_scenario(spec), spec.subgraph_labels(), 0)
+        params, sub = scenario_params(alpha=[[1.0]], type_probs_within=[1.0],
+                                      type_probs_between=[1.0], edge_prob_within=1.0,
+                                      edge_prob_between=1.0, subgraph_sizes=[6])
+        sample = sample_network(params, sub, 0)
         a = sample.network.edge_types != 0
         assert a.sum() == 6 * 5
 
@@ -184,6 +218,13 @@ class TestSampleNetwork:
         params = RsmParams(alpha=[[1.0]], gamma=[[0.5]], pi=[[[1.0]]])
         with pytest.raises(ValueError, match="subgraph labels"):
             sample_network(params, np.array([0, 1]), seed=0)
+
+    @pytest.mark.parametrize("labels", [[0, 1.5, 0.2], [0, 0.7, np.nan]])
+    def test_rejects_fractional_subgraph_labels(self, labels):
+        params = RsmParams(alpha=[[1.0], [1.0]], gamma=np.full((2, 2), 0.5),
+                           pi=[[[1.0]]])
+        with pytest.raises(ValueError, match="subgraph_of must contain integers"):
+            sample_network(params, np.array(labels), seed=0)
 
     def test_empty_network(self):
         params = RsmParams(alpha=[[1.0]], gamma=[[0.5]], pi=[[[1.0]]])

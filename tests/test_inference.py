@@ -22,12 +22,11 @@ from rsm import (
     TypedNetwork,
     VariationalState,
     adjusted_rand_index,
-    demo_spec,
+    demo_params,
     distance_matrix,
     e_step,
     elbo,
     exact_log_evidence,
-    expand_scenario,
     fit,
     fit_single,
     kmedoid_init,
@@ -39,8 +38,7 @@ from rsm import (
 
 
 def demo_sample(seed=0):
-    spec = demo_spec()
-    return sample_network(expand_scenario(spec), spec.subgraph_labels(), seed)
+    return sample_network(*demo_params(), seed)
 
 
 class TestOracleToolingAccuracy:
@@ -262,6 +260,13 @@ class TestUpdatesRejectInvalidNetworks:
         with pytest.raises(ValueError, match=re.escape(
                 self.label_fault + " of priors shaped for (S, K, C) = (2, 2, 2)")):
             m_step_alpha(np.array([0, -1, 1]), np.full((3, 2), 0.5),
+                         PriorHyperparams.jeffreys(2, 2, 2))
+
+    @pytest.mark.parametrize("labels", [[0, 0.7, 1], [0, 1.9, 1], [0, np.nan, 1]])
+    def test_mixing_update_refuses_fractional_labels(self, labels):
+        # the int64 cast would count vertex 1 in subgraph 0 or 1
+        with pytest.raises(ValueError, match="subgraph_of must contain integers"):
+            m_step_alpha(np.array(labels), np.full((3, 2), 0.5),
                          PriorHyperparams.jeffreys(2, 2, 2))
 
     def test_type_update(self):

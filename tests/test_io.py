@@ -19,8 +19,7 @@ from rsm import (
     RestartSummary,
     TypedNetwork,
     VariationalState,
-    demo_spec,
-    expand_scenario,
+    demo_params,
     fit,
     sample_network,
 )
@@ -471,6 +470,27 @@ class TestParamsFile:
         with pytest.raises(FormatError, match="alpha"):
             read_params_file(path)
 
+    @pytest.mark.parametrize("sizes, message", [
+        ([2.7], "must contain integers"),
+        ([-1], "must be nonnegative, got -1"),
+        ([[3]], r"must list 1 sizes, got shape \(1, 1\)"),
+    ], ids=["fractional", "negative", "nested"])
+    def test_malformed_sizes_are_refused(self, tmp_path, sizes, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"alpha": [[0.3, 0.7]], "gamma": [[0.4]],
+                                    "pi": self.params_payload()["pi"],
+                                    "subgraph_sizes": sizes}))
+        with pytest.raises(FormatError, match=r"params\.json:1: subgraph_sizes " + message):
+            read_params_file(path)
+
+    def test_non_numeric_tables_are_wrapped(self, tmp_path):
+        path = tmp_path / "params.json"
+        payload = self.params_payload()
+        payload["alpha"] = {"rows": 2}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=r"params\.json:1: float\(\) argument"):
+            read_params_file(path)
+
     def test_size_count_must_match_alpha(self, tmp_path):
         path = tmp_path / "params.json"
         payload = self.params_payload()
@@ -524,8 +544,7 @@ class TestReports:
         assert metadata["restarts"][0]["converged"] is True
 
     def test_bundle_round_trips_through_a_real_fit(self, tmp_path):
-        spec = demo_spec()
-        sample = sample_network(expand_scenario(spec), spec.subgraph_labels(), 0)
+        sample = sample_network(*demo_params(), 0)
         config = FitConfig(n_clusters=3, n_restarts=2, seed=0)
         result = fit(sample.network, config)
         paths = write_result_bundle(tmp_path / "run", result, config)

@@ -64,6 +64,11 @@ class TestTypedNetwork:
             with pytest.raises(ValueError, match="edge_types must contain integers"):
                 TypedNetwork(np.array([[0.0, value], [0.0, 0.0]]), [0, 0], 2, 1)
 
+    @pytest.mark.parametrize("labels", [[0, 0.7], [0, 1.9], [0, np.nan]])
+    def test_rejects_fractional_subgraph_labels(self, labels):
+        with pytest.raises(ValueError, match="subgraph_of must contain integers"):
+            TypedNetwork(np.zeros((2, 2), dtype=int), labels, 1, 2)
+
     def test_accepts_integral_floats(self):
         net = TypedNetwork(np.array([[0.0, 2.0], [1.0, 0.0]]), [0, 0], 2, 1)
         assert net.edge_types.dtype == np.int64

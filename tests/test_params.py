@@ -1,5 +1,7 @@
 """Parameter containers, prior construction, and shared validation helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,13 @@ class TestRsmParams:
     def test_rejects_gamma_outside_unit_interval(self):
         with pytest.raises(ValueError, match="gamma"):
             RsmParams(alpha=[[1.0]], gamma=[[1.5]], pi=[[[1.0]]])
+
+    @pytest.mark.parametrize("entry", [-0.1, 1.5, np.nan])
+    def test_gamma_refusal_names_the_first_entry(self, entry):
+        gamma = [[0.5, 0.2], [entry, 2.0]]
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma entries must lie in [0, 1], got gamma[1, 0] = {entry}")):
+            RsmParams(alpha=[[1.0], [1.0]], gamma=gamma, pi=[[[1.0]]])
 
     def test_rejects_non_stochastic_rows(self):
         pi = np.ones((2, 2, 1))

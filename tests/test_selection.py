@@ -9,8 +9,7 @@ from rsm import (
     FitConfig,
     PriorHyperparams,
     TypedNetwork,
-    demo_spec,
-    expand_scenario,
+    demo_params,
     fit,
     sample_network,
     select_k,
@@ -18,8 +17,7 @@ from rsm import (
 
 
 def demo_sample(seed=0):
-    spec = demo_spec()
-    return sample_network(expand_scenario(spec), spec.subgraph_labels(), seed)
+    return sample_network(*demo_params(), seed)
 
 
 def empty_vertex_net(n_clusters_unused=None):
