@@ -32,7 +32,9 @@ class GeneratedSample:
     params: RsmParams
 
     def __post_init__(self):
-        labels = np.asarray(self.true_labels, dtype=np.int64)
+        labels = np.asarray(self.true_labels)
+        _check_integers(labels, "true_labels")
+        labels = labels.astype(np.int64, copy=False)
         if labels.shape != (self.network.n_vertices,):
             raise ValueError(f"true_labels must have length {self.network.n_vertices}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.params.n_clusters):

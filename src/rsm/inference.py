@@ -17,11 +17,19 @@ discordance matrix (:func:`rsm.medoids.distance_matrix`) is N x N.
 
 What cannot change is computed outside the loops.  :func:`fit` builds the
 k-medoid discordance matrix once and shares it across restarts
-(:func:`rsm.selection.select_k` shares one across every K).
-:func:`fit_single` builds the sparse operator and the presence update
-(``a``, ``b``) once, keeps tau and the hyperparameters as plain arrays, and
-builds one checked :class:`~rsm.params.VariationalState` on exit.  The
-prior-only normalizers of the bound are cached on the
+(:func:`rsm.selection.select_k` shares one across every K), draws every
+restart's start, and hands the stack to one :func:`fit_single` call.
+:func:`fit_single` builds the sparse operator, the subgraph one-hot, the
+presence update (``a``, ``b``) and its bound term once, and runs all the
+restarts of the stack in lockstep: one sparse product gives every restart's
+neighbour sums, the ``xi`` update and the scores are batched matrix
+products, and each restart keeps its own bound and stop test and leaves
+the batch at the iteration where it would have stopped alone.  Each sum
+adds the same terms in the same order whatever the batch, so a restart's
+trace is bit for bit the one it gives on its own.  Inside the loop tau,
+chi and xi stay plain arrays; each restart's
+:class:`~rsm.params.VariationalState` is built, and checked, once, when it
+leaves.  The prior-only normalizers of the bound are cached on the
 :class:`~rsm.params.PriorHyperparams`.
 
 All updates maximize the same evidence lower bound
@@ -37,6 +45,7 @@ C(x) = prod_d Gamma(x_d) / Gamma(sum_d x_d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +104,9 @@ def _check_priors(priors: PriorHyperparams, expected: tuple[int, int, int]) -> N
 
 def _check_state(net: TypedNetwork, state: VariationalState) -> None:
     """Reject a state whose (N, S, C), read from its tau rows, chi rows and
-    xi types, is not the network's."""
-    shape = (state.tau.shape[0], state.chi.shape[0], state.xi.shape[2])
+    xi types, is not the network's.  The arrays may carry a leading restart
+    axis."""
+    shape = (state.tau.shape[-2], state.chi.shape[-2], state.xi.shape[-1])
     expected = (net.n_vertices, net.n_subgraphs, net.n_types)
     if shape != expected:
         raise ValueError(f"state dimensions (N, S, C) = {shape} do not match "
@@ -104,9 +114,10 @@ def _check_state(net: TypedNetwork, state: VariationalState) -> None:
 
 
 def _check_tau(tau, n_rows: int) -> np.ndarray:
-    """tau as float64, refused unless it is a matrix with ``n_rows`` rows."""
+    """tau as float64, refused unless it is a matrix with ``n_rows`` rows or
+    a stack of such matrices."""
     tau = np.asarray(tau, dtype=np.float64)
-    if tau.ndim != 2 or tau.shape[0] != n_rows:
+    if tau.ndim not in (2, 3) or tau.shape[-2] != n_rows:
         raise ValueError(f"tau must be {n_rows} x K, got shape {tau.shape}")
     return tau
 
@@ -137,22 +148,33 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
 
     chi[s, k] gains the total responsibility mass for cluster k among the
     vertices of subgraph s, so each row's added mass equals the subgraph
-    size.  A tau with another row count than the labels is rejected, and
-    so is a label that is not an integer.  So are a subgraph label outside
-    the priors' ``0..S - 1`` and a tau with another K than the priors;
-    either message names the priors' (S, K, C).
+    size.  ``subgraph_of`` holds the N subgraph labels, or their N x S
+    one-hot membership matrix, which :func:`fit_single` builds once so that
+    its iterations neither re-check the labels nor rebuild it.  tau may
+    carry a leading restart axis (R x N x K); chi then does too.
+
+    A tau with another row count than the labels is rejected, and so is a
+    label that is not an integer.  So are a subgraph label outside the
+    priors' ``0..S - 1``, a membership matrix without S columns, and a tau
+    with another K than the priors; each message names the priors' (S, K, C).
     """
     sub = np.asarray(subgraph_of)
-    _check_integers(sub, "subgraph_of")
-    sub = sub.astype(np.int64, copy=False)
+    if sub.ndim == 1:
+        _check_integers(sub, "subgraph_of")
+        sub = sub.astype(np.int64, copy=False)
     tau = _check_tau(tau, len(sub))
     shape = (priors.n_subgraphs, priors.n_clusters, priors.n_types)
-    _check_priors(priors, (shape[0], tau.shape[1], shape[2]))
-    bad = np.nonzero((sub < 0) | (sub >= shape[0]))[0]
-    if len(bad):
-        raise ValueError(f"subgraph label {sub[bad[0]]} at vertex {bad[0]} outside "
-                         f"0..{shape[0] - 1} of priors shaped for (S, K, C) = {shape}")
-    return priors.chi0 + np.eye(shape[0])[sub].T @ tau
+    _check_priors(priors, (shape[0], tau.shape[-1], shape[2]))
+    if sub.ndim == 1:
+        bad = np.nonzero((sub < 0) | (sub >= shape[0]))[0]
+        if len(bad):
+            raise ValueError(f"subgraph label {sub[bad[0]]} at vertex {bad[0]} outside "
+                             f"0..{shape[0] - 1} of priors shaped for (S, K, C) = {shape}")
+        sub = np.eye(shape[0])[sub]
+    elif sub.shape[1:] != shape[:1]:
+        raise ValueError(f"subgraph membership must be N x {shape[0]} for priors "
+                         f"shaped for (S, K, C) = {shape}, got shape {sub.shape}")
+    return priors.chi0 + sub.T @ tau
 
 
 def m_step_pi(net: TypedNetwork, tau: np.ndarray,
@@ -165,7 +187,7 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
     than N, and priors shaped for another network or K, are rejected.
     """
     tau = _check_tau(tau, net.n_vertices)
-    _check_priors(priors, (net.n_subgraphs, tau.shape[1], net.n_types))
+    _check_priors(priors, (net.n_subgraphs, tau.shape[-1], net.n_types))
     out_sums, _ = _neighbour_sums(_type_operator(net), tau, net.n_types)
     return _update_xi(out_sums, tau, priors.xi0)
 
@@ -193,16 +215,23 @@ def _neighbour_sums(op: sparse.csr_array, tau: np.ndarray, n_types: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Out- and in-neighbour sums, each N x (C K): entry (i, c K + l) of the
     first is the sum of tau[j, l] over the j with an edge i -> j of type c,
-    and of the second over the j with an edge j -> i of type c."""
-    n, k = tau.shape
-    sums = (op @ tau).reshape(2, n_types, n, k).transpose(0, 2, 1, 3)
-    out_sums, in_sums = sums.reshape(2, n, n_types * k)
+    and of the second over the j with an edge j -> i of type c.
+
+    A stack of R taus takes one product over N x (R K) columns and gives
+    stacks of sums; a CSR product adds each column's terms in the same
+    order whatever the column count."""
+    *batch, n, k = tau.shape
+    r = math.prod(batch)
+    wide = tau.reshape(r, n, k).transpose(1, 0, 2).reshape(n, r * k)
+    sums = (op @ wide).reshape(2, n_types, n, r, k).transpose(0, 3, 2, 1, 4)
+    out_sums, in_sums = np.ascontiguousarray(sums).reshape(2, *batch, n, n_types * k)
     return out_sums, in_sums
 
 
 def _update_xi(out_sums: np.ndarray, tau: np.ndarray, xi0: np.ndarray) -> np.ndarray:
-    k, c = tau.shape[1], xi0.shape[2]
-    return xi0 + (tau.T @ out_sums).reshape(k, c, k).transpose(0, 2, 1)
+    k, c = tau.shape[-1], xi0.shape[-1]
+    products = tau.swapaxes(-1, -2) @ out_sums
+    return xi0 + products.reshape(*products.shape[:-1], c, k).swapaxes(-1, -2)
 
 
 def _scores(out_sums: np.ndarray, in_sums: np.ndarray, chi: np.ndarray,
@@ -213,25 +242,28 @@ def _scores(out_sums: np.ndarray, in_sums: np.ndarray, chi: np.ndarray,
     every present edge touching i, the expected log type probability under
     the neighbor's current responsibilities: edges i->j read slice
     xi[k, l, :] and edges j->i read slice xi[l, k, :].  ``out_sums`` and
-    ``in_sums`` are the neighbour sums of tau over out- and in-edges.
+    ``in_sums`` are the neighbour sums of tau over out- and in-edges.  Every
+    argument but the labels may carry a leading restart axis.
     """
-    k, c = xi.shape[1], xi.shape[2]
-    elog_alpha = digamma(chi) - digamma(chi.sum(axis=1, keepdims=True))
-    elog_pi = digamma(xi) - digamma(xi.sum(axis=2, keepdims=True))
-    return (elog_alpha[np.asarray(subgraph_of, dtype=np.int64)]
-            + out_sums @ elog_pi.transpose(2, 1, 0).reshape(c * k, k)
-            + in_sums @ elog_pi.transpose(2, 0, 1).reshape(c * k, k))
+    k, c = xi.shape[-2], xi.shape[-1]
+    batch = xi.shape[:-3]
+    elog_alpha = digamma(chi) - digamma(chi.sum(axis=-1, keepdims=True))
+    elog_pi = digamma(xi) - digamma(xi.sum(axis=-1, keepdims=True))
+    return (np.take(elog_alpha, np.asarray(subgraph_of, dtype=np.int64), axis=-2)
+            + out_sums @ elog_pi.swapaxes(-1, -3).reshape(*batch, c * k, k)
+            + in_sums @ elog_pi.swapaxes(-1, -2).swapaxes(-2, -3).reshape(*batch, c * k, k))
+
+
+_NONFINITE_SCORES = "non-finite responsibility scores; hyperparameters are corrupted"
 
 
 def _normalize_scores(scores: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(scores)):
-        raise FloatingPointError("non-finite responsibility scores; "
-                                 "hyperparameters are corrupted")
-    if scores.shape[0] == 0:
+    """Rows of finite log scores turned into probability vectors."""
+    if scores.shape[-2] == 0:
         return np.zeros_like(scores)
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
@@ -244,11 +276,13 @@ def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
     _check_state(net, state)
     out_sums, in_sums = _neighbour_sums(_type_operator(net), state.tau, net.n_types)
     scores = _scores(out_sums, in_sums, state.chi, state.xi, net.subgraph_of)
+    if not np.all(np.isfinite(scores)):
+        raise FloatingPointError(_NONFINITE_SCORES)
     return _normalize_scores(scores)
 
 
 def elbo(net: TypedNetwork, state: VariationalState,
-         priors: PriorHyperparams) -> float:
+         priors: PriorHyperparams, *, presence_term: float | None = None):
     """Evidence lower bound of a state whose hyperparameters are fresh.
 
     Valid when chi, a, b, xi are exactly the update outputs for state.tau
@@ -257,25 +291,40 @@ def elbo(net: TypedNetwork, state: VariationalState,
     contribute zero entropy.  The prior terms come from the normalizers
     cached on ``priors``, which must match the network and the state's K.
     A state shaped for another network is rejected.
+
+    ``presence_term``, the sum of log B(a, b) / B(a0, b0), depends on the
+    network and the priors alone; :func:`fit_single` computes it once and
+    passes it in, and it is computed from ``state.a`` and ``state.b`` when
+    left out.
+
+    A state whose tau, chi and xi carry a leading restart axis (the
+    unchecked states of :func:`fit_single`'s loop) gets one bound per
+    restart, as an array in which a non-finite value is left for the caller
+    to refuse; a single state's bound is a float, and a non-finite one
+    raises FloatingPointError.
     """
     _check_state(net, state)
-    _check_priors(priors, (net.n_subgraphs, state.tau.shape[1], net.n_types))
-    gamma_term = float((betaln(state.a, state.b) - priors.log_beta0).sum())
-    alpha_term = float((log_dirichlet_norm(state.chi, axis=1)
-                        - priors.log_norm_chi0).sum())
-    pi_term = float((log_dirichlet_norm(state.xi, axis=2)
-                     - priors.log_norm_xi0).sum())
-    entropy = -float(xlogy(state.tau, state.tau).sum())
-    total = gamma_term + alpha_term + pi_term + entropy
+    _check_priors(priors, (net.n_subgraphs, state.tau.shape[-1], net.n_types))
+    if presence_term is None:
+        presence_term = float((betaln(state.a, state.b) - priors.log_beta0).sum())
+    alpha_term = (log_dirichlet_norm(state.chi, axis=-1)
+                  - priors.log_norm_chi0).sum(axis=-1)
+    pi_term = (log_dirichlet_norm(state.xi, axis=-1)
+               - priors.log_norm_xi0).sum(axis=(-2, -1))
+    entropy = -xlogy(state.tau, state.tau).sum(axis=(-2, -1))
+    total = presence_term + alpha_term + pi_term + entropy
+    if state.tau.ndim > 2:
+        return total
+    total = float(total)
     if not np.isfinite(total):
         raise FloatingPointError(f"non-finite bound value {total}")
     return total
 
 
 def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
-               *, epsilon_converge: float = 1e-6, max_iterations: int = 200
-               ) -> tuple[VariationalState, np.ndarray, bool]:
-    """Run the update loop from one explicit initialization.
+               *, epsilon_converge: float = 1e-6, max_iterations: int = 200):
+    """Run the update loop from one explicit initialization, or from a
+    stack of them in lockstep.
 
     Each iteration recomputes the hyperparameters from the current tau,
     records the bound, then refreshes tau.  The loop stops when the largest
@@ -283,56 +332,121 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     priors as the round-zero reference) drops below ``epsilon_converge``,
     or after ``max_iterations``.
 
-    The neighbour-sum operator and the presence update ``a``, ``b`` (which
-    do not depend on tau) are built once before the loop.  Inside it tau,
-    chi and xi stay plain arrays; the bound reads them through an unchecked
-    state, and the state returned is built, and checked, once on exit.
+    An N x K ``tau0`` is one restart and returns (state, elbo_trace,
+    converged); the state's hyperparameters always correspond to its tau,
+    and a non-finite bound or score raises FloatingPointError.
 
-    Returns (state, elbo_trace, converged); the state's hyperparameters
-    always correspond to its tau.  Priors shaped for another network are
-    rejected.
+    An R x N x K ``tau0`` holds R restarts, run as one loop: every
+    iteration makes one :func:`m_step_alpha` and one :func:`elbo` call for
+    the restarts still running, and each restart stops at the iteration
+    where it would stop alone, with the same trace, bit for bit.  Returns
+    (states, elbo_traces, converged), three tuples with one entry per
+    restart.  A restart that fails numerically fails alone: its entry in
+    ``states`` is the FloatingPointError it would have raised, its trace is
+    empty and it has not converged.
+
+    The neighbour-sum operator, the subgraph one-hot and the presence
+    update ``a``, ``b`` with its bound term (none depends on tau) are built
+    once before the loop.  Priors shaped for another network are rejected.
     """
     _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    tau = np.asarray(tau0, dtype=np.float64)
-    if tau.shape != (net.n_vertices, priors.n_clusters):
-        raise ValueError(f"tau0 must be {net.n_vertices} x {priors.n_clusters}, "
-                         f"got shape {tau.shape}")
-    check_row_stochastic(tau, "tau0")
+    taus = np.asarray(tau0, dtype=np.float64)
+    n, k = net.n_vertices, priors.n_clusters
+    if taus.ndim not in (2, 3) or taus.shape[-2:] != (n, k):
+        raise ValueError(f"tau0 must be {n} x {k} or R x {n} x {k}, "
+                         f"got shape {taus.shape}")
+    check_row_stochastic(taus, "tau0")
+    if taus.ndim == 3:
+        return _lockstep(net, taus, priors, epsilon_converge, max_iterations)
+    (state,), (trace,), (converged,) = _lockstep(
+        net, taus[np.newaxis], priors, epsilon_converge, max_iterations)
+    if isinstance(state, FloatingPointError):
+        raise state
+    return state, trace, converged
 
+
+def _largest_change(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Per restart, the largest absolute entry change between two stacks."""
+    return np.abs(current - previous).max(axis=tuple(range(1, current.ndim)), initial=0.0)
+
+
+def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
+              epsilon_converge: float, max_iterations: int):
+    """:func:`fit_single`'s loop over a checked R x N x K stack of starts."""
     op = _type_operator(net)
     sub = net.subgraph_of
+    membership = np.eye(net.n_subgraphs)[sub]
     a, b = m_step_gamma(net, priors)
+    presence = float((betaln(a, b) - priors.log_beta0).sum())
 
-    previous = np.concatenate([priors.chi0.ravel(), priors.a0.ravel(),
-                               priors.b0.ravel(), priors.xi0.ravel()])
-    trace: list[float] = []
-    converged = False
-    for _ in range(max_iterations):
-        chi = m_step_alpha(sub, tau, priors)
-        out_sums, in_sums = _neighbour_sums(op, tau, net.n_types)
-        xi = _update_xi(out_sums, tau, priors.xi0)
-        state = VariationalState._unchecked(tau, chi, a, b, xi)
-        trace.append(elbo(net, state, priors))
-        current = np.concatenate([chi.ravel(), a.ravel(), b.ravel(), xi.ravel()])
-        if np.max(np.abs(current - previous), initial=0.0) < epsilon_converge:
-            converged = True
+    n_starts = len(taus)
+    states: list = [None] * n_starts
+    traces: list[list[float]] = [[] for _ in range(n_starts)]
+    converged = [False] * n_starts
+    active = np.arange(n_starts)
+    # a and b are fixed, so they change only against the priors
+    ab_change = max(np.max(np.abs(a - priors.a0), initial=0.0),
+                    np.max(np.abs(b - priors.b0), initial=0.0))
+    previous_chi, previous_xi = priors.chi0, priors.xi0
+
+    def leave(rows, error=None):
+        """Record the restarts at batch positions ``rows`` as stopped."""
+        for j in rows.nonzero()[0]:
+            r = active[j]
+            if error is None:
+                states[r] = VariationalState(tau=taus[j], chi=chi[j], a=a, b=b, xi=xi[j])
+            else:
+                states[r], traces[r] = FloatingPointError(error(j)), []
+
+    for iteration in range(max_iterations):
+        if not len(active):
             break
-        previous = current
-        tau = _normalize_scores(_scores(out_sums, in_sums, chi, xi, sub))
+        chi = m_step_alpha(membership, taus, priors)
+        out_sums, in_sums = _neighbour_sums(op, taus, net.n_types)
+        xi = _update_xi(out_sums, taus, priors.xi0)
+        bounds = elbo(net, VariationalState._unchecked(taus, chi, a, b, xi), priors,
+                      presence_term=presence)
+        change = np.maximum(np.maximum(_largest_change(chi, previous_chi),
+                                       _largest_change(xi, previous_xi)), ab_change)
+        ab_change = 0.0
+        for r, bound in zip(active, bounds):
+            traces[r].append(float(bound))
+        finite = np.isfinite(bounds)
+        leave(~finite, lambda j: f"non-finite bound value {float(bounds[j])}")
+        done = finite & (change < epsilon_converge)
+        for j in done.nonzero()[0]:
+            converged[active[j]] = True
+        leave(done)
 
-    state = VariationalState(tau=state.tau, chi=state.chi, a=a, b=b, xi=state.xi)
-    return state, np.asarray(trace), converged
+        going = finite & ~done
+        if not going.all():
+            taus, chi, xi, active = taus[going], chi[going], xi[going], active[going]
+            out_sums, in_sums = out_sums[going], in_sums[going]
+        scores = _scores(out_sums, in_sums, chi, xi, sub)
+        finite = np.isfinite(scores).all(axis=(1, 2))
+        leave(~finite, lambda j: _NONFINITE_SCORES)
+        if iteration == max_iterations - 1:
+            leave(finite)
+            break
+        if not finite.all():
+            chi, xi, active, scores = chi[finite], xi[finite], active[finite], scores[finite]
+        taus = _normalize_scores(scores)
+        previous_chi, previous_xi = chi, xi
+
+    return (tuple(states), tuple(np.asarray(trace) for trace in traces),
+            tuple(converged))
 
 
 def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     """Fit the model with multiple k-medoid-seeded restarts.
 
     Each restart r initializes from :func:`~rsm.medoids.kmedoid_init` with
-    seed ``config.seed + r`` and runs :func:`fit_single`.  The restart with
-    the highest final bound wins (ties to the lowest restart index); the
-    same inputs and seed always reproduce the same result.
+    seed ``config.seed + r``; one :func:`fit_single` call runs every
+    restart in lockstep.  The restart with the highest final bound wins
+    (ties to the lowest restart index); the same inputs and seed always
+    reproduce the same result.
 
     The discordance matrix :func:`~rsm.medoids.distance_matrix` is built
     once here and read by every restart's :func:`~rsm.medoids.kmedoid_init`.
@@ -349,24 +463,17 @@ def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResu
         priors = PriorHyperparams.jeffreys(net.n_subgraphs, k, net.n_types)
     _check_priors(priors, (net.n_subgraphs, k, net.n_types))
 
-    # a failed restart has no state
-    runs: list[tuple[VariationalState | None, RestartSummary]] = []
-    errors: list[str] = []
-    for r in range(config.n_restarts):
-        tau0 = kmedoid_init(distances, k, seed=config.seed + r)
-        try:
-            state, trace, converged = fit_single(
-                net, tau0, priors,
-                epsilon_converge=config.epsilon_converge,
-                max_iterations=config.max_iterations)
-        except FloatingPointError as exc:
-            errors.append(f"restart {r}: {exc}")
-            state, trace, converged = None, (), False
-        runs.append((state, RestartSummary(elbo_trace=trace, converged=converged)))
-    if len(errors) == len(runs):
-        raise FloatingPointError("every restart failed: " + "; ".join(errors))
-
-    best = int(np.argmax([-np.inf if state is None else record.final_elbo
-                          for state, record in runs]))
-    return FitResult(state=runs[best][0], restart_index=best,
-                     restarts=tuple(record for _, record in runs))
+    starts = np.stack([kmedoid_init(distances, k, seed=config.seed + r)
+                       for r in range(config.n_restarts)])
+    states, traces, converged = fit_single(
+        net, starts, priors, epsilon_converge=config.epsilon_converge,
+        max_iterations=config.max_iterations)
+    failed = [isinstance(state, FloatingPointError) for state in states]
+    if all(failed):
+        raise FloatingPointError("every restart failed: " + "; ".join(
+            f"restart {r}: {state}" for r, state in enumerate(states)))
+    records = tuple(RestartSummary(elbo_trace=trace, converged=done)
+                    for trace, done in zip(traces, converged))
+    best = int(np.argmax([-np.inf if bad else record.final_elbo
+                          for bad, record in zip(failed, records)]))
+    return FitResult(state=states[best], restart_index=best, restarts=records)

@@ -223,8 +223,9 @@ class VariationalState:
         """A state over the given float64 arrays, neither copied nor checked.
 
         For the update loop, which builds one per iteration from arrays it
-        has just computed; :func:`rsm.inference.fit_single` returns a state
-        built by the checking constructor.
+        has just computed, each with a leading restart axis when it runs
+        restarts in lockstep; :func:`rsm.inference.fit_single` returns
+        states built by the checking constructor.
         """
         state = object.__new__(cls)
         for name, value in (("tau", tau), ("chi", chi), ("a", a), ("b", b), ("xi", xi)):

@@ -6,7 +6,8 @@ the library's observable behaviour.  ``fit`` and ``select_k`` build the
 discordance matrix through ``rsm.medoids.distance_matrix``, once per call
 and with the network as its first positional argument, and ``fit_single``
 reaches ``elbo``, ``m_step_alpha`` and ``m_step_gamma`` through
-``rsm.inference``.  A network is validated once, when it is built, so none
+``rsm.inference``: the first two once per iteration of its loop, whatever
+the number of restarts it runs in lockstep, and the last once per call.  A network is validated once, when it is built, so none
 of ``fit``, ``fit_single`` and ``select_k`` calls ``validate_network``.
 """
 
@@ -75,16 +76,38 @@ def test_fit_single_reaches_the_traced_updates(monkeypatch, network):
     validations = [count_calls(monkeypatch, module, "validate_network")
                    for module in (rsm.inference, rsm.network)]
     priors = PriorHyperparams.jeffreys(network.n_subgraphs, 3, network.n_types)
-    tau0 = kmedoid_init(rsm.medoids.distance_matrix(network), 3, seed=0)
+    distances = rsm.medoids.distance_matrix(network)
+    tau0 = kmedoid_init(distances, 3, seed=0)
     _, trace, _ = fit_single(network, tau0, priors, max_iterations=4)
     assert len(calls["elbo"]) == len(trace)
     assert len(calls["m_step_alpha"]) == len(trace)
     assert len(calls["m_step_gamma"]) == 1
-    np.testing.assert_array_equal(calls["m_step_alpha"][0][0], network.subgraph_of)
+    # the labels become a one-hot membership matrix once per call
+    onehot = np.eye(network.n_subgraphs)[network.subgraph_of]
+    for args in calls["m_step_alpha"]:
+        np.testing.assert_array_equal(args[0], onehot)
     config = FitConfig(n_clusters=2, n_restarts=2, max_iterations=4, seed=0)
     fit(network, config)
     select_k(network, range(1, 4), config)
     assert validations == [[], []]
+
+
+def test_lockstep_makes_one_traced_call_per_batched_iteration(monkeypatch, network):
+    # each elbo and m_step_alpha call covers the restarts still running, so
+    # at iteration t it holds the restarts whose traces are longer than t
+    calls = {name: count_calls(monkeypatch, rsm.inference, name)
+             for name in ("elbo", "m_step_alpha", "m_step_gamma")}
+    priors = PriorHyperparams.jeffreys(network.n_subgraphs, 3, network.n_types)
+    distances = rsm.medoids.distance_matrix(network)
+    starts = np.stack([kmedoid_init(distances, 3, seed=r) for r in range(4)])
+    _, traces, _ = fit_single(network, starts, priors)
+    lengths = np.array([len(trace) for trace in traces])
+    assert len(set(lengths)) > 1
+    assert len(calls["elbo"]) == len(calls["m_step_alpha"]) == lengths.max()
+    assert len(calls["m_step_gamma"]) == 1
+    running = [int(np.sum(lengths > t)) for t in range(lengths.max())]
+    assert [args[1].tau.shape[0] for args in calls["elbo"]] == running
+    assert [args[1].shape[0] for args in calls["m_step_alpha"]] == running
 
 
 def wrapped_attributes():

@@ -173,6 +173,15 @@ class TestGeneratedSample:
             GeneratedSample(network=sample.network, true_labels=bad,
                             params=sample.params)
 
+    @pytest.mark.parametrize("shift", [0.6, np.nan])
+    def test_rejects_fractional_labels(self, shift):
+        # the int64 cast would keep the labels 0.6 above the true ones
+        sample = benchmark_scenario(1, seed=0)
+        with pytest.raises(ValueError, match="true_labels must contain integers"):
+            GeneratedSample(network=sample.network,
+                            true_labels=sample.true_labels + shift,
+                            params=sample.params)
+
 
 class TestSampleNetwork:
     def test_same_seed_is_bit_identical(self):

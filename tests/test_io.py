@@ -401,6 +401,14 @@ class TestLabelsFile:
         assert path.read_text() == "1 1\n2 3\n3 2\n"
         assert read_labels_file(path) == {0: 0, 1: 2, 2: 1}
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.9], [0, np.nan]])
+    def test_fractional_labels_are_refused(self, tmp_path, labels):
+        # the int64 cast would write "1 1" and "2 2" for [0.7, 1.9]
+        path = tmp_path / "labels.txt"
+        with pytest.raises(ValueError, match="labels must contain integers"):
+            write_labels_file(path, labels)
+        assert not path.exists()
+
     def test_sparse_vertex_ids_are_allowed(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("5 2\n9 1\n")
