@@ -19,18 +19,17 @@ What cannot change is computed outside the loops.  :func:`fit` builds the
 k-medoid discordance matrix once and shares it across restarts
 (:func:`rsm.selection.select_k` shares one across every K), draws every
 restart's start, and hands the stack to one :func:`fit_single` call.
-:func:`fit_single` builds the sparse operator, the subgraph one-hot, the
-presence update (``a``, ``b``) and its bound term once, and runs all the
-restarts of the stack in lockstep: one sparse product gives every restart's
-neighbour sums, the ``xi`` update and the scores are batched matrix
-products, and each restart keeps its own bound and stop test and leaves
-the batch at the iteration where it would have stopped alone.  Each sum
-adds the same terms in the same order whatever the batch, so a restart's
-trace is bit for bit the one it gives on its own.  Inside the loop tau,
-chi and xi stay plain arrays; each restart's
-:class:`~rsm.params.VariationalState` is built, and checked, once, when it
-leaves.  The prior-only normalizers of the bound are cached on the
-:class:`~rsm.params.PriorHyperparams`.
+:func:`fit_single` builds the sparse operator, the subgraph one-hot and
+the presence update (``a``, ``b``) once, and runs all the restarts of the
+stack in lockstep: one sparse product gives every restart's neighbour
+sums, the ``xi`` update and the scores are batched matrix products, and
+each restart keeps its own bound and stop test and leaves the batch at the
+iteration where it would have stopped alone.  Each sum adds the same terms
+in the same order whatever the batch, so a restart's trace is bit for bit
+the one it gives on its own.  Inside the loop tau, chi and xi stay plain
+arrays; each restart's :class:`~rsm.params.VariationalState` is built, and
+checked, once, when it leaves.  The prior-only normalizers of the bound
+are cached on the :class:`~rsm.params.PriorHyperparams`.
 
 All updates maximize the same evidence lower bound
 
@@ -113,12 +112,13 @@ def _check_state(net: TypedNetwork, state: VariationalState) -> None:
                          f"the network's {expected}")
 
 
-def _check_tau(tau, n_rows: int) -> np.ndarray:
-    """tau as float64, refused unless it is a matrix with ``n_rows`` rows or
-    a stack of such matrices."""
+def _check_tau(tau, n_rows: int, *, stack: bool = False) -> np.ndarray:
+    """tau as float64, refused unless it is a matrix with ``n_rows`` rows
+    or, where ``stack`` allows it, an R x ``n_rows`` x K stack of them."""
     tau = np.asarray(tau, dtype=np.float64)
-    if tau.ndim not in (2, 3) or tau.shape[-2] != n_rows:
-        raise ValueError(f"tau must be {n_rows} x K, got shape {tau.shape}")
+    if tau.ndim not in ((2, 3) if stack else (2,)) or tau.shape[-2] != n_rows:
+        shapes = f"{n_rows} x K or R x {n_rows} x K" if stack else f"{n_rows} x K"
+        raise ValueError(f"tau must be {shapes}, got shape {tau.shape}")
     return tau
 
 
@@ -153,16 +153,17 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
     its iterations neither re-check the labels nor rebuild it.  tau may
     carry a leading restart axis (R x N x K); chi then does too.
 
-    A tau with another row count than the labels is rejected, and so is a
-    label that is not an integer.  So are a subgraph label outside the
-    priors' ``0..S - 1``, a membership matrix without S columns, and a tau
-    with another K than the priors; each message names the priors' (S, K, C).
+    A tau of another shape, or with another row count than the labels, is
+    rejected, and so is a label that is not an integer.  So are a subgraph
+    label outside the priors' ``0..S - 1``, a membership matrix without S
+    columns, and a tau with another K than the priors; each message names
+    the priors' (S, K, C).
     """
     sub = np.asarray(subgraph_of)
     if sub.ndim == 1:
         _check_integers(sub, "subgraph_of")
         sub = sub.astype(np.int64, copy=False)
-    tau = _check_tau(tau, len(sub))
+    tau = _check_tau(tau, len(sub), stack=True)
     shape = (priors.n_subgraphs, priors.n_clusters, priors.n_types)
     _check_priors(priors, (shape[0], tau.shape[-1], shape[2]))
     if sub.ndim == 1:
@@ -183,8 +184,8 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
 
     xi[k, l, c] gains sum over ordered pairs (i, j), i != j, of
     tau[i, k] * tau[j, l] for each edge i->j of type c, so the total added
-    mass equals the number of present edges.  A tau with another row count
-    than N, and priors shaped for another network or K, are rejected.
+    mass equals the number of present edges.  A tau that is not an N x K
+    matrix, and priors shaped for another network or K, are rejected.
     """
     tau = _check_tau(tau, net.n_vertices)
     _check_priors(priors, (net.n_subgraphs, tau.shape[-1], net.n_types))
@@ -281,8 +282,7 @@ def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
     return _normalize_scores(scores)
 
 
-def elbo(net: TypedNetwork, state: VariationalState,
-         priors: PriorHyperparams, *, presence_term: float | None = None):
+def elbo(net: TypedNetwork, state: VariationalState, priors: PriorHyperparams):
     """Evidence lower bound of a state whose hyperparameters are fresh.
 
     Valid when chi, a, b, xi are exactly the update outputs for state.tau
@@ -292,10 +292,8 @@ def elbo(net: TypedNetwork, state: VariationalState,
     cached on ``priors``, which must match the network and the state's K.
     A state shaped for another network is rejected.
 
-    ``presence_term``, the sum of log B(a, b) / B(a0, b0), depends on the
-    network and the priors alone; :func:`fit_single` computes it once and
-    passes it in, and it is computed from ``state.a`` and ``state.b`` when
-    left out.
+    The presence term, the sum of log B(a, b) / B(a0, b0), is shared by
+    every restart of a stack and computed once per call.
 
     A state whose tau, chi and xi carry a leading restart axis (the
     unchecked states of :func:`fit_single`'s loop) gets one bound per
@@ -305,8 +303,7 @@ def elbo(net: TypedNetwork, state: VariationalState,
     """
     _check_state(net, state)
     _check_priors(priors, (net.n_subgraphs, state.tau.shape[-1], net.n_types))
-    if presence_term is None:
-        presence_term = float((betaln(state.a, state.b) - priors.log_beta0).sum())
+    presence_term = float((betaln(state.a, state.b) - priors.log_beta0).sum())
     alpha_term = (log_dirichlet_norm(state.chi, axis=-1)
                   - priors.log_norm_chi0).sum(axis=-1)
     pi_term = (log_dirichlet_norm(state.xi, axis=-1)
@@ -346,8 +343,8 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     empty and it has not converged.
 
     The neighbour-sum operator, the subgraph one-hot and the presence
-    update ``a``, ``b`` with its bound term (none depends on tau) are built
-    once before the loop.  Priors shaped for another network are rejected.
+    update ``a``, ``b`` (none depends on tau) are built once before the
+    loop.  Priors shaped for another network are rejected.
     """
     _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
     if max_iterations < 1:
@@ -379,7 +376,6 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
     sub = net.subgraph_of
     membership = np.eye(net.n_subgraphs)[sub]
     a, b = m_step_gamma(net, priors)
-    presence = float((betaln(a, b) - priors.log_beta0).sum())
 
     n_starts = len(taus)
     states: list = [None] * n_starts
@@ -406,8 +402,7 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
         chi = m_step_alpha(membership, taus, priors)
         out_sums, in_sums = _neighbour_sums(op, taus, net.n_types)
         xi = _update_xi(out_sums, taus, priors.xi0)
-        bounds = elbo(net, VariationalState._unchecked(taus, chi, a, b, xi), priors,
-                      presence_term=presence)
+        bounds = elbo(net, VariationalState._unchecked(taus, chi, a, b, xi), priors)
         change = np.maximum(np.maximum(_largest_change(chi, previous_chi),
                                        _largest_change(xi, previous_xi)), ab_change)
         ab_change = 0.0

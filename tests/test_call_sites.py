@@ -7,8 +7,9 @@ discordance matrix through ``rsm.medoids.distance_matrix``, once per call
 and with the network as its first positional argument, and ``fit_single``
 reaches ``elbo``, ``m_step_alpha`` and ``m_step_gamma`` through
 ``rsm.inference``: the first two once per iteration of its loop, whatever
-the number of restarts it runs in lockstep, and the last once per call.  A network is validated once, when it is built, so none
-of ``fit``, ``fit_single`` and ``select_k`` calls ``validate_network``.
+the number of restarts it runs in lockstep, and the last once per call.  A
+network is validated once, when it is built, so none of ``fit``,
+``fit_single`` and ``select_k`` calls ``validate_network``.
 """
 
 import ast

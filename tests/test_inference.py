@@ -368,11 +368,33 @@ class TestStatesShapedForAnotherNetwork:
             m_step_pi(self.network(), np.full((6, 3), 1.0 / 3),
                       PriorHyperparams.jeffreys(3, 3, 3))
 
+    def test_type_update_refuses_a_stack(self):
+        # only m_step_alpha takes a leading restart axis
+        with pytest.raises(ValueError, match=re.escape(
+                "tau must be 12 x K, got shape (2, 12, 3)")):
+            m_step_pi(self.network(), np.full((2, 12, 3), 1.0 / 3),
+                      PriorHyperparams.jeffreys(3, 3, 3))
+
     def test_mixing_update(self):
         with pytest.raises(ValueError, match=re.escape(
-                "tau must be 12 x K, got shape (6, 3)")):
+                "tau must be 12 x K or R x 12 x K, got shape (6, 3)")):
             m_step_alpha(self.network().subgraph_of, np.full((6, 3), 1.0 / 3),
                          PriorHyperparams.jeffreys(3, 3, 3))
+
+    def test_mixing_update_refuses_a_deeper_stack(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "tau must be 12 x K or R x 12 x K, got shape (1, 2, 12, 3)")):
+            m_step_alpha(self.network().subgraph_of, np.full((1, 2, 12, 3), 1.0 / 3),
+                         PriorHyperparams.jeffreys(3, 3, 3))
+
+    def test_mixing_update_of_a_stack_is_per_restart(self):
+        rng = np.random.default_rng(3)
+        taus = rng.dirichlet(np.ones(3), size=(2, 12))
+        priors = PriorHyperparams.jeffreys(3, 3, 3)
+        sub = self.network().subgraph_of
+        stacked = m_step_alpha(sub, taus, priors)
+        for r in range(2):
+            assert stacked[r].tobytes() == m_step_alpha(sub, taus[r], priors).tobytes()
 
 
 class TestCountConservation:
