@@ -197,18 +197,15 @@ _HANDLERS = {
     "fit": cmd_fit,
     "select-k": cmd_select_k,
     "eval": cmd_eval,
+    "debug": cmd_debug_oracle,
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "debug":
-        handler = cmd_debug_oracle
-    else:
-        handler = _HANDLERS[args.command]
     try:
-        return handler(args, parser)
+        return _HANDLERS[args.command](args, parser)
     except (FormatError, ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

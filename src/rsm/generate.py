@@ -19,26 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import TypedNetwork, _check_integers, _readonly
+from .network import TypedNetwork, _int_vector, _readonly, _refuse_outside
 from .params import RsmParams
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratedSample:
-    """A sampled network together with the clusters and parameters behind it."""
+    """A sampled network, its true clusters (N labels in ``0..K - 1``) and its parameters."""
 
     network: TypedNetwork
     true_labels: np.ndarray
     params: RsmParams
 
     def __post_init__(self):
-        labels = np.asarray(self.true_labels)
-        _check_integers(labels, "true_labels")
-        labels = labels.astype(np.int64, copy=False)
-        if labels.shape != (self.network.n_vertices,):
-            raise ValueError(f"true_labels must have length {self.network.n_vertices}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.params.n_clusters):
-            raise ValueError("true_labels outside 0..K-1")
+        labels = _int_vector(self.true_labels, "true_labels", self.network.n_vertices)
+        _refuse_outside(labels, self.params.n_clusters, "true label")
         object.__setattr__(self, "true_labels", _readonly(labels))
 
 
@@ -84,10 +79,10 @@ def labels_from_sizes(sizes, n_subgraphs: int) -> np.ndarray:
     if sizes.ndim != 1 or sizes.shape[0] != n_subgraphs:
         raise ValueError(f"subgraph_sizes must list {n_subgraphs} sizes, "
                          f"got shape {sizes.shape}")
-    _check_integers(sizes, "subgraph_sizes")
+    sizes = _int_vector(sizes, "subgraph_sizes")
     if np.any(sizes < 0):
-        raise ValueError(f"subgraph_sizes must be nonnegative, got {sizes.min():g}")
-    return np.repeat(np.arange(n_subgraphs), sizes.astype(np.int64))
+        raise ValueError(f"subgraph_sizes must be nonnegative, got {sizes.min()}")
+    return np.repeat(np.arange(n_subgraphs), sizes)
 
 
 def sample_network(params: RsmParams, subgraph_of: np.ndarray,
@@ -100,16 +95,14 @@ def sample_network(params: RsmParams, subgraph_of: np.ndarray,
     uniform per ordered pair for the type (row-major), of which only the
     present pairs' are used.  The same seed therefore reproduces the same
     sample bit for bit.  The pairs are drawn a block of rows at a time, so
-    memory grows with the number of edges, not with N².  A label that is
-    not an integer in ``0..S - 1`` is refused with a ValueError.
+    memory grows with the number of edges, not with N².  Anything but a
+    vector of integers in ``0..S - 1`` is refused with a ValueError, which
+    names the first label out of range and its vertex.
     """
-    subgraph_of = np.asarray(subgraph_of)
-    _check_integers(subgraph_of, "subgraph_of")
-    subgraph_of = subgraph_of.astype(np.int64, copy=False)
+    subgraph_of = _int_vector(subgraph_of, "subgraph_of")
     n = subgraph_of.shape[0]
     s = params.n_subgraphs
-    if subgraph_of.size and (subgraph_of.min() < 0 or subgraph_of.max() >= s):
-        raise ValueError(f"subgraph labels outside 0..{s - 1}")
+    _refuse_outside(subgraph_of, s, "subgraph label")
     src, dst, types, z = _draw(params, subgraph_of, np.random.default_rng(seed),
                                max(1, _BLOCK_ELEMENTS // max(n, 1)))
     net = TypedNetwork.from_edges(n, src, dst, types, subgraph_of,

@@ -54,7 +54,7 @@ from scipy.special import betaln, digamma, xlogy
 from . import medoids
 from .medoids import kmedoid_init
 # validate_network stays an attribute here because bench/tracing.py wraps it
-from .network import TypedNetwork, _check_integers, validate_network  # noqa: F401
+from .network import TypedNetwork, _int_vector, _refuse_outside, validate_network  # noqa: F401
 from .params import (
     FitResult,
     PriorHyperparams,
@@ -154,23 +154,20 @@ def m_step_alpha(subgraph_of: np.ndarray, tau: np.ndarray,
     carry a leading restart axis (R x N x K); chi then does too.
 
     A tau of another shape, or with another row count than the labels, is
-    rejected, and so is a label that is not an integer.  So are a subgraph
-    label outside the priors' ``0..S - 1``, a membership matrix without S
-    columns, and a tau with another K than the priors; each message names
-    the priors' (S, K, C).
+    rejected, and so are labels that are neither a vector of integers nor a
+    matrix.  So are a subgraph label outside the priors' ``0..S - 1``, a
+    membership matrix without S columns, and a tau with another K than the
+    priors; each message names the priors' (S, K, C).
     """
     sub = np.asarray(subgraph_of)
-    if sub.ndim == 1:
-        _check_integers(sub, "subgraph_of")
-        sub = sub.astype(np.int64, copy=False)
+    if sub.ndim != 2:
+        sub = _int_vector(sub, "subgraph_of")
     tau = _check_tau(tau, len(sub), stack=True)
     shape = (priors.n_subgraphs, priors.n_clusters, priors.n_types)
     _check_priors(priors, (shape[0], tau.shape[-1], shape[2]))
     if sub.ndim == 1:
-        bad = np.nonzero((sub < 0) | (sub >= shape[0]))[0]
-        if len(bad):
-            raise ValueError(f"subgraph label {sub[bad[0]]} at vertex {bad[0]} outside "
-                             f"0..{shape[0] - 1} of priors shaped for (S, K, C) = {shape}")
+        _refuse_outside(sub, shape[0], "subgraph label",
+                        f" of priors shaped for (S, K, C) = {shape}")
         sub = np.eye(shape[0])[sub]
     elif sub.shape[1:] != shape[:1]:
         raise ValueError(f"subgraph membership must be N x {shape[0]} for priors "
@@ -260,8 +257,6 @@ _NONFINITE_SCORES = "non-finite responsibility scores; hyperparameters are corru
 
 def _normalize_scores(scores: np.ndarray) -> np.ndarray:
     """Rows of finite log scores turned into probability vectors."""
-    if scores.shape[-2] == 0:
-        return np.zeros_like(scores)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)

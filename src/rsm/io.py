@@ -32,7 +32,7 @@ import numpy as np
 
 from .generate import labels_from_sizes
 from .inference import FitConfig
-from .network import TypedNetwork, _check_integers
+from .network import TypedNetwork, _int_vector, _refuse_outside
 from .params import FitResult, RsmParams
 from .selection import SelectionResult
 
@@ -203,11 +203,11 @@ def load_network(network_path, partition_path) -> TypedNetwork:
 
 
 def write_labels_file(path, labels: np.ndarray) -> None:
-    """Write 0-indexed cluster labels as 1-indexed ``vertex cluster`` lines;
-    a label that is not an integer is refused."""
-    labels = np.asarray(labels)
-    _check_integers(labels, "labels")
-    labels = labels.astype(np.int64, copy=False)
+    """Write a vector of 0-indexed cluster labels as 1-indexed ``vertex
+    cluster`` lines.  Anything but a vector of integers in ``0..2**63 - 2``,
+    the labels :func:`read_labels_file` reads back, is refused unwritten."""
+    labels = _int_vector(labels, "labels")
+    _refuse_outside(labels, _INT64_MAX, "label")
     lines = [f"{i + 1} {labels[i] + 1}" for i in range(labels.shape[0])]
     _write_lines(path, lines)
 

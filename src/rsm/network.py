@@ -16,7 +16,10 @@ expansion of the edge list here; everything else in the library (the sparse
 operators of :mod:`rsm.inference`, the k-medoid discordance of
 :mod:`rsm.medoids`) reads the edge list itself.
 
-A :class:`TypedNetwork` is valid by construction: every edge type lies in
+Every integer vector that enters the library (edge lists, labels, subgraph
+sizes) passes one rule, ``_int_vector``: a vector (of a known length, where
+there is one) of int64 integers, or a ValueError naming the argument.  A
+:class:`TypedNetwork` is valid by construction: every edge type lies in
 ``1..n_types`` and every subgraph label in ``0..n_subgraphs - 1``.  The one
 construction path refuses a network that breaks a rule, naming the first
 offender, and code that takes a network checks it no further.
@@ -40,12 +43,31 @@ def _readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
 
 def _check_integers(values: np.ndarray, name: str) -> None:
     """Refuse an array whose entries are not all int64 integers."""
-    if values.size and not np.issubdtype(values.dtype, np.integer):
-        # NaN, inf and values past int64 fail before the cast, which
-        # would warn about them
-        if not (np.all(np.abs(values) < 2.0 ** 63)
+    if values.size and not np.can_cast(values.dtype, np.int64):
+        # a uint64 past int64 wraps in the cast and compares unequal; NaN,
+        # inf and floats past int64 fail before it, which would warn
+        if not ((values.dtype.kind == "u" or np.all(np.abs(values) < 2.0 ** 63))
                 and np.all(values == values.astype(np.int64))):
             raise ValueError(f"{name} must contain integers")
+
+
+def _int_vector(values, name: str, length: int | None = None) -> np.ndarray:
+    """``values`` as an int64 vector, copied only if its dtype differs; any
+    other shape and a non-integer entry are refused, naming ``name``."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or length not in (None, len(arr)):
+        size = "" if length is None else f"length-{length} "
+        raise ValueError(f"{name} must be a {size}vector, got shape {arr.shape}")
+    _check_integers(arr, name)
+    return arr.astype(np.int64, copy=False)
+
+
+def _refuse_outside(labels: np.ndarray, n: int, what: str, suffix: str = "") -> None:
+    """Raise naming the first label outside ``0..n - 1`` and its vertex, if any."""
+    bad = (labels < 0) | (labels >= n)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"{what} {labels[i]} at vertex {i} outside 0..{n - 1}{suffix}")
 
 
 def _refuse_first(src: np.ndarray, dst: np.ndarray, bad: np.ndarray, what: str) -> None:
@@ -127,14 +149,8 @@ class TypedNetwork:
         if any(v.ndim != 1 or v.shape != edges[0].shape for v in edges):
             raise ValueError("src, dst and types must be equal-length vectors, got "
                              f"shapes {', '.join(str(v.shape) for v in edges)}")
-        for name, value in zip(("src", "dst", "types"), edges):
-            _check_integers(value, name)
-        src, dst, types = (v.astype(np.int64) for v in edges)
-        sub = np.asarray(subgraph_of)
-        if sub.ndim != 1 or sub.shape[0] != n:
-            raise ValueError(f"subgraph_of must be a length-{n} vector, got shape {sub.shape}")
-        _check_integers(sub, "subgraph_of")
-        sub = sub.astype(np.int64)
+        src, dst, types = map(_int_vector, edges, ("src", "dst", "types"))
+        sub = _int_vector(subgraph_of, "subgraph_of", n)
         if n_types < 1:
             raise ValueError(f"n_types must be >= 1, got {n_types}")
         if n_subgraphs < 1:
@@ -154,11 +170,7 @@ class TypedNetwork:
             e = np.argmax(bad)
             raise ValueError(f"invalid network: edge type {types[e]} at "
                              f"({src[e]}, {dst[e]}) outside 0..{n_types}")
-        bad = (sub < 0) | (sub >= n_subgraphs)
-        if bad.any():
-            i = np.argmax(bad)
-            raise ValueError(f"invalid network: subgraph label {sub[i]} at vertex {i} "
-                             f"outside 0..{n_subgraphs - 1}")
+        _refuse_outside(sub, n_subgraphs, "invalid network: subgraph label")
         for name, value in (("src", src), ("dst", dst), ("types", types),
                             ("subgraph_of", sub)):
             object.__setattr__(self, name, _readonly(value))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 import oracles
 
@@ -373,6 +374,20 @@ class TestLabelsReaderAgainstTheLoop:
         assert got == want
 
 
+_label_shapes = npst.array_shapes(min_dims=0, max_dims=2, max_side=4)
+# small and extreme labels, valid or not, of three dtypes and any nonempty
+# shape up to 2-D; an empty vector is left out, as it writes a file that the
+# reader refuses
+label_arrays = st.one_of(
+    npst.arrays(np.int64, _label_shapes,
+                elements=st.integers(-2, 4) | st.sampled_from([2 ** 63 - 2, 2 ** 63 - 1])),
+    npst.arrays(np.uint64, _label_shapes,
+                elements=st.integers(0, 4) | st.sampled_from([2 ** 63 - 1, 2 ** 63])),
+    npst.arrays(np.float64, _label_shapes,
+                elements=st.sampled_from([-1.0, 0.0, 2.0, 0.5, np.nan, 2.0 ** 63])),
+)
+
+
 class TestLabelsFile:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 2 ** 63 - 2), min_size=1, max_size=30))
@@ -408,6 +423,30 @@ class TestLabelsFile:
         with pytest.raises(ValueError, match="labels must contain integers"):
             write_labels_file(path, labels)
         assert not path.exists()
+
+    @pytest.mark.parametrize("labels,message", [
+        ([0, -1], "label -1 at vertex 1 outside 0..9223372036854775806"),
+        ([2 ** 63 - 1], "label 9223372036854775807 at vertex 0 outside "
+                        "0..9223372036854775806"),
+    ], ids=["negative", "cluster past int64"])
+    def test_labels_the_reader_refuses_are_not_written(self, tmp_path, labels, message):
+        # [0, -1] was written as "2 0", which the reader refuses
+        path = tmp_path / "labels.txt"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            write_labels_file(path, np.array(labels))
+        assert not path.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_arrays)
+    def test_the_writer_writes_only_what_the_reader_reads(self, labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.txt"
+            try:
+                write_labels_file(path, labels)
+            except ValueError:
+                assert not path.exists()
+                return
+            assert read_labels_file(path) == dict(enumerate(labels.tolist()))
 
     def test_sparse_vertex_ids_are_allowed(self, tmp_path):
         path = tmp_path / "labels.txt"

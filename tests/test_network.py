@@ -1,10 +1,23 @@
 """Construction and validation of typed networks."""
 
+import re
+
 import numpy as np
 import pytest
 from builders import refused
 
-from rsm import FitConfig, PriorHyperparams, TypedNetwork, validate_network
+from rsm import (
+    FitConfig,
+    GeneratedSample,
+    PriorHyperparams,
+    RsmParams,
+    TypedNetwork,
+    sample_network,
+    validate_network,
+)
+from rsm.generate import labels_from_sizes
+from rsm.inference import m_step_alpha
+from rsm.io import write_labels_file
 
 
 def small_net():
@@ -144,3 +157,82 @@ class TestValidateNetwork:
         assert len(report.warnings) == 2
         assert all("no vertices" in w for w in report.warnings)
 
+
+
+def _sample(labels, path):
+    return GeneratedSample(network=TypedNetwork.from_edges(2, [], [], [], [0, 0], 1, 1),
+                           true_labels=labels,
+                           params=RsmParams(alpha=[[0.5, 0.5]], gamma=[[0.5]],
+                                            pi=np.ones((2, 2, 1))))
+
+
+# Every entry point that takes an integer vector, each called with a bad
+# one in place of a length-2 vector: the name its integer refusal begins
+# with, and its refusal of another shape.
+INTEGER_VECTORS = {
+    "TypedNetwork": (lambda v, path: TypedNetwork(np.zeros((2, 2), int), v, 1, 2),
+                     "subgraph_of", "subgraph_of must be a length-2 vector"),
+    "from_edges.src": (lambda v, path: TypedNetwork.from_edges(3, v, [2, 0], [1, 1],
+                                                               [0, 0, 0], 1, 1),
+                       "src", "src, dst and types must be equal-length vectors"),
+    "from_edges.dst": (lambda v, path: TypedNetwork.from_edges(3, [2, 0], v, [1, 1],
+                                                               [0, 0, 0], 1, 1),
+                       "dst", "src, dst and types must be equal-length vectors"),
+    "from_edges.types": (lambda v, path: TypedNetwork.from_edges(3, [0, 1], [1, 2], v,
+                                                                 [0, 0, 0], 1, 1),
+                         "types", "src, dst and types must be equal-length vectors"),
+    "from_edges.subgraph_of": (lambda v, path: TypedNetwork.from_edges(2, [], [], [], v, 1, 2),
+                               "subgraph_of", "subgraph_of must be a length-2 vector"),
+    "GeneratedSample": (_sample, "true_labels", "true_labels must be a length-2 vector"),
+    "sample_network": (lambda v, path: sample_network(
+                           RsmParams(alpha=[[1.0], [1.0]], gamma=np.full((2, 2), 0.5),
+                                     pi=[[[1.0]]]), v, 0),
+                       "subgraph_of", "subgraph_of must be a vector"),
+    "labels_from_sizes": (lambda v, path: labels_from_sizes(v, 2),
+                          "subgraph_sizes", "subgraph_sizes must list 2 sizes"),
+    "m_step_alpha": (lambda v, path: m_step_alpha(v, np.full((2, 2), 0.5),
+                                                  PriorHyperparams.jeffreys(2, 2, 1)),
+                     "subgraph_of", "subgraph_of must be a vector"),
+    "write_labels_file": (lambda v, path: write_labels_file(path, v),
+                          "labels", "labels must be a vector"),
+}
+
+BAD_SHAPES = {"2-D": [[0, 1]], "0-d": 0}
+NOT_INT64 = {
+    "fractional": [0, 0.5],
+    "NaN": [0, np.nan],
+    "float 2**63": [0, 2.0 ** 63],
+    "uint64 2**63": np.array([0, 2 ** 63], dtype=np.uint64),
+}
+
+
+class TestIntegerVectors:
+    """One rule for every integer vector: another shape and an entry that is
+    not an int64 integer are refused, naming the argument, before anything
+    is written."""
+
+    @pytest.mark.parametrize("shape", BAD_SHAPES)
+    @pytest.mark.parametrize("entry", INTEGER_VECTORS)
+    def test_another_shape_is_refused(self, tmp_path, entry, shape):
+        call, _, message = INTEGER_VECTORS[entry]
+        values = BAD_SHAPES[shape]
+        if entry == "m_step_alpha" and shape == "2-D":
+            values = [values]  # its 2-D form is the membership matrix
+        path = tmp_path / "labels.txt"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(values, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("values", NOT_INT64)
+    @pytest.mark.parametrize("entry", INTEGER_VECTORS)
+    def test_an_entry_outside_int64_is_refused(self, tmp_path, entry, values):
+        call, name, _ = INTEGER_VECTORS[entry]
+        path = tmp_path / "labels.txt"
+        with pytest.raises(ValueError, match=f"^{name} must contain integers$"):
+            call(NOT_INT64[values], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("entry", INTEGER_VECTORS)
+    def test_a_valid_vector_passes(self, tmp_path, entry):
+        call, _, _ = INTEGER_VECTORS[entry]
+        call(np.array([1, 1], dtype=np.uint8), tmp_path / "labels.txt")
