@@ -140,6 +140,8 @@ def cmd_fit(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--k must be >= 1, got {args.k}")
     seed = _resolve_seed(args.seed)
     net = _load_validated(args)
+    if net.n_vertices == 0:
+        raise ValueError(f"{args.network}: the network has no vertices to cluster")
     config = _fit_config(args, args.k, seed)
     result = fit(net, config)
     write_result_bundle(args.out, result, config)

@@ -16,20 +16,19 @@ costs O(E K + N K^2 C) and no N x N array is formed; only the k-medoid
 discordance matrix (:func:`rsm.medoids.distance_matrix`) is N x N.
 
 What cannot change is computed outside the loops.  :func:`fit` builds the
-k-medoid discordance matrix once and shares it across restarts
-(:func:`rsm.selection.select_k` shares one across every K), draws every
-restart's start, and hands the stack to one :func:`fit_single` call.
-:func:`fit_single` builds the sparse operator, the subgraph one-hot and
-the presence update (``a``, ``b``) once, and runs all the restarts of the
-stack in lockstep: one sparse product gives every restart's neighbour
+k-medoid discordance matrix once (:func:`rsm.selection.select_k` once for
+every K), draws every restart's start, and hands the stack to one
+:func:`fit_single` call.  That call builds the sparse operator, the
+subgraph one-hot and the presence update (``a``, ``b``) once, and runs the
+restarts in lockstep: one sparse product gives every restart's neighbour
 sums, the ``xi`` update and the scores are batched matrix products, and
-each restart keeps its own bound and stop test and leaves the batch at the
-iteration where it would have stopped alone.  Each sum adds the same terms
-in the same order whatever the batch, so a restart's trace is bit for bit
-the one it gives on its own.  Inside the loop tau, chi and xi stay plain
-arrays; each restart's :class:`~rsm.params.VariationalState` is built, and
-checked, once, when it leaves.  The prior-only normalizers of the bound
-are cached on the :class:`~rsm.params.PriorHyperparams`.
+each restart keeps its own bound and stop test.  Each sum adds the same
+terms in the same order whatever the batch, so a restart's trace is bit
+for bit the one it gives alone.  Inside the loop tau, chi and xi stay
+plain arrays; a restart's checked :class:`~rsm.params.VariationalState`
+and its :class:`~rsm.params.RestartSummary` are built once, when it
+leaves.  The prior-only normalizers of the bound are cached on the
+:class:`~rsm.params.PriorHyperparams`.
 
 All updates maximize the same evidence lower bound
 
@@ -73,7 +72,8 @@ class FitConfig:
     (:meth:`~rsm.params.PriorHyperparams.jeffreys`), built to match the
     network and ``n_clusters``; pass an explicit
     :class:`~rsm.params.PriorHyperparams` to override.  Restart r
-    initializes from seed ``seed + r``.
+    initializes from seed ``seed + r``, in :func:`fit` and for every K of
+    :func:`rsm.selection.select_k` alike.
     """
 
     n_clusters: int
@@ -332,10 +332,10 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     iteration makes one :func:`m_step_alpha` and one :func:`elbo` call for
     the restarts still running, and each restart stops at the iteration
     where it would stop alone, with the same trace, bit for bit.  Returns
-    (states, elbo_traces, converged), three tuples with one entry per
-    restart.  A restart that fails numerically fails alone: its entry in
-    ``states`` is the FloatingPointError it would have raised, its trace is
-    empty and it has not converged.
+    (states, records), one state and one :class:`~rsm.params.RestartSummary`
+    per restart.  A restart that fails numerically fails alone: its state
+    is None, and its record has an empty trace and the stop reason
+    ``"failed: <message>"``, with the message it would have raised.
 
     The neighbour-sum operator, the subgraph one-hot and the presence
     update ``a``, ``b`` (none depends on tau) are built once before the
@@ -352,11 +352,10 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     check_row_stochastic(taus, "tau0")
     if taus.ndim == 3:
         return _lockstep(net, taus, priors, epsilon_converge, max_iterations)
-    (state,), (trace,), (converged,) = _lockstep(
-        net, taus[np.newaxis], priors, epsilon_converge, max_iterations)
-    if isinstance(state, FloatingPointError):
-        raise state
-    return state, trace, converged
+    (state,), (record,) = _lockstep(net, taus[None], priors, epsilon_converge, max_iterations)
+    if state is None:
+        raise FloatingPointError(record.stop_reason.removeprefix("failed: "))
+    return state, record.elbo_trace, record.converged
 
 
 def _largest_change(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -372,24 +371,25 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
     membership = np.eye(net.n_subgraphs)[sub]
     a, b = m_step_gamma(net, priors)
 
-    n_starts = len(taus)
-    states: list = [None] * n_starts
-    traces: list[list[float]] = [[] for _ in range(n_starts)]
-    converged = [False] * n_starts
-    active = np.arange(n_starts)
+    states: list = [None] * len(taus)
+    reasons: list = [None] * len(taus)
+    traces: list[list[float]] = [[] for _ in taus]
+    active = np.arange(len(taus))
     # a and b are fixed, so they change only against the priors
     ab_change = max(np.max(np.abs(a - priors.a0), initial=0.0),
                     np.max(np.abs(b - priors.b0), initial=0.0))
     previous_chi, previous_xi = priors.chi0, priors.xi0
 
-    def leave(rows, error=None):
-        """Record the restarts at batch positions ``rows`` as stopped."""
+    def leave(rows, reason):
+        """Record the restarts at batch positions ``rows`` as stopped for
+        ``reason``, or for ``reason(j)`` at position j."""
         for j in rows.nonzero()[0]:
             r = active[j]
-            if error is None:
-                states[r] = VariationalState(tau=taus[j], chi=chi[j], a=a, b=b, xi=xi[j])
+            reasons[r] = reason if isinstance(reason, str) else reason(j)
+            if reasons[r].startswith("failed: "):
+                traces[r] = []
             else:
-                states[r], traces[r] = FloatingPointError(error(j)), []
+                states[r] = VariationalState(tau=taus[j], chi=chi[j], a=a, b=b, xi=xi[j])
 
     for iteration in range(max_iterations):
         if not len(active):
@@ -404,11 +404,9 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
         for r, bound in zip(active, bounds):
             traces[r].append(float(bound))
         finite = np.isfinite(bounds)
-        leave(~finite, lambda j: f"non-finite bound value {float(bounds[j])}")
+        leave(~finite, lambda j: f"failed: non-finite bound value {float(bounds[j])}")
         done = finite & (change < epsilon_converge)
-        for j in done.nonzero()[0]:
-            converged[active[j]] = True
-        leave(done)
+        leave(done, "converged")
 
         going = finite & ~done
         if not going.all():
@@ -416,17 +414,16 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
             out_sums, in_sums = out_sums[going], in_sums[going]
         scores = _scores(out_sums, in_sums, chi, xi, sub)
         finite = np.isfinite(scores).all(axis=(1, 2))
-        leave(~finite, lambda j: _NONFINITE_SCORES)
+        leave(~finite, "failed: " + _NONFINITE_SCORES)
         if iteration == max_iterations - 1:
-            leave(finite)
+            leave(finite, "max_iterations")
             break
         if not finite.all():
             chi, xi, active, scores = chi[finite], xi[finite], active[finite], scores[finite]
         taus = _normalize_scores(scores)
         previous_chi, previous_xi = chi, xi
 
-    return (tuple(states), tuple(np.asarray(trace) for trace in traces),
-            tuple(converged))
+    return tuple(states), tuple(map(RestartSummary, traces, reasons))
 
 
 def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
@@ -434,9 +431,10 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
 
     Each restart r initializes from :func:`~rsm.medoids.kmedoid_init` with
     seed ``config.seed + r``; one :func:`fit_single` call runs every
-    restart in lockstep.  The restart with the highest final bound wins
-    (ties to the lowest restart index); the same inputs and seed always
-    reproduce the same result.
+    restart in lockstep and returns the records the result keeps.  The
+    restart with the highest final bound wins (ties to the lowest restart
+    index); the same inputs and seed always reproduce the same result.
+    Only when every restart fails is FloatingPointError raised.
 
     The discordance matrix :func:`~rsm.medoids.distance_matrix` is built
     once here and read by every restart's :func:`~rsm.medoids.kmedoid_init`.
@@ -446,24 +444,19 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
 
 def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResult:
     """Body of :func:`fit`, given the network's discordance matrix;
-    :func:`rsm.selection.select_k` calls it with one matrix for every K."""
+    :func:`rsm.selection.select_k` calls it, with one matrix, for every K."""
     k = config.n_clusters
-    priors = config.priors
-    if priors is None:
-        priors = PriorHyperparams.jeffreys(net.n_subgraphs, k, net.n_types)
+    priors = config.priors or PriorHyperparams.jeffreys(net.n_subgraphs, k, net.n_types)
     _check_priors(priors, (net.n_subgraphs, k, net.n_types))
 
     starts = np.stack([kmedoid_init(distances, k, seed=config.seed + r)
                        for r in range(config.n_restarts)])
-    states, traces, converged = fit_single(
-        net, starts, priors, epsilon_converge=config.epsilon_converge,
-        max_iterations=config.max_iterations)
-    failed = [isinstance(state, FloatingPointError) for state in states]
-    if all(failed):
+    states, records = fit_single(net, starts, priors, epsilon_converge=config.epsilon_converge,
+                                 max_iterations=config.max_iterations)
+    if all(state is None for state in states):
         raise FloatingPointError("every restart failed: " + "; ".join(
-            f"restart {r}: {state}" for r, state in enumerate(states)))
-    records = tuple(RestartSummary(elbo_trace=trace, converged=done)
-                    for trace, done in zip(traces, converged))
-    best = int(np.argmax([-np.inf if bad else record.final_elbo
-                          for bad, record in zip(failed, records)]))
+            f"restart {r}: {record.stop_reason.removeprefix('failed: ')}"
+            for r, record in enumerate(records)))
+    best = int(np.argmax([-np.inf if state is None else record.final_elbo
+                          for state, record in zip(states, records)]))
     return FitResult(state=states[best], restart_index=best, restarts=records)

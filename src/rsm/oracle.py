@@ -65,11 +65,8 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
     gamma_term = float((_log_beta(priors.a0 + edges, priors.b0 + pairs - edges)
                         - _log_beta(priors.a0, priors.b0)).sum())
 
-    if n == 0:
-        return gamma_term
-
-    # All assignments as a (k^n, n) matrix of cluster indices.
-    z_all = np.array(np.unravel_index(np.arange(n_assignments), (k,) * n)).T
+    # All assignments, (k^n, n): the base-k digits of each flat index.
+    z_all = np.arange(n_assignments)[:, None] // k ** np.arange(n - 1, -1, -1) % k
     z_onehot = np.eye(k)[z_all]                             # (k^n, n, k)
 
     chi = priors.chi0[None] + np.einsum("ns,znk->zsk", onehot_sub, z_onehot)

@@ -243,15 +243,24 @@ class VariationalState:
 
 @dataclass(frozen=True, eq=False)
 class RestartSummary:
-    """One restart of :func:`rsm.inference.fit`: its bound per iteration
-    (empty if it failed numerically) and whether it met the stopping
-    tolerance before the iteration cap."""
+    """One restart of :func:`rsm.inference.fit_single`: its bound per
+    iteration (empty if it failed numerically) and why it stopped:
+    ``"converged"``, ``"max_iterations"`` (the cap came first) or
+    ``"failed: <message>"``, the FloatingPointError it raises alone."""
 
     elbo_trace: np.ndarray
-    converged: bool
+    stop_reason: str
 
     def __post_init__(self):
         object.__setattr__(self, "elbo_trace", _readonly(self.elbo_trace, np.float64))
+        if self.stop_reason not in ("converged", "max_iterations") and not (
+                isinstance(self.stop_reason, str) and self.stop_reason.startswith("failed: ")):
+            raise ValueError("stop_reason must be 'converged', 'max_iterations' or "
+                             f"'failed: <message>', got {self.stop_reason!r}")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def final_elbo(self) -> float:

@@ -48,11 +48,11 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     """Fit every candidate K and keep the one with the highest final bound.
 
     ``k_values`` is any iterable of candidate cluster counts; duplicates are
-    collapsed and order is irrelevant.  Candidate K is fitted with seed
-    ``config.seed + 1000 * K`` (restarts then offset that, as in
-    :func:`~rsm.inference.fit`), so runs are reproducible and independent of
-    enumeration order.  ``config.priors`` must be None: the default priors
-    are built per K.
+    collapsed and order is irrelevant.  Candidate K is fitted exactly as
+    :func:`~rsm.inference.fit` fits ``replace(config, n_clusters=K)``, with
+    restart r seeded ``config.seed + r``, so ``per_k[K]`` is that fit, bit
+    for bit.  ``config.priors`` must be None: the default priors are built
+    per K.
 
     The network's discordance matrix
     (:func:`~rsm.medoids.distance_matrix`) is built once, here; every K's
@@ -70,9 +70,8 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     per_k: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
     for k in ks:
-        k_config = replace(config, n_clusters=k, seed=config.seed + 1000 * k)
         try:
-            per_k[k] = _fit(net, k_config, distances)
+            per_k[k] = _fit(net, replace(config, n_clusters=k), distances)
         except FloatingPointError as exc:
             failures[k] = str(exc)
             logger.warning("excluding K=%d: every restart failed (%s)", k, exc)

@@ -101,14 +101,30 @@ def test_lockstep_makes_one_traced_call_per_batched_iteration(monkeypatch, netwo
     priors = PriorHyperparams.jeffreys(network.n_subgraphs, 3, network.n_types)
     distances = rsm.medoids.distance_matrix(network)
     starts = np.stack([kmedoid_init(distances, 3, seed=r) for r in range(4)])
-    _, traces, _ = fit_single(network, starts, priors)
-    lengths = np.array([len(trace) for trace in traces])
+    _, records = fit_single(network, starts, priors)
+    lengths = np.array([record.n_iterations for record in records])
     assert len(set(lengths)) > 1
     assert len(calls["elbo"]) == len(calls["m_step_alpha"]) == lengths.max()
     assert len(calls["m_step_gamma"]) == 1
     running = [int(np.sum(lengths > t)) for t in range(lengths.max())]
     assert [args[1].tau.shape[0] for args in calls["elbo"]] == running
     assert [args[1].shape[0] for args in calls["m_step_alpha"]] == running
+
+
+def test_the_results_the_benchmark_reads(network):
+    # bench/tracing.py notes len(result[1]) of each traced fit_single call,
+    # one entry per restart of a stack, and the sweep workload reads an
+    # N x K call's result as (state, bound trace, converged)
+    priors = PriorHyperparams.jeffreys(network.n_subgraphs, 3, network.n_types)
+    distances = rsm.medoids.distance_matrix(network)
+    starts = np.stack([kmedoid_init(distances, 3, seed=r) for r in range(4)])
+    stacked = fit_single(network, starts, priors, max_iterations=6)
+    assert len(stacked) == 2 and len(stacked[1]) == len(starts)
+    single = fit_single(network, starts[0], priors, max_iterations=6)
+    assert len(single) == 3
+    assert single[1].ndim == 1 and len(single[1]) == stacked[1][0].n_iterations
+    np.testing.assert_array_equal(single[1], stacked[1][0].elbo_trace)
+    assert single[2] is stacked[1][0].converged
 
 
 def wrapped_attributes():

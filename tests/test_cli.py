@@ -4,20 +4,26 @@ Most tests call ``main`` in process; one subprocess test covers the module
 entry point end to end.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rsm
-from rsm import exact_log_evidence, PriorHyperparams
+from rsm import exact_log_evidence, PriorHyperparams, TypedNetwork
 from rsm.cli import main
-from rsm.io import load_network, write_labels_file
+from rsm.io import load_network, write_labels_file, write_network_file, write_partition_file
 
 
 def run_generate(tmp_path, seed=7):
@@ -236,6 +242,19 @@ class TestFitCommand:
                               "more than the ")
         assert not (tmp_path / "run").exists()
 
+    def test_network_without_vertices_is_refused_before_any_write(self, tmp_path, capsys):
+        network = tmp_path / "network.txt"
+        partition = tmp_path / "partition.txt"
+        network.write_text("rsm v1 N=0 S=1 C=1\n")
+        partition.write_text("")
+        code = main(["fit", "--network", str(network), "--partition",
+                     str(partition), "--k", "2", "--seed", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: {network}: the network has no vertices to cluster\n")
+        assert not (tmp_path / "run").exists()
+
     def test_short_partition_for_a_trillion_vertices_exits_one(self, tmp_path, capsys):
         # the partition reader refuses the file before allocating N entries
         network = tmp_path / "network.txt"
@@ -320,12 +339,86 @@ class TestDebugOracle:
         expected = exact_log_evidence(net, 1, PriorHyperparams.jeffreys(1, 1, 1))
         assert value == expected
 
+    def test_one_cluster_on_a_100_vertex_network(self, tmp_path, capsys):
+        data = run_generate(tmp_path)
+        capsys.readouterr()
+        assert main(["debug", "oracle", "--network", str(data / "network.txt"),
+                     "--partition", str(data / "partition.txt"), "--k", "1"]) == 0
+        value = float(capsys.readouterr().out.removeprefix("log evidence: "))
+        net = load_network(data / "network.txt", data / "partition.txt")
+        assert net.n_vertices == 100
+        assert value == exact_log_evidence(net, 1, PriorHyperparams.jeffreys(
+            net.n_subgraphs, 1, net.n_types))
+
     def test_budget_overflow_exits_one(self, tmp_path, capsys):
         network, partition = write_benchmark_data(tmp_path)
         code = main(["debug", "oracle", "--network", str(network),
                      "--partition", str(partition), "--k", "3"])
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+
+@st.composite
+def small_networks(draw):
+    """A network of 0-8 vertices, 1-3 subgraphs (any of them may be empty)
+    and 1-3 edge types, with or without edges."""
+    n = draw(st.integers(0, 8))
+    n_subgraphs = draw(st.integers(1, 3))
+    n_types = draw(st.integers(1, 3))
+    types = st.just(0) if draw(st.booleans()) else st.integers(0, n_types)
+    x = draw(arrays(np.int64, (n, n), elements=types))
+    sub = draw(arrays(np.int64, n, elements=st.integers(0, n_subgraphs - 1)))
+    return TypedNetwork(x, sub, n_types, n_subgraphs)
+
+
+def run_main(argv):
+    """``main(argv)`` in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestRoundTrip:
+    """Every command on small networks written to files: it exits 0, or 1
+    with an ``error:`` line, and ``select-k`` reports at K the bound that
+    ``fit --k K`` prints with the same seed and options."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_networks(), st.data())
+    def test_commands_exit_cleanly_and_select_k_repeats_fit(self, net, data):
+        n = net.n_vertices
+        k = data.draw(st.integers(1, n + 2), label="k")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        truth = data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1)), label="truth")
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            write_network_file(d / "network.txt", net)
+            write_partition_file(d / "partition.txt", net)
+            write_labels_file(d / "truth.txt", truth)
+            inputs = ["--network", str(d / "network.txt"),
+                      "--partition", str(d / "partition.txt")]
+            options = [*inputs, "--restarts", "2", "--max-iter", "30", "--seed", str(seed)]
+            fitted = run_main(["fit", *options, "--k", str(k), "--out", str(d / "fit")])
+            selected = run_main(["select-k", *options, "--k-min", "1",
+                                 "--k-max", str(k), "--out", str(d / "curve.csv")])
+            oracle = run_main(["debug", "oracle", *inputs, "--k", str(k)])
+            runs = [fitted, selected, oracle]
+            if n:
+                runs.append(run_main(["eval", str(d / "truth.txt"),
+                                      str(d / "fit" / "labels.txt")]))
+                assert runs[-1][0] == 0
+            for code, _, err in runs:
+                assert code in (0, 1) and "Traceback" not in err
+                if code:
+                    assert err.splitlines()[-1].startswith("error: ")
+            # fit refuses only a network without vertices, the oracle only
+            # a count of assignments past its budget
+            assert (fitted[0], selected[0], oracle[0]) == (int(n == 0), 0, int(k ** n > 4096))
+            if n:
+                rows = dict(line.split(",")[:2] for line in
+                            (d / "curve.csv").read_text(encoding="utf-8").split()[1:])
+                assert f"final elbo: {rows[str(k)]}\n" in fitted[1]
 
 
 class TestModuleEntryPoint:

@@ -556,8 +556,8 @@ def tiny_result():
         xi=np.full((2, 2, 2), 1.0),
     )
     return FitResult(state=state, restart_index=0,
-                     restarts=(RestartSummary([-1.5, -1.0], True),
-                               RestartSummary([], False)))
+                     restarts=(RestartSummary([-1.5, -1.0], "converged"),
+                               RestartSummary([], "failed: non-finite bound value nan")))
 
 
 class TestReports:

@@ -5,10 +5,12 @@ sparse product for every restart's neighbour sums, batched matrix products
 for the ``xi`` update and the scores, and a bound and stop test per
 restart.  Each restart must come out bit for bit as ``fit_single`` gives it
 on its own start: the same trace (length included), tau, chi, a, b, xi and
-converged flag.  The shapes drawn include N=0, K > N, C=1, empty subgraphs,
-networks without edges, and iteration caps that stop some restarts but not
-others.  A restart that fails numerically fails alone, with the message it
-raises on its own, and the others finish.
+converged flag, with the stop reason that flag and the cap imply.  The
+shapes drawn include N=0, K > N, C=1, empty subgraphs, networks without
+edges, and iteration caps that stop some restarts but not others.  A
+restart that fails numerically fails alone: its state is None and its
+record's stop reason carries the message it raises on its own, and the
+others finish.
 """
 
 import re
@@ -23,6 +25,7 @@ import rsm.inference
 from rsm import (
     FitConfig,
     PriorHyperparams,
+    RestartSummary,
     TypedNetwork,
     VariationalState,
     demo_params,
@@ -62,25 +65,31 @@ def stacks(draw):
 
 def assert_alone_equals_lockstep(net, starts, priors, **options):
     """Run the stack and each start alone; return the stack's outcome."""
-    states, traces, converged = fit_single(net, starts, priors, **options)
-    assert len(states) == len(traces) == len(converged) == len(starts)
+    states, records = fit_single(net, starts, priors, **options)
+    assert len(states) == len(records) == len(starts)
     for r, start in enumerate(starts):
+        record = records[r]
+        assert isinstance(record, RestartSummary)
         try:
             alone, trace, done = fit_single(net, start, priors, **options)
         except FloatingPointError as exc:
-            assert isinstance(states[r], FloatingPointError)
-            assert str(states[r]) == str(exc)
-            assert len(traces[r]) == 0 and not converged[r]
+            assert states[r] is None
+            assert record.stop_reason == f"failed: {exc}"
+            assert len(record.elbo_trace) == 0 and not record.converged
             continue
         assert isinstance(states[r], VariationalState)
-        assert traces[r].dtype == trace.dtype and traces[r].shape == trace.shape
-        assert traces[r].tobytes() == trace.tobytes()
-        assert converged[r] is done
+        mine = record.elbo_trace
+        assert mine.dtype == trace.dtype and mine.shape == trace.shape
+        assert mine.tobytes() == trace.tobytes()
+        assert record.converged is done
+        assert record.stop_reason == ("converged" if done else "max_iterations")
+        if not done:
+            assert len(trace) == options.get("max_iterations", 200)
         for name in ("tau", "chi", "a", "b", "xi"):
             mine, theirs = getattr(states[r], name), getattr(alone, name)
             assert mine.shape == theirs.shape
             assert mine.tobytes() == theirs.tobytes(), name
-    return states, traces, converged
+    return states, records
 
 
 class TestAgainstRestartsAlone:
@@ -100,15 +109,15 @@ class TestAgainstRestartsAlone:
         lengths = sorted(len(fit_single(net, start, priors)[1]) for start in starts)
         cap = lengths[2]
         assert lengths[0] < cap < lengths[-1]
-        _, traces, converged = assert_alone_equals_lockstep(net, starts, priors,
-                                                            max_iterations=cap)
-        assert any(converged) and not all(converged)
-        assert {len(trace) for trace in traces} >= {lengths[0], cap}
+        _, records = assert_alone_equals_lockstep(net, starts, priors, max_iterations=cap)
+        reasons = {record.stop_reason for record in records}
+        assert reasons == {"converged", "max_iterations"}
+        assert {record.n_iterations for record in records} >= {lengths[0], cap}
 
     def test_an_empty_stack_has_no_restarts(self):
         net = sample_network(*demo_params(), 4).network
         priors = PriorHyperparams.jeffreys(net.n_subgraphs, 2, net.n_types)
-        assert fit_single(net, np.zeros((0, net.n_vertices, 2)), priors) == ((), (), ())
+        assert fit_single(net, np.zeros((0, net.n_vertices, 2)), priors) == ((), ())
 
     def test_rejects_a_stack_of_another_shape(self):
         net = sample_network(*demo_params(), 4).network
@@ -155,15 +164,15 @@ class TestFailures:
     def test_one_restart_fails_alone(self, monkeypatch, name, row, message):
         net, starts, priors, alone = self.instance()
         poison(monkeypatch, name, [row])
-        states, traces, converged = fit_single(net, starts, priors)
-        assert isinstance(states[row], FloatingPointError)
-        assert str(states[row]) == message
-        assert len(traces[row]) == 0 and not converged[row]
+        states, records = fit_single(net, starts, priors)
+        assert states[row] is None
+        assert records[row].stop_reason == f"failed: {message}"
+        assert len(records[row].elbo_trace) == 0 and not records[row].converged
         for r in set(range(3)) - {row}:
             state, trace, done = alone[r]
-            assert traces[r].tobytes() == trace.tobytes()
+            assert records[r].elbo_trace.tobytes() == trace.tobytes()
             assert states[r].tau.tobytes() == state.tau.tobytes()
-            assert converged[r] is done
+            assert records[r].converged is done
 
     def test_a_single_start_raises_the_message(self, monkeypatch):
         net, starts, priors, _ = self.instance()
@@ -178,6 +187,7 @@ class TestFailures:
         poison(monkeypatch, "_scores", [clean.restart_index])
         result = fit(net, config)
         failed = result.restarts[clean.restart_index]
+        assert failed.stop_reason == f"failed: {SCORES_FAILED}"
         assert len(failed.elbo_trace) == 0 and not failed.converged
         assert result.restart_index != clean.restart_index
         kept = [r for r in range(3) if r != clean.restart_index]

@@ -13,6 +13,7 @@ from rsm import (
     FitConfig,
     PriorHyperparams,
     TypedNetwork,
+    benchmark_scenario,
     exact_log_evidence,
     fit,
 )
@@ -67,6 +68,19 @@ class TestExactLogEvidence:
                 net.edge_types, net.subgraph_of, k,
                 priors.chi0, priors.a0, priors.b0, priors.xi0)
             np.testing.assert_allclose(value, expected, rtol=1e-10)
+
+    def test_one_cluster_on_more_than_64_vertices(self):
+        # K=1 leaves one assignment of 100 vertices, which no array with a
+        # dimension per vertex can hold; there the bound is exact too
+        net = benchmark_scenario(1, 7).network
+        priors = PriorHyperparams.jeffreys(net.n_subgraphs, 1, net.n_types)
+        value = exact_log_evidence(net, 1, priors)
+        expected = oracles.enumeration_evidence(
+            net.edge_types, net.subgraph_of, 1,
+            priors.chi0, priors.a0, priors.b0, priors.xi0)
+        np.testing.assert_allclose(value, expected, rtol=1e-12)
+        bound = fit(net, FitConfig(n_clusters=1, n_restarts=1, seed=0)).final_elbo
+        np.testing.assert_allclose(bound, value, rtol=1e-12)
 
     def test_invariant_to_vertex_order(self):
         rng = np.random.default_rng(2)

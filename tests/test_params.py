@@ -141,12 +141,28 @@ class TestVariationalState:
                              xi=np.full((2, 2, 1), 0.5))
 
 
+class TestRestartSummary:
+    @pytest.mark.parametrize("reason, converged", [
+        ("converged", True),
+        ("max_iterations", False),
+        ("failed: non-finite bound value nan", False),
+    ])
+    def test_converged_reads_the_stop_reason(self, reason, converged):
+        assert RestartSummary([-1.0], reason).converged is converged
+
+    @pytest.mark.parametrize("reason", [True, "failed", "stopped", None])
+    def test_rejects_an_unknown_stop_reason(self, reason):
+        with pytest.raises(ValueError, match="stop_reason must be 'converged', "
+                           "'max_iterations' or 'failed: <message>', got "):
+            RestartSummary([-1.0], reason)
+
+
 class TestFitResult:
     def make_result(self):
         state = VariationalState(tau=[[1.0]], chi=[[1.5]], a=[[1.0]], b=[[1.0]],
                                  xi=np.full((1, 1, 1), 0.5))
         return FitResult(state=state, restart_index=0,
-                         restarts=(RestartSummary([-7.0, -5.0], True),))
+                         restarts=(RestartSummary([-7.0, -5.0], "converged"),))
 
     def test_final_elbo_is_last_trace_entry(self):
         assert self.make_result().final_elbo == -5.0

@@ -9,6 +9,7 @@ from rsm import (
     FitConfig,
     PriorHyperparams,
     TypedNetwork,
+    benchmark_scenario,
     demo_params,
     fit,
     sample_network,
@@ -42,16 +43,23 @@ class TestSelectK:
         assert forward.k_star == shuffled.k_star
         assert forward.curve() == shuffled.curve()
 
-    def test_per_candidate_seed_schedule(self):
-        # candidate K is fitted with seed + 1000 * K, independent of the
-        # other candidates
-        sample = demo_sample(seed=2)
-        config = FitConfig(n_clusters=1, n_restarts=2, seed=7)
-        result = select_k(sample.network, [2, 3], config)
-        direct = fit(sample.network,
-                     replace(config, n_clusters=2, seed=7 + 2000))
-        np.testing.assert_array_equal(result.per_k[2].elbo_trace,
-                                      direct.elbo_trace)
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_each_candidate_is_the_fit_at_that_k(self, scenario):
+        # candidate K is fitted as fit fits replace(config, n_clusters=K),
+        # from the same seeds; on these networks the restarts of one K reach
+        # different bounds, so another seed rule shows in the results
+        net = benchmark_scenario(scenario, 0).network
+        config = FitConfig(n_clusters=1, n_restarts=3, seed=7)
+        result = select_k(net, range(1, 5), config)
+        for k, chosen in result.per_k.items():
+            direct = fit(net, replace(config, n_clusters=k))
+            assert chosen.restart_index == direct.restart_index
+            for mine, theirs in zip(chosen.restarts, direct.restarts, strict=True):
+                assert mine.stop_reason == theirs.stop_reason
+                assert mine.elbo_trace.tobytes() == theirs.elbo_trace.tobytes()
+            for name in ("tau", "chi", "a", "b", "xi"):
+                assert (getattr(chosen.state, name).tobytes()
+                        == getattr(direct.state, name).tobytes()), (k, name)
 
     def test_exact_tie_goes_to_the_smallest_k(self):
         # a vertex-free network gives bound 0.0 for every K
