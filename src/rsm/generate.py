@@ -7,10 +7,13 @@ parameterization the presets use: one type distribution shared by all
 within-cluster edges, another shared by all between-cluster edges, an edge
 probability that depends only on whether the two endpoints share a
 subgraph, and vertices laid out contiguously by subgraph size, the rule
-that the parameter files of :mod:`rsm.io` follow too.  The sampler keeps
-only the present edges, drawing the uniforms a block of rows at a time, and
-hands the edge list to :meth:`~rsm.network.TypedNetwork.from_edges`; no
-N x N array is built.
+that the parameter files of :mod:`rsm.io` follow too.  The sampler draws
+each subgraph block's edges directly, a binomial count and then that many
+distinct pairs, as in the block-wise generation of Batagelj & Brandes (2005,
+*Efficient generation of large random networks*, Phys. Rev. E 71, 036113),
+draws a type only for each present edge, and hands the edge list to
+:meth:`~rsm.network.TypedNetwork.from_edges`; its time and memory grow with
+the number of edges, and no N x N array is built.
 """
 
 from __future__ import annotations
@@ -90,62 +93,92 @@ def sample_network(params: RsmParams, subgraph_of: np.ndarray,
     """Draw one network from the generative model.
 
     A single generator seeded with ``seed`` drives all draws, in a fixed
-    order: one uniform per ordered vertex pair for presence (row-major over
-    the full matrix), then cluster memberships (by vertex index), then one
-    uniform per ordered pair for the type (row-major), of which only the
-    present pairs' are used.  The same seed therefore reproduces the same
-    sample bit for bit.  The pairs are drawn a block of rows at a time, so
-    memory grows with the number of edges, not with N².  Anything but a
-    vector of integers in ``0..S - 1`` is refused with a ValueError, which
-    names the first label out of range and its vertex.
+    order.  First the edges, block by block: for each ordered subgraph pair
+    (r, q), row-major over the blocks, a binomial count of present pairs
+    with probability ``gamma[r, q]``, then that many distinct pairs drawn
+    without replacement among the block's ordered pairs without self-loops.
+    Then the cluster memberships, one uniform per vertex in index order.
+    Then, with the edges sorted row-major, one uniform per edge for its
+    type.  The same seed therefore reproduces the same sample bit for bit.
+
+    Time and memory grow with the number of edges E (plus N for the
+    memberships), not with N².  A block of more than 2**20 pairs is drawn
+    in chunks of its source rows of at most 2**20 pairs each, each chunk
+    with its own count, which keeps the draw exact, and the type uniforms
+    are drawn 2**20 at a time, so no temporary holds more than about 2**20
+    entries beyond the edge list itself.  Anything but a vector of integers
+    in ``0..S - 1`` is refused with a ValueError, which names the first
+    label out of range and its vertex.
     """
     subgraph_of = _int_vector(subgraph_of, "subgraph_of")
     n = subgraph_of.shape[0]
     s = params.n_subgraphs
     _refuse_outside(subgraph_of, s, "subgraph label")
-    src, dst, types, z = _draw(params, subgraph_of, np.random.default_rng(seed),
-                               max(1, _BLOCK_ELEMENTS // max(n, 1)))
+    src, dst, types, z = _draw(params, subgraph_of, np.random.default_rng(seed))
     net = TypedNetwork.from_edges(n, src, dst, types, subgraph_of,
                                   n_types=params.n_types, n_subgraphs=s)
     return GeneratedSample(network=net, true_labels=z, params=params)
 
 
-# Uniforms per block of rows: about 8 MB of doubles per draw.
-_BLOCK_ELEMENTS = 1 << 20
+# Ordered pairs per count-and-choice draw, and type uniforms per draw.  Above
+# a 2% density, choice without replacement allocates one index per pair, so
+# this bounds that array to 8 MB.
+_CHUNK_PAIRS = 1 << 20
 
 
-def _draw(params: RsmParams, subgraph_of: np.ndarray, rng: np.random.Generator,
-          block_rows: int):
-    """The edge list ``(src, dst, types)`` and the memberships ``z`` of one
-    sample, drawing ``block_rows`` rows of uniforms at a time.
+def _draw(params: RsmParams, subgraph_of: np.ndarray, rng: np.random.Generator):
+    """The edge list ``(src, dst, types)``, sorted row-major, and the
+    memberships ``z`` of one sample, in the stream order that
+    :func:`sample_network` documents.
 
-    Consecutive ``rng.random`` calls continue one stream, so every block
-    height draws the same values as one N x N call.
+    Consecutive ``rng.random`` calls continue one stream, so drawing the
+    type uniforms in chunks does not change them.
     """
     n = subgraph_of.shape[0]
     k, c = params.n_clusters, params.n_types
-    blocks = [(r0, min(r0 + block_rows, n)) for r0 in range(0, n, block_rows)]
-
-    p_edge = params.gamma[:, subgraph_of]
-    present = []
-    for r0, r1 in blocks:
-        hit = rng.random((r1 - r0, n)) < p_edge[subgraph_of[r0:r1]]
-        hit[np.arange(r1 - r0), np.arange(r0, r1)] = False
-        present.append(np.nonzero(hit))
+    src, dst = np.divmod(_edge_keys(params.gamma, subgraph_of, rng), max(n, 1))
 
     cum_alpha = np.cumsum(params.alpha[subgraph_of], axis=1)
     z = np.minimum((rng.random(n)[:, None] >= cum_alpha).sum(axis=1), k - 1)
 
     cum_pi = np.cumsum(params.pi, axis=2)
-    edges = []
-    for (r0, r1), (rows, cols) in zip(blocks, present):
-        u = rng.random((r1 - r0, n))[rows, cols]
-        rows = rows + r0
-        drawn = (u[:, None] >= cum_pi[z[rows], z[cols]]).sum(axis=1) + 1
-        edges.append((rows, cols, np.minimum(drawn, c)))
-    empty = np.zeros(0, dtype=np.int64)
-    src, dst, types = (np.concatenate(part) for part in zip(*edges, (empty,) * 3))
-    return src, dst, types, z
+    types = np.empty(len(src), dtype=np.int64)
+    for e0 in range(0, len(src), _CHUNK_PAIRS):
+        part = slice(e0, e0 + _CHUNK_PAIRS)
+        u = rng.random(len(src[part]))[:, None]
+        types[part] = (u >= cum_pi[z[src[part]], z[dst[part]]]).sum(axis=1) + 1
+    return src, dst, np.minimum(types, c), z
+
+
+def _edge_keys(gamma: np.ndarray, subgraph_of: np.ndarray, rng: np.random.Generator):
+    """The present edges i -> j as sorted keys ``i * N + j``: per ordered
+    subgraph block, row-major, a binomial count and then that many distinct
+    pairs without replacement.
+
+    Disjoint sets of pairs are independent, so splitting a block into
+    chunks of source rows, each with its own count, draws the same
+    distribution.
+    """
+    n = subgraph_of.shape[0]
+    members = np.split(np.argsort(subgraph_of, kind="stable"),
+                       np.cumsum(np.bincount(subgraph_of, minlength=len(gamma)))[:-1])
+    keys = [np.zeros(0, dtype=np.int64)]
+    for r, rows in enumerate(members):
+        for q, cols in enumerate(members):
+            # pairs per source row; the diagonal block leaves out i -> i
+            width = len(cols) - (r == q)
+            if width <= 0:
+                continue
+            height = max(1, _CHUNK_PAIRS // width)
+            for r0 in range(0, len(rows), height):
+                n_pairs = min(height, len(rows) - r0) * width
+                m = rng.binomial(n_pairs, gamma[r, q])
+                i, j = np.divmod(rng.choice(n_pairs, m, replace=False), width)
+                i += r0
+                if r == q:
+                    j += j >= i
+                keys.append(rows[i] * n + cols[j])
+    return np.sort(np.concatenate(keys))
 
 
 def benchmark_params(which: int) -> tuple[RsmParams, np.ndarray]:

@@ -20,7 +20,8 @@ import numpy as np
 from .network import TypedNetwork
 
 # Cap on assignment/medoid alternations.  On the paper's scenario networks at
-# K >= 2, four runs in ten reach it, nearly all cycling between two states.
+# K >= 2, four runs in ten would reach it, nearly all cycling between two
+# states; kmedoid_init returns a cycling run's capped state at its first repeat.
 MAX_MEDOID_ROUNDS = 50
 
 
@@ -84,7 +85,9 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
     nonempty cluster's center moves to the member minimizing the summed
     distance to the cluster (ties to the lowest vertex index).  Alternation
     stops once centers and assignments are both stable, or after
-    ``MAX_MEDOID_ROUNDS``.
+    ``MAX_MEDOID_ROUNDS``.  A round whose centers and assignment repeat an
+    earlier round's starts a cycle, and the loop returns at once the
+    assignment the cap would reach.
 
     Each round makes one product of the distances with the new assignment's
     indicator, whose per-cluster sums serve its medoid step and the next
@@ -108,7 +111,8 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
     centers = rng.choice(n, size=k_used, replace=False)
     assign = np.argmin(d[:, centers], axis=1)
     sums, sizes = _cluster_sums(d, assign, k_used)
-    for _ in range(MAX_MEDOID_ROUNDS):
+    seen, history = {}, []
+    for t in range(MAX_MEDOID_ROUNDS):
         cost = d[:, centers]
         filled = sizes > 0
         cost[:, filled] = sums[:, filled] / sizes[filled]
@@ -121,6 +125,15 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
         centers, assign = new_centers, new_assign
         if stable:
             break
+        # the rounds are deterministic in (centers, assignment), so a repeat
+        # of round t0 cycles with period t - t0 and never meets `stable`:
+        # the cap's round follows from the period
+        state = centers.tobytes() + assign.tobytes()
+        t0 = seen.setdefault(state, t)
+        if t0 < t:
+            assign = history[t0 + (MAX_MEDOID_ROUNDS - 1 - t0) % (t - t0)]
+            break
+        history.append(assign)
 
     tau = np.zeros((n, n_clusters))
     tau[np.arange(n), assign] = 1.0

@@ -19,7 +19,9 @@ tables and subgraph labels entry by entry, to check
 
 Two more are the data path as it was before it moved to edge lists:
 :func:`dense_sample`, the sampler that draws every uniform in one N x N call
-and keeps the whole type matrix, and :func:`read_network_loop`, the network
+and keeps the whole type matrix (a draw of the same distribution as the
+block-wise sampler, from another stream, so the distribution checks hold it
+to the same tolerances), and :func:`read_network_loop`, the network
 file reader that checks one line at a time into a dense matrix.
 :func:`read_pairs_loop` and :func:`read_labels_loop` are the partition and
 label file readers as they were before every format went through one
@@ -398,9 +400,10 @@ def dense_fit(net, tau0, priors, max_iterations, epsilon_converge=1e-6):
 
 
 def dense_sample(params, subgraph_of, seed):
-    """``(src, dst, types, labels)`` of one sample, drawn the way the sampler
-    drew it with one N x N call per draw: presence row-major, memberships,
-    then a type for every ordered pair, kept where an edge is present."""
+    """``(src, dst, types, labels)`` of one sample, drawn with one N x N
+    call per draw: presence row-major, memberships, then a type for every
+    ordered pair, kept where an edge is present.  This is the stream the
+    sampler drew before it drew each subgraph block's edges directly."""
     subgraph_of = np.asarray(subgraph_of, dtype=np.int64)
     n = subgraph_of.shape[0]
     k = params.alpha.shape[1]

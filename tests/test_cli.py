@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
+
 import rsm
 from rsm import exact_log_evidence, PriorHyperparams, TypedNetwork
 from rsm.cli import main
@@ -100,21 +102,21 @@ class TestGenerate:
 # presets changes them; such a change updates them here and says why.
 SEEDED_OUTPUTS = {
     "--scenario 1": (
-        "bc96fdc2f0eed3f5bea633cb51f1c1fc6b2710f0599f47b10305a5fa9bd89169",
+        "d4a80d99056ca5a4092b60d71c7327f4fc6fc798b521e0ca51fca5f8e750c719",
         "fabf129d1553a36034d14388cf80f79fa7e61a0ab19d135a476c2e7649a458a9",
-        "ee20870c96f279d1697aa07b2e959f6ad7d60821a6d189e871cd372d4afb7915"),
+        "33eba25ed99c643d5744be3dc34f389d88b1634a2d7c4dd39e46da69dea56f66"),
     "--scenario 2": (
-        "9b61e783b929d92940136bc2a3eb5668641b3b0e0f68581a12f4ee7f97c1c7b1",
+        "9083c8ae790dbdf8feb4657a77628e050a60cc3e51314cbcc8641e5d0815d876",
         "fabf129d1553a36034d14388cf80f79fa7e61a0ab19d135a476c2e7649a458a9",
-        "ee20870c96f279d1697aa07b2e959f6ad7d60821a6d189e871cd372d4afb7915"),
+        "33eba25ed99c643d5744be3dc34f389d88b1634a2d7c4dd39e46da69dea56f66"),
     "--scenario 3": (
-        "8e04fecea989e33f1ba59537fcce0fec89c0255b339417e7ad12d63d6242e6bf",
+        "85c52ca30e4636eade4a5ccb003af0d7f671f92fb8c2100159bf3c438f0f38c5",
         "2f528193b5a286d5ff56508351ee2ef95a408675ea1c6848ef73a3e0450553fc",
-        "3a052d30665052ae1cc21ac9840bb5ed45cba6672b40282dfbca901741ce9d4b"),
+        "52368a98b1bccece2d9404d5627e0bceb734d200b59a9a8c8a1a0e0a9e8f0a7d"),
     "--params": (
-        "5f667cfa1201730828916c12e1820a8db6e0a62c1528a01df10f63d89b4cbcb4",
+        "da3d374fa52658010ebdd2f6e08e2ea40a918534043b4659f5ae701931af4107",
         "b1fbbed1d2cc8fceca954cd9ed2b14f0490489df10adb994b08b282d45ff7dd6",
-        "7c517c36688c85bcfc0570e98121bb88c06b11e4f258b070b018c9f78ad6c797"),
+        "1b3b11c64fef83b51762d7cf2f00af8baae4f5a99718906aa9d3daeebb3faa13"),
 }
 SMALL_PARAMS = {
     "alpha": [[0.7, 0.3], [0.2, 0.8]],
@@ -145,6 +147,18 @@ def test_seeded_generate_outputs_are_pinned(tmp_path, source):
 # so these pin the fitting loop's arithmetic bit for bit, not only its
 # answers; a change to that arithmetic updates them here and says why.
 SEEDED_FITS = {
+    "labels.txt": "85d0cbac46aa2e2bd6c19ac239c43f42562abcfdc01d80eb7738eded67f41851",
+    "parameters.txt": "7b0f354fef2d8edc794bff7ee3516d28b3e4d44d644a52d9bdb86ef2c00904ce",
+    "elbo_trace.csv": "dd7408942b507faae32b2e5c4778a9e087792a25ebbe6c2ba864335680b79d9b",
+    "metadata.json": "edf983fda3f29b0518d12429a265d484ce5fdbdd94651d671c2301cd47ed5b5e",
+    "k_curve.csv": "5427706cd759a6669b73218f87b82f2e6c7d36bb18ca0793209fc679702f83ec",
+}
+# The same, and the network.txt digest, for the network that `rsm generate
+# --scenario 3 --seed 0` wrote while the sampler drew one uniform per
+# ordered pair; the digests above moved only because the sampler now draws
+# another network from the same seed.
+DENSE_STREAM_NETWORK = "8e04fecea989e33f1ba59537fcce0fec89c0255b339417e7ad12d63d6242e6bf"
+DENSE_STREAM_FITS = {
     "labels.txt": "9e44ea05684034fe5cbec0f82d8d891d77544c8636f35da551975f06fce860a4",
     "parameters.txt": "e1efbccc7c7ad3f277c601c3eeafe79add187a51b3f5c96e8d7bc8bc5eb8ebce",
     "elbo_trace.csv": "65066c519de531d08fb1678e080fcb0dcb576d540c3bdaa96a13ff7b57d65f72",
@@ -153,18 +167,37 @@ SEEDED_FITS = {
 }
 
 
-def test_seeded_fit_and_select_k_outputs_are_pinned(tmp_path):
-    data = tmp_path / "data"
-    assert main(["generate", "--scenario", "3", "--seed", "0", "--out", str(data)]) == 0
+def fit_digests(data, out):
+    """sha256 of the files that the pinned fit and select-k commands write
+    for the network and partition files in ``data``."""
     inputs = ["--network", str(data / "network.txt"),
               "--partition", str(data / "partition.txt"), "--seed", "7"]
-    out = tmp_path / "fit"
     assert main(["fit", *inputs, "--k", "3", "--restarts", "5", "--out", str(out)]) == 0
     assert main(["select-k", *inputs, "--k-min", "1", "--k-max", "4",
                  "--out", str(out / "k_curve.csv")]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in SEEDED_FITS}
-    assert digests == SEEDED_FITS
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SEEDED_FITS}
+
+
+def test_seeded_fit_and_select_k_outputs_are_pinned(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--scenario", "3", "--seed", "0", "--out", str(data)]) == 0
+    assert fit_digests(data, tmp_path / "fit") == SEEDED_FITS
+
+
+def test_fits_of_the_dense_stream_network_are_unchanged(tmp_path):
+    # oracles.dense_sample draws the one-uniform-per-pair stream
+    params, sub = rsm.benchmark_params(3)
+    src, dst, types, _ = oracles.dense_sample(params, sub, 0)
+    net = TypedNetwork.from_edges(len(sub), src, dst, types, sub, n_types=params.n_types,
+                                  n_subgraphs=params.n_subgraphs)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_network_file(data / "network.txt", net)
+    write_partition_file(data / "partition.txt", net)
+    written = hashlib.sha256((data / "network.txt").read_bytes()).hexdigest()
+    assert written == DENSE_STREAM_NETWORK
+    assert fit_digests(data, tmp_path / "fit") == DENSE_STREAM_FITS
 
 
 class TestFitCommand:

@@ -9,11 +9,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from builders import random_model
 
 import rsm.generate
 from rsm import (
@@ -246,39 +245,156 @@ class TestSampleNetwork:
         assert sample.true_labels.shape == (0,)
 
 
-class TestRowBlocks:
-    """The sampler draws its uniforms a block of rows at a time; every block
-    height gives the sample the one-shot dense sampler gives."""
+# A three-subgraph, two-cluster, three-type model on 14 vertices whose
+# subgraph labels interleave, for the distribution checks below.
+MODEL = RsmParams(
+    alpha=[[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]],
+    gamma=[[0.3, 0.1, 0.6], [0.5, 0.2, 0.05], [0.15, 0.4, 0.25]],
+    pi=[[[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]], [[0.3, 0.3, 0.4], [0.8, 0.1, 0.1]]])
+MODEL_SUBGRAPHS = np.random.default_rng(0).permutation(np.repeat([0, 1, 2], [6, 3, 5]))
+SEEDS = range(400)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 12), st.integers(1, 3), st.integers(1, 3),
-           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-    def test_block_heights_match_the_one_shot_sampler(self, n, n_subgraphs,
-                                                      n_clusters, n_types, seed):
+
+def block_pairs(sub, n_subgraphs):
+    """Ordered pairs without self-loops between each pair of subgraphs."""
+    sizes = np.bincount(sub, minlength=n_subgraphs)
+    return np.outer(sizes, sizes) - np.diag(sizes)
+
+
+def assert_within(value, mean, variance, what):
+    """``value`` within four standard deviations of ``mean``."""
+    assert abs(value - mean) <= 4 * np.sqrt(variance), (what, value, mean)
+
+
+class TestDistribution:
+    """Over many seeds, the sampler's block edge counts, edge types and
+    memberships follow the model, with fixed tolerances of four standard
+    deviations.  ``oracles.dense_sample``, which draws one uniform per
+    ordered pair, passes the same checks, and so does the sampler when it
+    splits every block into chunks of rows."""
+
+    @pytest.fixture(scope="class", params=["sampler", "dense reference", "row chunks"])
+    def draws(self, request):
+        def sample(seed):
+            drawn = sample_network(MODEL, MODEL_SUBGRAPHS, seed)
+            net = drawn.network
+            return net.src, net.dst, net.types, drawn.true_labels
+
+        with pytest.MonkeyPatch.context() as patch:
+            if request.param == "row chunks":
+                patch.setattr(rsm.generate, "_CHUNK_PAIRS", 4)
+            if request.param == "dense reference":
+                return [oracles.dense_sample(MODEL, MODEL_SUBGRAPHS, seed) for seed in SEEDS]
+            return [sample(seed) for seed in SEEDS]
+
+    def test_block_edge_counts_are_binomial(self, draws):
+        sub = MODEL_SUBGRAPHS
+        counts = np.array([np.bincount(sub[src] * 3 + sub[dst], minlength=9)
+                           for src, dst, _, _ in draws]).reshape(len(draws), 3, 3)
+        pairs, p = block_pairs(sub, 3), MODEL.gamma
+        mean, variance = pairs * p, pairs * p * (1 - p)
+        excess_kurtosis = (1 - 6 * p * (1 - p)) / variance
+        m = len(draws)
+        for r in range(3):
+            for q in range(3):
+                block = counts[:, r, q]
+                assert_within(block.mean(), mean[r, q], variance[r, q] / m, ("mean", r, q))
+                assert_within(block.var(ddof=1), variance[r, q],
+                              variance[r, q] ** 2 * (2 / (m - 1) + excess_kurtosis[r, q] / m),
+                              ("variance", r, q))
+
+    def test_types_follow_pi_per_cluster_pair(self, draws):
+        counts = np.zeros((2, 2, 3))
+        for src, dst, types, z in draws:
+            np.add.at(counts, (z[src], z[dst], types - 1), 1)
+        for k in range(2):
+            for l in range(2):
+                total = counts[k, l].sum()
+                for c, p in enumerate(MODEL.pi[k, l]):
+                    assert_within(counts[k, l, c] / total, p, p * (1 - p) / total, (k, l, c))
+
+    def test_memberships_follow_alpha(self, draws):
+        z = np.array([labels for _, _, _, labels in draws])
+        for r in range(3):
+            members = z[:, MODEL_SUBGRAPHS == r].ravel()
+            for k, p in enumerate(MODEL.alpha[r]):
+                assert_within(np.mean(members == k), p, p * (1 - p) / len(members), (r, k))
+
+
+class CountingGenerator:
+    """A generator that records the arguments of its binomial and uniform
+    draws and passes every call on."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.binomial_pairs, self.uniform_sizes = [], []
+
+    def binomial(self, n, p):
+        self.binomial_pairs.append(n)
+        return self.rng.binomial(n, p)
+
+    def random(self, size):
+        self.uniform_sizes.append(size)
+        return self.rng.random(size)
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+
+class TestEdgeSampler:
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+           n_clusters=st.integers(1, 3), n_types=st.integers(1, 3),
+           edge_probs=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+                               min_size=16, max_size=16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(sizes=[0], n_clusters=2, n_types=2, edge_probs=[0.5] * 16, seed=0)
+    @example(sizes=[1, 0, 1], n_clusters=1, n_types=1, edge_probs=[1.0] * 16, seed=0)
+    def test_edges_are_distinct_sorted_and_follow_gamma_support(
+            self, sizes, n_clusters, n_types, edge_probs, seed):
         rng = np.random.default_rng(seed)
-        params = random_model(rng, n_subgraphs, n_clusters, n_types)
-        sub = rng.integers(0, n_subgraphs, size=n)
-        expected = oracles.dense_sample(params, sub, seed)
-        for rows in sorted({1, 7, max(n, 1)}):
-            drawn = rsm.generate._draw(params, sub, np.random.default_rng(seed), rows)
-            for got, want in zip(drawn, expected):
-                np.testing.assert_array_equal(got, want)
+        s = len(sizes)
+        params = RsmParams(alpha=rng.dirichlet(np.ones(n_clusters), size=s),
+                           gamma=np.reshape(edge_probs[:s * s], (s, s)),
+                           pi=rng.dirichlet(np.ones(n_types), size=(n_clusters,) * 2))
+        # subgraph labels in no particular order, with empty and size-1 subgraphs
+        sub = rng.permutation(np.repeat(np.arange(s), sizes))
+        n = len(sub)
+        src, dst, types, z = rsm.generate._draw(params, sub, np.random.default_rng(seed))
+        keys = src * n + dst
+        assert np.all(np.diff(keys) > 0)
+        assert np.all(src != dst)
+        assert np.all((types >= 1) & (types <= n_types))
+        assert z.shape == (n,) and np.all((z >= 0) & (z < n_clusters))
+        counts = np.zeros((s, s), dtype=np.int64)
+        np.add.at(counts, (sub[src], sub[dst]), 1)
+        pairs = block_pairs(sub, s)
+        np.testing.assert_array_equal(counts[params.gamma == 0], 0)
+        np.testing.assert_array_equal(counts[params.gamma == 1], pairs[params.gamma == 1])
+        assert np.all(counts <= pairs)
+
         sample = sample_network(params, sub, seed)
-        net = sample.network
-        for got, want in zip((net.src, net.dst, net.types, sample.true_labels),
-                             expected):
+        for got, want in zip((sample.network.src, sample.network.dst,
+                              sample.network.types, sample.true_labels), (src, dst, types, z)):
             np.testing.assert_array_equal(got, want)
 
-    def test_blocks_span_the_budget(self, monkeypatch):
-        # a budget of 5 uniforms splits 40 vertices into blocks of one row
-        params = RsmParams(alpha=[[0.4, 0.6]], gamma=[[0.3]],
-                           pi=np.full((2, 2, 3), 1 / 3))
-        sub = np.zeros(40, dtype=int)
-        whole = sample_network(params, sub, seed=5)
-        monkeypatch.setattr(rsm.generate, "_BLOCK_ELEMENTS", 5)
-        rows = sample_network(params, sub, seed=5)
-        np.testing.assert_array_equal(rows.network.edge_types, whole.network.edge_types)
-        np.testing.assert_array_equal(rows.true_labels, whole.true_labels)
+    def test_row_chunks_split_large_blocks(self, monkeypatch):
+        # a budget of 12 pairs draws subgraph 0's six rows two at a time
+        # within it (5 pairs a row) and four at a time into subgraph 1 (3 a
+        # row), and subgraph 1's three rows two at a time into subgraph 0
+        # (6 a row); its own block of 6 pairs is drawn whole
+        monkeypatch.setattr(rsm.generate, "_CHUNK_PAIRS", 12)
+        params = RsmParams(alpha=[[1.0], [1.0]], gamma=[[0.5, 0.5], [0.5, 1.0]],
+                           pi=[[[0.5, 0.5]]])
+        sub = np.repeat([0, 1], [6, 3])
+        rng = CountingGenerator(3)
+        src, dst, _, _ = rsm.generate._draw(params, sub, rng)
+        assert rng.binomial_pairs == [10, 10, 10, 12, 6, 12, 6, 6]
+        # memberships in one draw of 9, then the types 12 at a time
+        edges = len(src)
+        assert rng.uniform_sizes == [9] + [12] * (edges // 12) + [edges % 12] * (edges % 12 > 0)
+        block = (sub[src] == 1) & (sub[dst] == 1)
+        assert block.sum() == 6
 
 
 class TestSamplingStatistics:

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import rsm.medoids
-from rsm import TypedNetwork, distance_matrix, kmedoid_init
+from rsm import TypedNetwork, benchmark_scenario, distance_matrix, kmedoid_init
 
 from builders import random_instance
 
@@ -253,6 +253,35 @@ class TestAgainstLoopReference:
             np.testing.assert_array_equal(distance_matrix(net), loop_distances(net))
             for seed in range(2):
                 assert_matches_loop_kmedoids(net, n_clusters, seed)
+
+
+class TestCycles:
+    """A run whose (centers, assignment) repeats an earlier round's cycles
+    from there on; ``kmedoid_init`` stops at the repeat and returns the
+    assignment the round cap reaches, which the loop reference computes by
+    running every round up to the cap."""
+
+    # (scenario, network seed, K, seed, period, round of the first repeat)
+    CASES = [(1, 0, 4, 3, 2, 15), (1, 3, 6, 7, 4, 12)]
+
+    @pytest.mark.parametrize("scenario, network_seed, n_clusters, seed, period, repeat",
+                             CASES, ids=["period-2", "period-4"])
+    def test_stops_at_the_first_repeat_with_the_capped_labels(
+            self, monkeypatch, scenario, network_seed, n_clusters, seed, period, repeat):
+        rounds = []
+        cluster_sums = rsm.medoids._cluster_sums
+
+        def counted(*args):
+            rounds.append(args[1])
+            return cluster_sums(*args)
+
+        monkeypatch.setattr(rsm.medoids, "_cluster_sums", counted)
+        net = benchmark_scenario(scenario, network_seed).network
+        assert_matches_loop_kmedoids(net, n_clusters, seed)
+        # one product for the start, then one per round through the repeat
+        assert len(rounds) == repeat + 2 < rsm.medoids.MAX_MEDOID_ROUNDS
+        np.testing.assert_array_equal(rounds[-1], rounds[-1 - period])
+        assert not any(np.array_equal(rounds[-1], r) for r in rounds[-period:-1])
 
 
 class TestPrecomputedDistances:
