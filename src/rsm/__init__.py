@@ -7,6 +7,8 @@ Inference is variational Bayes with conjugate priors; the number of clusters
 is chosen by the converged lower bound.
 """
 
+import logging
+
 from .generate import (
     GeneratedSample,
     benchmark_params,
@@ -39,6 +41,9 @@ from .params import (
 from .selection import SelectionResult, select_k
 
 __version__ = "0.1.0"
+
+# a library leaves its records to the application's handlers
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "FitConfig",

@@ -50,12 +50,13 @@ def _resolve_seed(seed: int | None) -> int:
 def _add_fit_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--network", required=True, help="network file")
     sub.add_argument("--partition", required=True, help="subgraph partition file")
-    sub.add_argument("--restarts", type=int, default=5,
-                     help="number of initializations (default 5)")
-    sub.add_argument("--epsilon", type=float, default=1e-6,
-                     help="convergence tolerance on hyperparameter change (default 1e-6)")
-    sub.add_argument("--max-iter", type=int, default=200,
-                     help="iteration cap per restart (default 200)")
+    sub.add_argument("--restarts", type=int, default=FitConfig.n_restarts,
+                     help="number of initializations (default %(default)s)")
+    sub.add_argument("--epsilon", type=float, default=FitConfig.epsilon_converge,
+                     help="convergence tolerance on hyperparameter change "
+                          "(default %(default)s)")
+    sub.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
+                     help="iteration cap per restart (default %(default)s)")
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: drawn from OS entropy and printed)")
 
@@ -161,8 +162,7 @@ def cmd_select_k(args, parser: argparse.ArgumentParser) -> int:
     selection = select_k(net, range(args.k_min, args.k_max + 1),
                          _fit_config(args, 1, seed))
     for k, message in sorted(selection.failures.items()):
-        print(f"warning: K={k} excluded, every restart failed: {message}",
-              file=sys.stderr)
+        print(f"warning: K={k} excluded: {message}", file=sys.stderr)
     write_k_curve(args.out, selection)
     print(f"k_star: {selection.k_star}")
     return 0

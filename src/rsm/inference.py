@@ -314,7 +314,8 @@ def elbo(net: TypedNetwork, state: VariationalState, priors: PriorHyperparams):
 
 
 def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
-               *, epsilon_converge: float = 1e-6, max_iterations: int = 200):
+               *, epsilon_converge: float = FitConfig.epsilon_converge,
+               max_iterations: int = FitConfig.max_iterations):
     """Run the update loop from one explicit initialization, or from a
     stack of them in lockstep.
 

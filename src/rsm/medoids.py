@@ -9,6 +9,8 @@ The matrix depends on the network alone, so :func:`kmedoid_init` takes it as
 its input: :func:`rsm.inference.fit` builds it once with
 :func:`distance_matrix` for every restart, and
 :func:`rsm.selection.select_k` once for every candidate K.
+
+The k-medoid loop has one exit: its first repeated (centers, assignment) state.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 
 from .network import TypedNetwork
 
-# Cap on assignment/medoid alternations.  On the paper's scenario networks at
-# K >= 2, four runs in ten would reach it, nearly all cycling between two
-# states; kmedoid_init returns a cycling run's capped state at its first repeat.
+# Cap on assignment/medoid alternations.  kmedoid_init stops at a run's first
+# repeated state and returns the state the cap reaches; at K >= 2 on the paper's
+# scenario networks, four runs in ten cycle, nearly all with period 2.
 MAX_MEDOID_ROUNDS = 50
 
 
@@ -83,11 +85,11 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
     cluster); averaging over members rather than comparing against the
     single center vertex is what lets weak per-pair signal accumulate.  Each
     nonempty cluster's center moves to the member minimizing the summed
-    distance to the cluster (ties to the lowest vertex index).  Alternation
-    stops once centers and assignments are both stable, or after
-    ``MAX_MEDOID_ROUNDS``.  A round whose centers and assignment repeat an
-    earlier round's starts a cycle, and the loop returns at once the
-    assignment the cap would reach.
+    distance to the cluster (ties to the lowest vertex index).  The rounds
+    are deterministic in (centers, assignment), so the loop stops at the
+    first round whose state repeats an earlier round's, settled (period 1)
+    or cycling, and returns the assignment that round ``MAX_MEDOID_ROUNDS``
+    would reach.
 
     Each round makes one product of the distances with the new assignment's
     indicator, whose per-cluster sums serve its medoid step and the next
@@ -109,27 +111,17 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
     k_used = min(n_clusters, n)
     rng = np.random.default_rng(seed)
     centers = rng.choice(n, size=k_used, replace=False)
-    assign = np.argmin(d[:, centers], axis=1)
-    sums, sizes = _cluster_sums(d, assign, k_used)
+    sums, sizes = _cluster_sums(d, np.argmin(d[:, centers], axis=1), k_used)
     seen, history = {}, []
     for t in range(MAX_MEDOID_ROUNDS):
         cost = d[:, centers]
         filled = sizes > 0
         cost[:, filled] = sums[:, filled] / sizes[filled]
-        new_assign = np.argmin(cost, axis=1)
-        sums, sizes = _cluster_sums(d, new_assign, k_used)
-        within = np.where(new_assign[:, None] == np.arange(k_used), sums, np.inf)
-        new_centers = np.where(sizes > 0, np.argmin(within, axis=0), centers)
-        stable = (np.array_equal(np.sort(new_centers), np.sort(centers))
-                  and np.array_equal(new_assign, assign))
-        centers, assign = new_centers, new_assign
-        if stable:
-            break
-        # the rounds are deterministic in (centers, assignment), so a repeat
-        # of round t0 cycles with period t - t0 and never meets `stable`:
-        # the cap's round follows from the period
-        state = centers.tobytes() + assign.tobytes()
-        t0 = seen.setdefault(state, t)
+        assign = np.argmin(cost, axis=1)
+        sums, sizes = _cluster_sums(d, assign, k_used)
+        within = np.where(assign[:, None] == np.arange(k_used), sums, np.inf)
+        centers = np.where(sizes > 0, np.argmin(within, axis=0), centers)
+        t0 = seen.setdefault(centers.tobytes() + assign.tobytes(), t)
         if t0 < t:
             assign = history[t0 + (MAX_MEDOID_ROUNDS - 1 - t0) % (t - t0)]
             break

@@ -74,7 +74,7 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
             per_k[k] = _fit(net, replace(config, n_clusters=k), distances)
         except FloatingPointError as exc:
             failures[k] = str(exc)
-            logger.warning("excluding K=%d: every restart failed (%s)", k, exc)
+            logger.warning("excluding K=%d: %s", k, exc)
     if not per_k:
         raise FloatingPointError(
             "every candidate K failed: " +

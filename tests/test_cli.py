@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,13 @@ import rsm
 from rsm import exact_log_evidence, PriorHyperparams, TypedNetwork
 from rsm.cli import main
 from rsm.io import load_network, write_labels_file, write_network_file, write_partition_file
+
+
+def child_env():
+    """The environment of a child process that imports this process's rsm."""
+    source = str(Path(rsm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_generate(tmp_path, seed=7):
@@ -317,6 +325,39 @@ class TestSelectKCommand:
         assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
         assert "k_star: " in capsys.readouterr().out
 
+    def test_an_excluded_k_is_reported_once(self, tmp_path):
+        # in a child process, so that no capture hides logging's last-resort
+        # handler, which would print rsm.selection's record
+        network, partition = write_benchmark_data(tmp_path)
+        child = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import rsm.inference
+            from rsm.cli import main
+            from rsm.params import RestartSummary
+
+            real = rsm.inference.fit_single
+
+            def fail_at_two(net, tau0, priors, **options):
+                if tau0.shape[-1] != 2:
+                    return real(net, tau0, priors, **options)
+                return ([None] * len(tau0),
+                        [RestartSummary(np.empty(0), "failed: injected")] * len(tau0))
+
+            rsm.inference.fit_single = fail_at_two
+            sys.exit(main(sys.argv[1:]))
+            """)
+        completed = subprocess.run(
+            [sys.executable, "-c", child, "select-k", "--network", str(network),
+             "--partition", str(partition), "--k-min", "1", "--k-max", "3",
+             "--restarts", "2", "--seed", "0", "--out", str(tmp_path / "curve.csv")],
+            capture_output=True, text=True, env=child_env())
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr.splitlines() == [
+            "warning: K=2 excluded: every restart failed: "
+            "restart 0: injected; restart 1: injected"]
+        assert "k_star: " in completed.stdout
+
     def test_inverted_range_is_a_usage_error(self, tmp_path):
         network, partition = write_benchmark_data(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -460,13 +501,10 @@ class TestModuleEntryPoint:
         main(["generate", "--scenario", "1", "--seed", "4",
               "--out", str(in_proc)])
         sub_proc = tmp_path / "sub_proc"
-        # the child imports the same rsm as this process
-        source = str(Path(rsm.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-m", "rsm.cli", "generate", "--scenario", "1",
              "--seed", "4", "--out", str(sub_proc)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+            capture_output=True, text=True, env=child_env())
         assert completed.returncode == 0
         assert "seed: 4" in completed.stdout
         for name in ("network.txt", "partition.txt", "true_labels.txt"):

@@ -259,13 +259,15 @@ class TestCycles:
     """A run whose (centers, assignment) repeats an earlier round's cycles
     from there on; ``kmedoid_init`` stops at the repeat and returns the
     assignment the round cap reaches, which the loop reference computes by
-    running every round up to the cap."""
+    running every round up to the cap.  A run that settles is the period-1
+    case: it stops at the round that repeats the one before."""
 
     # (scenario, network seed, K, seed, period, round of the first repeat)
-    CASES = [(1, 0, 4, 3, 2, 15), (1, 3, 6, 7, 4, 12)]
+    CASES = [(1, 0, 4, 3, 2, 15), (1, 3, 6, 7, 4, 12),
+             (1, 0, 1, 0, 1, 1), (2, 2, 2, 1, 1, 34)]
 
     @pytest.mark.parametrize("scenario, network_seed, n_clusters, seed, period, repeat",
-                             CASES, ids=["period-2", "period-4"])
+                             CASES, ids=["period-2", "period-4", "settles-at-1", "settles-at-34"])
     def test_stops_at_the_first_repeat_with_the_capped_labels(
             self, monkeypatch, scenario, network_seed, n_clusters, seed, period, repeat):
         rounds = []
