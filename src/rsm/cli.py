@@ -7,7 +7,8 @@ oracle`` prints the exact log evidence of a small network.
 
 Every run with an explicit ``--seed`` writes byte-identical outputs; without
 one, a seed is drawn from OS entropy and printed so the run can be repeated.
-Exit codes: 0 on success, 2 for usage errors, 1 for bad inputs or files.
+Exit codes: 0 on success, 2 for usage errors (among them any count option
+that is not an integer >= 1), and 1 for bad inputs, files or memory.
 """
 
 from __future__ import annotations
@@ -31,13 +32,10 @@ from .io import (
     write_result_bundle,
 )
 from .metrics import adjusted_rand_index
-from .network import TypedNetwork, validate_network
+from .network import TypedNetwork, _count, validate_network
 from .oracle import exact_log_evidence
 from .params import PriorHyperparams
 from .selection import select_k
-
-DEFAULT_K_MIN = 1
-DEFAULT_K_MAX = 8
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -47,15 +45,20 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+def count(text: str) -> int:
+    """The argparse type of every count option: an integer >= 1."""
+    return _count(int(text), "count")
+
+
 def _add_fit_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--network", required=True, help="network file")
     sub.add_argument("--partition", required=True, help="subgraph partition file")
-    sub.add_argument("--restarts", type=int, default=FitConfig.n_restarts,
+    sub.add_argument("--restarts", type=count, default=FitConfig.n_restarts,
                      help="number of initializations (default %(default)s)")
     sub.add_argument("--epsilon", type=float, default=FitConfig.epsilon_converge,
                      help="convergence tolerance on hyperparameter change "
                           "(default %(default)s)")
-    sub.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
+    sub.add_argument("--max-iter", type=count, default=FitConfig.max_iterations,
                      help="iteration cap per restart (default %(default)s)")
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: drawn from OS entropy and printed)")
@@ -69,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("generate", help="sample a network to files")
     source = gen.add_mutually_exclusive_group(required=True)
-    source.add_argument("--scenario", type=int,
-                        help="benchmark scenario number (1, 2, or 3)")
+    source.add_argument("--scenario", type=int, choices=(1, 2, 3), help="benchmark scenario")
     source.add_argument("--params", help="parameter JSON file")
     gen.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: drawn from OS entropy and printed)")
@@ -78,15 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit_cmd = commands.add_parser("fit", help="fit clusters for a fixed K")
     _add_fit_options(fit_cmd)
-    fit_cmd.add_argument("--k", type=int, required=True, help="number of clusters")
+    fit_cmd.add_argument("--k", type=count, required=True, help="number of clusters")
     fit_cmd.add_argument("--out", required=True, help="output directory")
 
     sel = commands.add_parser("select-k", help="scan a K range and pick the best bound")
     _add_fit_options(sel)
-    sel.add_argument("--k-min", type=int, default=DEFAULT_K_MIN,
-                     help=f"smallest candidate K (default {DEFAULT_K_MIN})")
-    sel.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
-                     help=f"largest candidate K (default {DEFAULT_K_MAX})")
+    sel.add_argument("--k-min", type=count, default=1,
+                     help="smallest candidate K (default %(default)s)")
+    sel.add_argument("--k-max", type=count, default=8,
+                     help="largest candidate K (default %(default)s)")
     sel.add_argument("--out", required=True, help="output CSV path")
 
     ev = commands.add_parser("eval", help="adjusted Rand index of two label files")
@@ -99,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="exact log evidence by full enumeration")
     oracle.add_argument("--network", required=True, help="network file")
     oracle.add_argument("--partition", required=True, help="subgraph partition file")
-    oracle.add_argument("--k", type=int, required=True, help="number of clusters")
-    oracle.add_argument("--max-enum", type=int, default=4096,
+    oracle.add_argument("--k", type=count, required=True, help="number of clusters")
+    oracle.add_argument("--max-enum", type=count, default=4096,
                         help="assignment budget (default %(default)s)")
     return parser
 
@@ -113,8 +115,6 @@ def _load_validated(args) -> TypedNetwork:
 
 
 def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
-    if args.scenario is not None and args.scenario not in (1, 2, 3):
-        parser.error(f"invalid scenario: {args.scenario} (choose 1, 2, or 3)")
     seed = _resolve_seed(args.seed)
     if args.scenario is not None:
         params, subgraph_of = benchmark_params(args.scenario)
@@ -137,8 +137,6 @@ def _fit_config(args, n_clusters: int, seed: int) -> FitConfig:
 
 
 def cmd_fit(args, parser: argparse.ArgumentParser) -> int:
-    if args.k < 1:
-        parser.error(f"--k must be >= 1, got {args.k}")
     seed = _resolve_seed(args.seed)
     net = _load_validated(args)
     if net.n_vertices == 0:
@@ -153,8 +151,6 @@ def cmd_fit(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_select_k(args, parser: argparse.ArgumentParser) -> int:
-    if args.k_min < 1:
-        parser.error(f"--k-min must be >= 1, got {args.k_min}")
     if args.k_min > args.k_max:
         parser.error(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     seed = _resolve_seed(args.seed)
@@ -185,8 +181,6 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_debug_oracle(args, parser: argparse.ArgumentParser) -> int:
-    if args.k < 1:
-        parser.error(f"--k must be >= 1, got {args.k}")
     net = _load_validated(args)
     priors = PriorHyperparams.jeffreys(net.n_subgraphs, args.k, net.n_types)
     value = exact_log_evidence(net, args.k, priors, max_enumeration=args.max_enum)
@@ -208,7 +202,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args, parser)
-    except (FormatError, ValueError, FloatingPointError, OSError) as exc:
+    except (FormatError, ValueError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import TypedNetwork, _int_vector, _readonly, _refuse_outside
+from .network import TypedNetwork, _count, _int_vector, _readonly, _refuse_outside
 from .params import RsmParams
 
 
@@ -114,7 +114,8 @@ def sample_network(params: RsmParams, subgraph_of: np.ndarray,
     n = subgraph_of.shape[0]
     s = params.n_subgraphs
     _refuse_outside(subgraph_of, s, "subgraph label")
-    src, dst, types, z = _draw(params, subgraph_of, np.random.default_rng(seed))
+    src, dst, types, z = _draw(params, subgraph_of,
+                                 np.random.default_rng(_count(seed, "seed", 0)))
     net = TypedNetwork.from_edges(n, src, dst, types, subgraph_of,
                                   n_types=params.n_types, n_subgraphs=s)
     return GeneratedSample(network=net, true_labels=z, params=params)

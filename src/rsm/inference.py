@@ -52,8 +52,8 @@ from scipy.special import betaln, digamma, xlogy
 
 from . import medoids
 from .medoids import kmedoid_init
-# validate_network stays an attribute here because bench/tracing.py wraps it
-from .network import TypedNetwork, _int_vector, _refuse_outside, validate_network  # noqa: F401
+from .network import TypedNetwork, _count, _int_vector, _refuse_outside
+from .network import validate_network  # noqa: F401 # bench/tracing.py wraps it here
 from .params import (
     FitResult,
     PriorHyperparams,
@@ -84,14 +84,15 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
-        if self.n_restarts < 1:
-            raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.epsilon_converge > 0:
-            raise ValueError(f"epsilon_converge must be > 0, got {self.epsilon_converge}")
+        for name in ("n_clusters", "n_restarts", "max_iterations"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
+        _check_epsilon(self.epsilon_converge)
+
+
+def _check_epsilon(epsilon_converge: float) -> None:
+    if not epsilon_converge > 0:
+        raise ValueError(f"epsilon_converge must be > 0, got {epsilon_converge}")
 
 
 def _check_priors(priors: PriorHyperparams, expected: tuple[int, int, int]) -> None:
@@ -343,8 +344,8 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     loop.  Priors shaped for another network are rejected.
     """
     _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    max_iterations = _count(max_iterations, "max_iterations")
+    _check_epsilon(epsilon_converge)
     taus = np.asarray(tau0, dtype=np.float64)
     n, k = net.n_vertices, priors.n_clusters
     if taus.ndim not in (2, 3) or taus.shape[-2:] != (n, k):

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .network import TypedNetwork
+from .network import TypedNetwork, _count
 
 # Cap on assignment/medoid alternations.  kmedoid_init stops at a run's first
 # repeated state and returns the state the cap reaches; at K >= 2 on the paper's
@@ -99,8 +99,7 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
     When ``n_clusters`` exceeds the number of vertices, every vertex becomes
     a center and the surplus clusters stay empty.
     """
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    n_clusters, seed = _count(n_clusters, "n_clusters"), _count(seed, "seed", 0)
     shape = np.shape(distances)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"distances must be a square matrix, got shape {shape}")

@@ -18,17 +18,19 @@ operators of :mod:`rsm.inference`, the k-medoid discordance of
 
 Every integer vector that enters the library (edge lists, labels, subgraph
 sizes) passes one rule, ``_int_vector``: a vector (of a known length, where
-there is one) of int64 integers, or a ValueError naming the argument.  A
-:class:`TypedNetwork` is valid by construction: every edge type lies in
-``1..n_types`` and every subgraph label in ``0..n_subgraphs - 1``.  The one
-construction path refuses a network that breaks a rule, naming the first
-offender, and code that takes a network checks it no further.
-:func:`validate_network` reports what a valid network may still hold: empty
-subgraphs.
+there is one) of int64 integers, and every count and seed passes ``_count``:
+an integer of at least a minimum, kept as a Python ``int``.  Both refuse
+anything else with a ValueError naming the argument.  A :class:`TypedNetwork`
+is valid by construction: every edge type lies in ``1..n_types`` and every
+subgraph label in ``0..n_subgraphs - 1``.  The one construction path refuses
+a network that breaks a rule, naming the first offender, and code that takes
+a network checks it no further.  :func:`validate_network` reports what a
+valid network may still hold: empty subgraphs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,17 @@ def _int_vector(values, name: str, length: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} must be a {size}vector, got shape {arr.shape}")
     _check_integers(arr, name)
     return arr.astype(np.int64, copy=False)
+
+
+def _count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as a Python int >= ``minimum``, or a ValueError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def _refuse_outside(labels: np.ndarray, n: int, what: str, suffix: str = "") -> None:
@@ -100,11 +113,11 @@ class TypedNetwork:
     :meth:`from_edges`; the :attr:`edge_types` property rebuilds the matrix
     from them.
 
-    Raises ValueError for inconsistent shapes, counts below 1, types or
-    labels that are not int64 integers, and for an off-diagonal type outside
-    ``0..n_types`` or a label outside ``0..n_subgraphs - 1``, as
-    ``"invalid network: "`` followed by the first such fault (types before
-    labels).
+    Raises ValueError for inconsistent shapes, a count that is not an
+    integer >= 1, types or labels that are not int64 integers, and for an
+    off-diagonal type outside ``0..n_types`` or a label outside
+    ``0..n_subgraphs - 1``, as ``"invalid network: "`` followed by the first
+    such fault (types before labels).
     """
 
     src: np.ndarray
@@ -145,16 +158,14 @@ class TypedNetwork:
     def _set_edges(self, n, src, dst, types, subgraph_of, n_types, n_subgraphs):
         """The one construction path: check, sort and store the edge list;
         each rule names the first edge or vertex that breaks it."""
+        n = _count(n, "n_vertices", 0)
+        n_types, n_subgraphs = _count(n_types, "n_types"), _count(n_subgraphs, "n_subgraphs")
         edges = [np.asarray(v) for v in (src, dst, types)]
         if any(v.ndim != 1 or v.shape != edges[0].shape for v in edges):
             raise ValueError("src, dst and types must be equal-length vectors, got "
                              f"shapes {', '.join(str(v.shape) for v in edges)}")
         src, dst, types = map(_int_vector, edges, ("src", "dst", "types"))
         sub = _int_vector(subgraph_of, "subgraph_of", n)
-        if n_types < 1:
-            raise ValueError(f"n_types must be >= 1, got {n_types}")
-        if n_subgraphs < 1:
-            raise ValueError(f"n_subgraphs must be >= 1, got {n_subgraphs}")
         _refuse_first(src, dst, (src < 0) | (src >= n) | (dst < 0) | (dst >= n),
                       f"has a vertex outside 0..{n - 1}")
         _refuse_first(src, dst, src == dst, "is a self-loop")
@@ -174,7 +185,7 @@ class TypedNetwork:
         for name, value in (("src", src), ("dst", dst), ("types", types),
                             ("subgraph_of", sub)):
             object.__setattr__(self, name, _readonly(value))
-        object.__setattr__(self, "n_vertices", int(n))
+        object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "n_types", n_types)
         object.__setattr__(self, "n_subgraphs", n_subgraphs)
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .inference import _check_priors
-from .network import TypedNetwork
+from .network import TypedNetwork, _count
 from .params import PriorHyperparams
 
 
@@ -45,9 +45,7 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
     the enumeration budget ``max_enumeration``.
     """
     n = net.n_vertices
-    k = int(n_clusters)
-    if k < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {k}")
+    k = _count(n_clusters, "n_clusters")
     _check_priors(priors, (net.n_subgraphs, k, net.n_types))
     n_assignments = k ** n
     if n_assignments > max_enumeration:

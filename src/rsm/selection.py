@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from . import medoids
 from .inference import FitConfig, _fit
-from .network import TypedNetwork
+from .network import TypedNetwork, _count
 from .params import FitResult
 
 logger = logging.getLogger(__name__)
@@ -58,11 +58,9 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     (:func:`~rsm.medoids.distance_matrix`) is built once, here; every K's
     restarts pass that one matrix to :func:`~rsm.medoids.kmedoid_init`.
     """
-    ks = sorted({int(k) for k in k_values})
+    ks = sorted({_count(k, "n_clusters") for k in k_values})
     if not ks:
         raise ValueError("k_values must contain at least one candidate")
-    if any(k < 1 for k in ks):
-        raise ValueError(f"cluster counts must be >= 1, got {ks}")
     if config.priors is not None:
         raise ValueError("select_k builds priors per K; leave config.priors unset")
 

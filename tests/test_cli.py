@@ -4,6 +4,7 @@ Most tests call ``main`` in process; one subprocess test covers the module
 entry point end to end.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -81,6 +82,13 @@ class TestGenerate:
         with pytest.raises(SystemExit) as excinfo:
             main(["generate", "--scenario", "9", "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+    def test_negative_seed_is_refused_by_name_before_any_write(self, tmp_path, capsys):
+        code = main(["generate", "--scenario", "1", "--seed", "-1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x").exists()
 
     def test_params_file_source(self, tmp_path, capsys):
         params = {
@@ -243,6 +251,24 @@ class TestFitCommand:
             main(["fit", "--network", str(network), "--partition",
                   str(partition), "--k", "0", "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+    def test_a_failed_allocation_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # a stand-in for the allocation a huge K would ask for; a real one
+        # could be granted by an overcommitting system and then exhaust it
+        def allocate(net, config):
+            raise MemoryError("Unable to allocate 1.96 TiB for an array with "
+                              "shape (300000, 300000, 3) and data type float64")
+
+        network, partition = write_benchmark_data(tmp_path)
+        monkeypatch.setattr(rsm.cli, "fit", allocate)
+        capsys.readouterr()
+        code = main(["fit", "--network", str(network), "--partition", str(partition),
+                     "--k", "300000", "--seed", "0", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 1.96 TiB for an array with shape "
+            "(300000, 300000, 3) and data type float64\n")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_network_file_exits_one(self, tmp_path, capsys):
         code = main(["fit", "--network", str(tmp_path / "nope.txt"),
@@ -430,6 +456,38 @@ class TestDebugOracle:
                      "--partition", str(partition), "--k", "3"])
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+
+def count_options(parser, path=()):
+    """(subcommand path, option, its subparser) for every option of
+    ``parser`` and its subparsers whose type is the count type."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from count_options(sub, (*path, name))
+        elif action.type is rsm.cli.count:
+            yield path, action.option_strings[-1], parser
+
+
+def test_every_count_option_refuses_what_is_not_a_count(tmp_path, capsys):
+    """The parser declares every count's range: 0 and 2.5 are usage errors,
+    exit 2, before anything is read or written."""
+    found = list(count_options(rsm.cli.build_parser()))
+    assert {option for _, option, _ in found} == {
+        "--k", "--k-min", "--k-max", "--restarts", "--max-iter", "--max-enum"}
+    for path, option, sub in found:
+        required = [item for action in sub._actions
+                    if action.required and action.option_strings[-1] != option
+                    for item in (action.option_strings[-1],
+                                 "1" if action.type is rsm.cli.count
+                                 else str(tmp_path / action.dest))]
+        for value in ("0", "2.5"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*path, *required, option, value])
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"error: argument {option}: invalid count value: '{value}'\n")
+            assert list(tmp_path.iterdir()) == []
 
 
 @st.composite

@@ -212,6 +212,16 @@ class TestFitSingle:
         with pytest.raises(ValueError, match="max_iterations"):
             fit_single(net, np.full((6, 2), 0.5), priors, max_iterations=0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan])
+    def test_rejects_the_tolerance_fit_config_rejects(self, epsilon):
+        net = random_instance(np.random.default_rng(14), 6, 1, 2, 1).network
+        message = f"^epsilon_converge must be > 0, got {epsilon}$"
+        with pytest.raises(ValueError, match=message):
+            FitConfig(n_clusters=2, epsilon_converge=epsilon)
+        with pytest.raises(ValueError, match=message):
+            fit_single(net, np.full((6, 2), 0.5), PriorHyperparams.jeffreys(1, 2, 1),
+                       epsilon_converge=epsilon)
+
     def test_rejects_out_of_range_edge_type(self):
         # four edges, one of type 5 > n_types: its presence would count in
         # a and b while xi has no slot for its type, so no such network

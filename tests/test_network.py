@@ -1,5 +1,6 @@
 """Construction and validation of typed networks."""
 
+import json
 import re
 
 import numpy as np
@@ -12,12 +13,17 @@ from rsm import (
     PriorHyperparams,
     RsmParams,
     TypedNetwork,
+    exact_log_evidence,
+    fit,
+    fit_single,
+    kmedoid_init,
     sample_network,
+    select_k,
     validate_network,
 )
 from rsm.generate import labels_from_sizes
 from rsm.inference import m_step_alpha
-from rsm.io import write_labels_file
+from rsm.io import write_labels_file, write_result_bundle
 
 
 def small_net():
@@ -236,3 +242,101 @@ class TestIntegerVectors:
     def test_a_valid_vector_passes(self, tmp_path, entry):
         call, _, _ = INTEGER_VECTORS[entry]
         call(np.array([1, 1], dtype=np.uint8), tmp_path / "labels.txt")
+
+
+TWO_VERTICES = RsmParams(alpha=[[1.0]], gamma=[[0.5]], pi=[[[1.0]]])
+
+
+def nothing(result):
+    """What an entry point keeps of a count it only uses."""
+    return None
+
+
+# Every entry point that takes a count or a seed, each called with a value
+# in its place: what it keeps of the value (None where it keeps nothing),
+# the argument's name, and its minimum.  Each accepts 3.
+COUNTS = {
+    "FitConfig.n_clusters": (lambda v: FitConfig(n_clusters=v).n_clusters, "n_clusters", 1),
+    "FitConfig.n_restarts": (lambda v: FitConfig(1, n_restarts=v).n_restarts, "n_restarts", 1),
+    "FitConfig.max_iterations": (lambda v: FitConfig(1, max_iterations=v).max_iterations,
+                                 "max_iterations", 1),
+    "FitConfig.seed": (lambda v: FitConfig(1, seed=v).seed, "seed", 0),
+    "fit_single.max_iterations": (lambda v: nothing(fit_single(
+                                      small_net(), np.ones((3, 1)),
+                                      PriorHyperparams.jeffreys(2, 1, 3), max_iterations=v)),
+                                  "max_iterations", 1),
+    "kmedoid_init.n_clusters": (lambda v: nothing(kmedoid_init(np.zeros((3, 3)), v, 0)),
+                                "n_clusters", 1),
+    "kmedoid_init.seed": (lambda v: nothing(kmedoid_init(np.zeros((3, 3)), 2, v)), "seed", 0),
+    "sample_network.seed": (lambda v: nothing(sample_network(TWO_VERTICES, [0, 0], v)),
+                            "seed", 0),
+    "TypedNetwork.n_types": (lambda v: TypedNetwork(np.zeros((2, 2), int), [0, 0],
+                                                    v, 1).n_types, "n_types", 1),
+    "TypedNetwork.n_subgraphs": (lambda v: TypedNetwork(np.zeros((2, 2), int), [0, 0],
+                                                        1, v).n_subgraphs, "n_subgraphs", 1),
+    "from_edges.n_vertices": (lambda v: TypedNetwork.from_edges(v, [], [], [], [0, 0, 0],
+                                                                1, 1).n_vertices,
+                              "n_vertices", 0),
+    "from_edges.n_types": (lambda v: TypedNetwork.from_edges(2, [0], [1], [1], [0, 0],
+                                                             v, 1).n_types, "n_types", 1),
+    "from_edges.n_subgraphs": (lambda v: TypedNetwork.from_edges(2, [0], [1], [1], [0, 0],
+                                                                 1, v).n_subgraphs,
+                               "n_subgraphs", 1),
+    "exact_log_evidence.n_clusters": (lambda v: nothing(exact_log_evidence(
+                                          small_net(), v, PriorHyperparams.jeffreys(2, 3, 3))),
+                                      "n_clusters", 1),
+    "select_k.k_values": (lambda v: next(iter(select_k(small_net(), [v],
+                                                       FitConfig(1, n_restarts=1)).per_k)),
+                          "n_clusters", 1),
+}
+
+NOT_INTEGERS = {"2.5": 2.5, "NaN": np.nan, "'3'": "3"}
+
+
+class TestCounts:
+    """One rule for every count and seed: a value that is not an integer, or
+    one below the argument's minimum, is refused with a ValueError naming
+    the argument; a numpy integer passes and is kept as a Python int."""
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_a_value_that_is_not_an_integer_is_refused(self, entry, value):
+        call, name, _ = COUNTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(NOT_INTEGERS[value])
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_a_value_below_the_minimum_is_refused(self, entry):
+        call, name, minimum = COUNTS[entry]
+        message = f"^{name} must be >= {minimum}, got {minimum - 1}$"
+        with pytest.raises(ValueError, match=message):
+            call(minimum - 1)
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_a_numpy_integer_passes_as_an_int(self, entry):
+        kept = COUNTS[entry][0](np.int64(3))
+        assert kept is None or (type(kept) is int and kept == 3)
+
+    def test_select_k_does_not_cut_a_fractional_candidate(self):
+        with pytest.raises(ValueError, match="^n_clusters must be an integer, got 1.5$"):
+            select_k(small_net(), [1.5], FitConfig(1))
+
+    def test_exact_log_evidence_does_not_cut_a_fractional_k(self):
+        with pytest.raises(ValueError, match="^n_clusters must be an integer, got 1.9$"):
+            exact_log_evidence(small_net(), 1.9, PriorHyperparams.jeffreys(2, 1, 3))
+
+    def test_from_edges_names_a_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^n_vertices must be >= 0, got -1$"):
+            TypedNetwork.from_edges(-1, [], [], [], [], 1, 1)
+
+    def test_sample_network_names_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            sample_network(TWO_VERTICES, [0, 0], seed=-1)
+
+    def test_a_bundle_configured_with_numpy_integers_is_written_whole(self, tmp_path):
+        config = FitConfig(np.int64(3), n_restarts=np.int64(2),
+                           max_iterations=np.int64(20), seed=np.int64(4))
+        paths = write_result_bundle(tmp_path, fit(small_net(), config), config)
+        metadata = json.loads(paths["metadata"].read_text())
+        assert [metadata[key] for key in ("n_clusters", "n_restarts", "max_iterations",
+                                          "seed")] == [3, 2, 20, 4]
