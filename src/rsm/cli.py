@@ -8,7 +8,8 @@ oracle`` prints the exact log evidence of a small network.
 Every run with an explicit ``--seed`` writes byte-identical outputs; without
 one, a seed is drawn from OS entropy and printed so the run can be repeated.
 Exit codes: 0 on success, 2 for usage errors (among them any count option
-that is not an integer >= 1), and 1 for bad inputs, files or memory.
+that is not an integer >= 1 and an ``--epsilon`` that is not > 0), and 1 for
+bad inputs, files or memory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .generate import benchmark_params, sample_network
-from .inference import FitConfig, fit
+from .inference import FitConfig, _check_epsilon, fit
 from .io import (
     FormatError,
     load_network,
@@ -50,12 +51,19 @@ def count(text: str) -> int:
     return _count(int(text), "count")
 
 
+def epsilon(text: str) -> float:
+    """The argparse type of ``--epsilon``: a tolerance that ``fit`` takes, > 0."""
+    value = float(text)
+    _check_epsilon(value)
+    return value
+
+
 def _add_fit_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--network", required=True, help="network file")
     sub.add_argument("--partition", required=True, help="subgraph partition file")
     sub.add_argument("--restarts", type=count, default=FitConfig.n_restarts,
                      help="number of initializations (default %(default)s)")
-    sub.add_argument("--epsilon", type=float, default=FitConfig.epsilon_converge,
+    sub.add_argument("--epsilon", type=epsilon, default=FitConfig.epsilon_converge,
                      help="convergence tolerance on hyperparameter change "
                           "(default %(default)s)")
     sub.add_argument("--max-iter", type=count, default=FitConfig.max_iterations,

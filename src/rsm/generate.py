@@ -78,6 +78,7 @@ def labels_from_sizes(sizes, n_subgraphs: int) -> np.ndarray:
     ValueError naming ``subgraph_sizes``; a value that is not a number
     fails numpy's conversion to float.
     """
+    n_subgraphs = _count(n_subgraphs, "n_subgraphs")
     sizes = np.asarray(sizes, dtype=np.float64)
     if sizes.ndim != 1 or sizes.shape[0] != n_subgraphs:
         raise ValueError(f"subgraph_sizes must list {n_subgraphs} sizes, "
@@ -192,6 +193,7 @@ def benchmark_params(which: int) -> tuple[RsmParams, np.ndarray]:
     3. Three subgraphs whose mixing rows each exclude one cluster, with
        slightly denser between-subgraph connectivity.
     """
+    which = _count(which, "which")
     if which == 1:
         return scenario_params(
             alpha=[[0.3, 0.3, 0.4]],

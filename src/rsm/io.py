@@ -16,8 +16,13 @@ once; a label file lists any vertices, each at most once.  Ids and values
 are positive and fit in int64.
 
 Each format is a list of rules over its int64 columns, checked on all lines
-at once by one numpy pass over the tokens; the earliest bad line is
-reported with its number and the first rule it breaks.  :func:`load_network`
+at once; the earliest bad line is reported with its number and the first
+rule it breaks.  The columns are read from the file's bytes in a few numpy
+passes when the text holds only ASCII digits, spaces, tabs, CR and LF, and
+no token of more than 18 digits.  Any other text (a sign, ``_``, ``\\x0b``
+or ``\\x0c``, a non-ASCII digit, a value that may not fit in int64) is read
+by ``str.split`` and ``int`` instead, under the same rules and messages.
+Edge and label lines are written from one byte buffer.  :func:`load_network`
 builds the network with :meth:`~rsm.network.TypedNetwork.from_edges`, so
 reading costs grow with the number of lines; no N x N array is built.
 """
@@ -53,12 +58,34 @@ def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+# 10, 100, ..., 10**18: a nonnegative int64 has one digit more than the
+# number of these it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _format_rows(columns) -> bytes:
+    """Rows of space-separated nonnegative int64 ``columns``, each row
+    ending in one LF, as ASCII bytes; no rows give ``b""``."""
+    values = np.stack([np.asarray(c, dtype=np.int64) for c in columns], axis=1).ravel()
+    # each field is its digits and one byte after them: a space, or LF at a row end
+    ends = np.cumsum(np.searchsorted(_POWERS_OF_TEN, values, side="right") + 2)
+    out = np.full(ends[-1] if ends.size else 0, ord(" "), dtype=np.uint8)
+    out[ends[len(columns) - 1::len(columns)] - 1] = ord("\n")
+    # the digits, last first, for the values that still have any
+    at = ends - 2
+    while values.size:
+        rest = values // 10
+        out[at] = values - 10 * rest + ord("0")
+        more = rest > 0
+        values, at = rest.compress(more), at.compress(more) - 1
+    return out.tobytes()
+
+
 def write_network_file(path, net: TypedNetwork) -> None:
     """Write header plus one ``src dst type`` line per edge, row-major."""
-    lines = [f"rsm v1 N={net.n_vertices} S={net.n_subgraphs} C={net.n_types}"]
-    for i, j, c in zip(net.src.tolist(), net.dst.tolist(), net.types.tolist()):
-        lines.append(f"{i + 1} {j + 1} {c}")
-    _write_lines(path, lines)
+    header = f"rsm v1 N={net.n_vertices} S={net.n_subgraphs} C={net.n_types}\n"
+    Path(path).write_bytes(header.encode("ascii")
+                           + _format_rows((net.src + 1, net.dst + 1, net.types)))
 
 
 def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]:
@@ -108,37 +135,42 @@ def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
     it earns, found by running the tests again on its Python ints.
     Messages are format strings over the field names.
     """
-    raw = text.split("\n")
-    counts = np.fromiter(map(len, map(str.split, raw)), dtype=np.int64, count=len(raw))
+    tokens = _ascii_tokens(text)
+    if tokens is None:
+        counts = np.fromiter(map(len, map(str.split, text.split("\n"))), dtype=np.int64)
+    else:
+        counts, values = tokens
     lines = np.flatnonzero(counts)
     width = len(fields)
     # Each step finds the earliest line breaking its rule and drops the
     # lines from there on, so later steps see well-formed lines only.
-    first_bad = len(raw)
+    first_bad = counts.size
     wrong = np.flatnonzero(counts[lines] != width)
     if wrong.size:
         first_bad = lines[wrong[0]]
         lines = lines[:wrong[0]]
     # every line before first_bad holds width tokens
-    values = _integers(text.split()[:width * lines.size])
+    if tokens is None:
+        values = _integers(text.split()[:width * lines.size])
     if values.size < width * lines.size:
         first_bad = lines[values.size // width]
         lines = lines[:values.size // width]
-        values = values[:width * lines.size]
-    columns = values.reshape(-1, width).T
+    columns = values[:width * lines.size].reshape(-1, width).T
     bad = np.zeros(lines.size, dtype=bool)
     for _, test in rules:
         bad |= test(*columns)
     # a repeated key is blamed on its later line; whether the earlier line
-    # passes cannot move the earliest bad line, as it would be earlier still
-    order = np.lexsort(columns[key - 1::-1])
-    keys = columns[:key, order]
-    bad[order[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]] = True
+    # passes cannot move the earliest bad line, as it would be earlier still.
+    # Keys that strictly increase, as in a row-major file, repeat none.
+    if not _increasing(columns[:key]):
+        order = np.lexsort(columns[key - 1::-1])
+        keys = columns[:key, order]
+        bad[order[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]] = True
     if bad.any():
         first_bad = lines[np.argmax(bad)]
-    if first_bad == len(raw):
+    if first_bad == counts.size:
         return columns
-    line = raw[first_bad].strip()
+    line = text.split("\n")[first_bad].strip()
     parts = line.split()
     if len(parts) != width:
         _fail(path, first + first_bad, f"expected '{' '.join(fields)}', got {line!r}")
@@ -148,6 +180,54 @@ def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
         _fail(path, first + first_bad, f"non-integer field in {line!r}")
     message = next((m for m, test in rules if test(*named.values())), repeated)
     _fail(path, first + first_bad, message.format(**named))
+
+
+def _increasing(keys: np.ndarray) -> bool:
+    """Whether the rows of ``keys``, one column per line, strictly increase
+    in lexicographic order."""
+    after = keys[-1, 1:] > keys[-1, :-1]
+    for column in keys[-2::-1]:
+        after = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & after)
+    return bool(after.all())
+
+
+def _ascii_tokens(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The number of tokens on each LF-separated line of ``text``, and the
+    int64 values of all its tokens in order, as ``str.split`` and ``int``
+    read them.
+
+    Works on the bytes in a few numpy passes.  Returns None, leaving the
+    text to ``str.split``, when it is not ASCII, holds a byte that is not a
+    digit, space, tab, CR or LF (a sign, ``_``, ``\\x0b`` or ``\\x0c``, for
+    instance), or holds a token of more than 18 digits, which might not fit
+    in int64.
+    """
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digits = data - np.uint8(ord("0"))
+    is_digit = digits < 10
+    if not (is_digit | (data == ord(" ")) | (data == ord("\n")) | (data == ord("\t"))
+            | (data == ord("\r"))).all():
+        return None
+    # a run of digits starts at each odd change and ends before each even one
+    bounds = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    longest = (ends - starts).max(initial=0)
+    if longest > 18:
+        return None
+    breaks = np.flatnonzero(data == ord("\n"))
+    counts = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
+    # Horner's rule over the places, the highest first: a place left of a
+    # token's first digit reads 0 (an index below 0 wraps round, and reads 0
+    # too; it is never below -data.size, as the longest token lies in data)
+    values = np.zeros(starts.size, dtype=np.int64)
+    at = ends - longest
+    for _ in range(longest):
+        values *= 10
+        values += digits[at] * (at >= starts)
+        at += 1
+    return counts, values
 
 
 def _integers(tokens: list[str]) -> np.ndarray:
@@ -208,8 +288,8 @@ def write_labels_file(path, labels: np.ndarray) -> None:
     the labels :func:`read_labels_file` reads back, is refused unwritten."""
     labels = _int_vector(labels, "labels")
     _refuse_outside(labels, _INT64_MAX, "label")
-    lines = [f"{i + 1} {labels[i] + 1}" for i in range(labels.shape[0])]
-    _write_lines(path, lines)
+    rows = _format_rows((np.arange(1, labels.size + 1), labels + 1))
+    Path(path).write_bytes(rows or b"\n")
 
 
 def read_labels_file(path) -> dict[int, int]:

@@ -46,6 +46,7 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
     """
     n = net.n_vertices
     k = _count(n_clusters, "n_clusters")
+    max_enumeration = _count(max_enumeration, "max_enumeration")
     _check_priors(priors, (net.n_subgraphs, k, net.n_types))
     n_assignments = k ** n
     if n_assignments > max_enumeration:

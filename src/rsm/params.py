@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .network import _readonly
+from .network import _count, _readonly
 
 # Shared tolerance for "rows sum to one" checks on probability tables.
 ROW_SUM_TOL = 1e-10
@@ -146,9 +146,10 @@ class PriorHyperparams:
     def constant(cls, n_subgraphs: int, n_clusters: int, n_types: int,
                  value: float) -> "PriorHyperparams":
         """Every hyperparameter set to the same positive ``value``."""
+        s, k, c = (_count(n_subgraphs, "n_subgraphs"), _count(n_clusters, "n_clusters"),
+                   _count(n_types, "n_types"))
         if value <= 0:
             raise ValueError(f"prior value must be > 0, got {value}")
-        s, k, c = n_subgraphs, n_clusters, n_types
         return cls(
             chi0=np.full((s, k), value),
             a0=np.full((s, s), value),

@@ -26,6 +26,8 @@ file reader that checks one line at a time into a dense matrix.
 :func:`read_pairs_loop` and :func:`read_labels_loop` are the partition and
 label file readers as they were before every format went through one
 vectorized pass: one line at a time, into a length-N array or a dict.
+:func:`format_rows_loop` is the edge-list writer as it was before it filled
+a byte buffer: one f-string per row.
 """
 
 import itertools
@@ -557,3 +559,10 @@ def read_labels_loop(path):
     if not out:
         fail(1, "no labels found")
     return out
+
+
+def format_rows_loop(columns):
+    """The ASCII bytes of space-separated integer ``columns``, one f-string
+    per row, each row ending in one LF."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return "".join(" ".join(f"{v}" for v in row) + "\n" for row in rows).encode("ascii")

@@ -490,6 +490,22 @@ def test_every_count_option_refuses_what_is_not_a_count(tmp_path, capsys):
             assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["fit", "--k", "1"], ["select-k"]])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_an_epsilon_fit_refuses_is_a_usage_error(tmp_path, capsys, command, value):
+    """A tolerance that FitConfig refuses exits 2 from the parser, before a
+    seed is drawn or a file is read or written."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--network", str(tmp_path / "network.txt"),
+              "--partition", str(tmp_path / "partition.txt"),
+              "--out", str(tmp_path / "out"), "--epsilon", value])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --epsilon: invalid epsilon value: '{value}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @st.composite
 def small_networks(draw):
     """A network of 0-8 vertices, 1-3 subgraphs (any of them may be empty)

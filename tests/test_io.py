@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as npst
 
 import oracles
 
+import rsm.io
 from rsm import (
     FitConfig,
     FitResult,
@@ -372,6 +374,103 @@ class TestLabelsReaderAgainstTheLoop:
                 assert int(want.rsplit(":", 2)[1]) >= int(past[1])
             return
         assert got == want
+
+
+# Mostly small ids, so that keys repeat; some tokens of 17 to 20 digits,
+# around the 18 the byte tokenizer reads; and some that only ``int`` reads,
+# or nothing does.
+_tokens = st.one_of(st.integers(0, 12).map(str), st.integers(0, 12).map(str),
+                    st.from_regex(r"[0-9]{17,20}", fullmatch=True),
+                    st.sampled_from(["007", "00", "-1", "+1", "1_0", "x", "\u0661"]))
+# Mostly spaces; "\x0b" and "\x0c" separate tokens for ``str.split`` only.
+_gaps = st.sampled_from([" "] * 6 + ["  ", "\t", "\r", " \r", "\x0b", "\x0c"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Lines of 0 to 4 tokens with any gaps around them, ending in LF or not."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = draw(st.lists(_tokens, max_size=4))
+        gaps = draw(st.lists(_gaps, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        lines.append("".join(g + t for g, t in zip(gaps, tokens + [""])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+# (fields, key, rules) in the shapes of the label and network readers
+LAYOUTS = [
+    (("a", "b"), 1, [("a {a} below 1", lambda a, b: a < 1),
+                     ("b {b} past 10**17", lambda a, b: b > 10 ** 17)]),
+    (("a", "b", "c"), 2, [("a {a} below 1", lambda a, b, c: a < 1),
+                          ("c {c} past 10**17", lambda a, b, c: c > 10 ** 17)]),
+]
+
+
+class TestTokenizer:
+    """The byte tokenizer reads what ``str.split`` and ``int`` read, and
+    leaves to them what it cannot."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts())
+    @example("1 123456789012345678\n2 1234567890123456789\n")
+    @example("1 2 123456789012345678\n2 1 1234567890123456789\n")
+    @example("007 1\n0 02\n")
+    @example("1\t2\r\n3\t 4\r\n1 2 3\t\r\n")
+    @example("1\x0b2\n3\x0c4\n")
+    @example("1 2\n3 4")
+    @example("1 2\n \t\r\n3 4\n\n")
+    @example("")
+    def test_same_columns_or_same_message_without_it(self, text):
+        for fields, key, rules in LAYOUTS:
+            def read():
+                try:
+                    columns = rsm.io._read_rows("f", text, fields, rules, "{a} repeated", key)
+                except FormatError as exc:
+                    return str(exc)
+                assert columns.dtype == np.int64
+                return columns.tolist()
+
+            got = read()
+            with mock.patch.object(rsm.io, "_ascii_tokens", lambda text: None):
+                assert read() == got
+
+    @pytest.mark.parametrize("text", ["1 2\n3 4\n", "007\t1\r\n\n 2", "", "\n \n",
+                                      "123456789012345678 1\n"])
+    def test_reads_digits_and_ascii_blanks(self, text):
+        counts, values = rsm.io._ascii_tokens(text)
+        lines = text.split("\n")
+        assert counts.tolist() == [len(line.split()) for line in lines]
+        assert values.tolist() == [int(token) for token in text.split()]
+
+    @pytest.mark.parametrize("text", ["1\x0b2\n", "1\x0c2\n", "1\x1c2\n", "-1 2\n",
+                                      "+1 2\n", "1_0 2\n", "1 \u0662\n", "1 2\u00a0\n",
+                                      "1234567890123456789 1\n"])
+    def test_leaves_the_rest_to_str_split(self, text):
+        assert rsm.io._ascii_tokens(text) is None
+
+
+class TestFormatter:
+    """The byte formatter writes what one f-string per row writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(npst.arrays(np.int64, st.tuples(st.integers(1, 3), st.integers(0, 20)),
+                       elements=st.integers(0, 2 ** 63 - 1)))
+    def test_same_bytes_as_the_loop(self, columns):
+        assert rsm.io._format_rows(columns) == oracles.format_rows_loop(columns)
+
+    def test_place_value_edges(self):
+        edges = [0, 9, 2 ** 63 - 1] + [v for k in range(1, 19) for v in (10 ** k - 1, 10 ** k)]
+        column = np.array(edges, dtype=np.int64)
+        for columns in ([column], [column, column[::-1]], [column, column[::-1], column]):
+            assert rsm.io._format_rows(columns) == oracles.format_rows_loop(columns)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_no_rows_are_no_bytes(self, width):
+        assert rsm.io._format_rows([np.zeros(0, dtype=np.int64)] * width) == b""
+
+    def test_no_labels_write_one_lf(self, tmp_path):
+        write_labels_file(tmp_path / "labels.txt", np.zeros(0, dtype=np.int64))
+        assert (tmp_path / "labels.txt").read_bytes() == b"\n"
 
 
 _label_shapes = npst.array_shapes(min_dims=0, max_dims=2, max_side=4)

@@ -13,6 +13,7 @@ from rsm import (
     PriorHyperparams,
     RsmParams,
     TypedNetwork,
+    benchmark_scenario,
     exact_log_evidence,
     fit,
     fit_single,
@@ -285,6 +286,25 @@ COUNTS = {
     "exact_log_evidence.n_clusters": (lambda v: nothing(exact_log_evidence(
                                           small_net(), v, PriorHyperparams.jeffreys(2, 3, 3))),
                                       "n_clusters", 1),
+    "exact_log_evidence.max_enumeration": (lambda v: nothing(exact_log_evidence(
+                                               small_net(), 1, PriorHyperparams.jeffreys(2, 1, 3),
+                                               max_enumeration=v)),
+                                           "max_enumeration", 1),
+    "PriorHyperparams.constant.n_subgraphs": (lambda v: PriorHyperparams.constant(
+                                                  v, 1, 1, 2.0).n_subgraphs, "n_subgraphs", 1),
+    "PriorHyperparams.constant.n_clusters": (lambda v: PriorHyperparams.constant(
+                                                 1, v, 1, 2.0).n_clusters, "n_clusters", 1),
+    "PriorHyperparams.constant.n_types": (lambda v: PriorHyperparams.constant(
+                                              1, 1, v, 2.0).n_types, "n_types", 1),
+    "PriorHyperparams.jeffreys.n_subgraphs": (lambda v: PriorHyperparams.jeffreys(
+                                                  v, 1, 1).n_subgraphs, "n_subgraphs", 1),
+    "PriorHyperparams.jeffreys.n_clusters": (lambda v: PriorHyperparams.jeffreys(
+                                                 1, v, 1).n_clusters, "n_clusters", 1),
+    "PriorHyperparams.jeffreys.n_types": (lambda v: PriorHyperparams.jeffreys(
+                                              1, 1, v).n_types, "n_types", 1),
+    "labels_from_sizes.n_subgraphs": (lambda v: nothing(labels_from_sizes([1, 0, 2], v)),
+                                      "n_subgraphs", 1),
+    "benchmark_scenario.which": (lambda v: nothing(benchmark_scenario(v, 0)), "which", 1),
     "select_k.k_values": (lambda v: next(iter(select_k(small_net(), [v],
                                                        FitConfig(1, n_restarts=1)).per_k)),
                           "n_clusters", 1),
