@@ -12,11 +12,13 @@ hyperparameter sweep (:func:`m_step_gamma`, :func:`m_step_alpha`,
 The ``xi`` update and the responsibility sweep are sums over present edges.
 Both read per-type neighbour sums of tau over out- and in-edges, taken from
 one sparse operator built from the network's edge list, so an iteration
-costs O(E K + N K^2 C) and no N x N array is formed; only the k-medoid
-discordance matrix (:func:`rsm.medoids.distance_matrix`) is N x N.
+costs O(E K + N K^2 C) and no all-pairs array is formed.  The k-medoid
+discordance (:func:`rsm.medoids.distance_matrix`) is kept as two sparse
+factors too, and becomes an all-pairs array only on a network dense enough
+for the array to be its cheaper form.
 
 What cannot change is computed outside the loops.  :func:`fit` builds the
-k-medoid discordance matrix once (:func:`rsm.selection.select_k` once for
+k-medoid discordance once (:func:`rsm.selection.select_k` once for
 every K), draws every restart's start, and hands the stack to one
 :func:`fit_single` call.  That call builds the sparse operator, the
 subgraph one-hot and the presence update (``a``, ``b``) once, and runs the
@@ -438,15 +440,18 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     index); the same inputs and seed always reproduce the same result.
     Only when every restart fails is FloatingPointError raised.
 
-    The discordance matrix :func:`~rsm.medoids.distance_matrix` is built
-    once here and read by every restart's :func:`~rsm.medoids.kmedoid_init`.
+    The discordance, :func:`~rsm.medoids.distance_matrix` in whichever
+    form it takes, is built once here and read by every restart's
+    :func:`~rsm.medoids.kmedoid_init`.
     """
     return _fit(net, config, medoids.distance_matrix(net))
 
 
-def _fit(net: TypedNetwork, config: FitConfig, distances: np.ndarray) -> FitResult:
-    """Body of :func:`fit`, given the network's discordance matrix;
-    :func:`rsm.selection.select_k` calls it, with one matrix, for every K."""
+def _fit(net: TypedNetwork, config: FitConfig, distances) -> FitResult:
+    """Body of :func:`fit`, given the network's discordance as
+    :func:`~rsm.medoids.distance_matrix` returns it;
+    :func:`rsm.selection.select_k` calls it, with one discordance, for
+    every K."""
     k = config.n_clusters
     priors = config.priors or PriorHyperparams.jeffreys(net.n_subgraphs, k, net.n_types)
     _check_priors(priors, (net.n_subgraphs, k, net.n_types))

@@ -42,6 +42,8 @@ from .params import FitResult, RsmParams
 from .selection import SelectionResult
 
 _HEADER_RE = re.compile(r"^rsm v1 N=(\d+) S=(\d+) C=(\d+)$")
+# what str.lstrip strips: \s matches the characters str.isspace accepts
+_LEADING_SPACE_RE = re.compile(r"\s*")
 _INT64_MAX = 2 ** 63 - 1
 
 
@@ -99,10 +101,13 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.n
     A header whose N does not fit in int64 is refused.
     """
     text = Path(path).read_text(encoding="utf-8")
-    body = text.lstrip()
-    lineno = text.count("\n", 0, len(text) - len(body)) + 1
-    header, _, body = body.partition("\n")
-    header = header.strip()
+    # the header is the first non-blank line; the edge lines follow it, and
+    # are read in place rather than from a copy of the text after it
+    at = _LEADING_SPACE_RE.match(text).end()
+    lineno = text.count("\n", 0, at) + 1
+    end = text.find("\n", at)
+    end = len(text) if end < 0 else end
+    header = text[at:end].strip()
     if not header:
         _fail(path, 1, "missing header line 'rsm v1 N=<n> S=<s> C=<c>'")
     match = _HEADER_RE.match(header)
@@ -113,19 +118,19 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.n
         _fail(path, lineno, f"S and C must be >= 1, got S={s} C={c}")
     if n > _INT64_MAX:
         _fail(path, lineno, f"N={n} outside 0..{_INT64_MAX}")
-    src, dst, typ = _read_rows(path, body, ("src", "dst", "type"), [
+    src, dst, typ = _read_rows(path, text, ("src", "dst", "type"), [
         (f"source vertex {{src}} outside 1..{n}", lambda i, j, t: (i < 1) | (i > n)),
         (f"destination vertex {{dst}} outside 1..{n}", lambda i, j, t: (j < 1) | (j > n)),
         ("self-loops are not allowed", lambda i, j, t: i == j),
         (f"edge type {{type}} outside 1..{c}", lambda i, j, t: (t < 1) | (t > c)),
-    ], "duplicate edge {src} -> {dst}", key=2, first=lineno + 1)
+    ], "duplicate edge {src} -> {dst}", key=2, first=lineno + 1, start=end + 1)
     return n, s, c, src - 1, dst - 1, typ
 
 
 def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
-               key: int = 1, first: int = 1) -> np.ndarray:
-    """The non-blank lines of ``text``, which starts on line ``first`` of
-    ``path``, as int64 columns, one per name in ``fields``.
+               key: int = 1, first: int = 1, start: int = 0) -> np.ndarray:
+    """The non-blank lines of ``text[start:]``, which starts on line
+    ``first`` of ``path``, as int64 columns, one per name in ``fields``.
 
     Each line must hold one integer per field and pass every rule, a
     ``(message, test)`` pair: ``test`` flags the lines that break the rule,
@@ -134,9 +139,14 @@ def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
     together, and the earliest bad line is reported with the first message
     it earns, found by running the tests again on its Python ints.
     Messages are format strings over the field names.
+
+    An ASCII text is encoded once and tokenized from ``start`` in place;
+    only the ``str.split`` path and an error report copy the lines out.
     """
-    tokens = _ascii_tokens(text)
+    tokens = _ascii_tokens(memoryview(text.encode("ascii"))[start:] if text.isascii()
+                           else text[start:])
     if tokens is None:
+        text, start = text[start:], 0
         counts = np.fromiter(map(len, map(str.split, text.split("\n"))), dtype=np.int64)
     else:
         counts, values = tokens
@@ -170,7 +180,7 @@ def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
         first_bad = lines[np.argmax(bad)]
     if first_bad == counts.size:
         return columns
-    line = text.split("\n")[first_bad].strip()
+    line = text[start:].split("\n")[first_bad].strip()
     parts = line.split()
     if len(parts) != width:
         _fail(path, first + first_bad, f"expected '{' '.join(fields)}', got {line!r}")
@@ -191,10 +201,10 @@ def _increasing(keys: np.ndarray) -> bool:
     return bool(after.all())
 
 
-def _ascii_tokens(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The number of tokens on each LF-separated line of ``text``, and the
-    int64 values of all its tokens in order, as ``str.split`` and ``int``
-    read them.
+def _ascii_tokens(text) -> tuple[np.ndarray, np.ndarray] | None:
+    """The number of tokens on each LF-separated line of ``text``, a str or
+    the bytes of an ASCII one, and the int64 values of all its tokens in
+    order, as ``str.split`` and ``int`` read them.
 
     Works on the bytes in a few numpy passes.  Returns None, leaving the
     text to ``str.split``, when it is not ASCII, holds a byte that is not a
@@ -202,9 +212,11 @@ def _ascii_tokens(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     instance), or holds a token of more than 18 digits, which might not fit
     in int64.
     """
-    if not text.isascii():
-        return None
-    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
+    data = np.frombuffer(text, dtype=np.uint8)
     digits = data - np.uint8(ord("0"))
     is_digit = digits < 10
     if not (is_digit | (data == ord(" ")) | (data == ord("\n")) | (data == ord("\t"))

@@ -5,10 +5,15 @@ both i and j point to, a disagreement in edge type counts 1, and likewise for
 each h pointing to both.  Edges that are not present on both sides contribute
 nothing, so the measure only reacts to differently-typed shared connections.
 
-The matrix depends on the network alone, so :func:`kmedoid_init` takes it as
-its input: :func:`rsm.inference.fit` builds it once with
+The discordance depends on the network alone, so :func:`kmedoid_init` takes
+it as its input: :func:`rsm.inference.fit` builds it once with
 :func:`distance_matrix` for every restart, and
-:func:`rsm.selection.select_k` once for every candidate K.
+:func:`rsm.selection.select_k` once for every candidate K.  It is the
+product of two sparse factors built from the edge list; on a sparse network
+it stays that product, which :func:`kmedoid_init` reads only through
+products with thin matrices, so memory and time grow with the edge count.
+Only on a network dense enough for the all-pairs array to be the cheaper
+form is it multiplied out.
 
 The k-medoid loop has one exit: its first repeated (centers, assignment) state.
 """
@@ -16,8 +21,10 @@ The k-medoid loop has one exit: its first repeated (centers, assignment) state.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .network import TypedNetwork, _count
 
@@ -35,49 +42,136 @@ def _physical_memory() -> int | None:
         return None
 
 
-# A discordance matrix that needs more than this is refused before it is allocated.
+# A discordance that needs more than this is refused before it is allocated.
 PHYSICAL_MEMORY = _physical_memory()
 
 
-def distance_matrix(net: TypedNetwork) -> np.ndarray:
-    """All-pairs discordance matrix, float64 with integer entries.
+@dataclass(frozen=True)
+class _Factored:
+    """The discordance as the product ``agree @ differ`` of its two sparse
+    factors, never multiplied out: ``d @ v`` is ``agree @ (differ @ v)``,
+    and :meth:`toarray` forms the all-pairs array."""
 
-    With A the presence indicator and M_c the indicator of type c, the count
-    is ``A Aᵀ + Aᵀ A`` (shared out- and in-neighbours) minus
-    ``M_c M_cᵀ + M_cᵀ M_c`` summed over types (those that agree).  One
-    indicator at a time is filled in from the edge list, and the products
-    run in float64 so that numpy hands them to BLAS; every entry is an
-    integer of at most 2(N - 2), far below 2**53, so the float sums are
-    exact in any order.
+    agree: sparse.csr_array
+    differ: sparse.csr_array
 
-    Its peak is three N x N float64 arrays: the indicator, the result, and
-    one product's temporary.  Raises ValueError, naming N and that size,
-    when they would not fit in the machine's physical memory.
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.agree.shape[0], self.differ.shape[1]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.agree @ (self.differ @ v)
+
+    def toarray(self) -> np.ndarray:
+        return (self.agree @ self.differ).toarray()
+
+
+def _index_dtype(*sizes: int) -> type:
+    """The index type scipy keeps for a sparse array with these extents and
+    nonzero count."""
+    return np.int32 if max(sizes, default=0) <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr_bytes(n_rows: int, n_cols: int, nnz: int) -> int:
+    """Bytes of a float64 CSR array: values, column indices and row pointers."""
+    index = np.dtype(_index_dtype(n_rows, n_cols, nnz)).itemsize
+    return (8 + index) * nnz + index * (n_rows + 1)
+
+
+def _keeps_factors(n_vertices: int, n_edges: int, n_types: int) -> bool:
+    """Whether the discordance stays factored: when the factors' 2CE
+    nonzeros, at about three times the cost of a dense entry, are fewer
+    than the N² entries of the array (BENCH_discordance.json)."""
+    return 6 * n_types * n_edges < n_vertices * n_vertices
+
+
+def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
+    """All-pairs discordance, as two sparse factors or as a float64 array.
+
+    With one feature per (type, vertex) for out-neighbours and one for
+    in-neighbours, ``agree`` (a row per vertex, a column per feature) marks
+    each vertex's own features and ``differ`` (a row per feature, a column
+    per vertex) the same features under each of the other C - 1 types, so
+    ``agree @ differ`` counts the shared out- and in-neighbours whose edge
+    types differ.  The factors hold 2E and 2E(C - 1) ones; nothing
+    cancels, so every entry is an exact integer of at most 2(N - 2).
+
+    A network with 6CE < N² is sparse enough that products through the
+    factors cost less than through the array; it gets a private product
+    object with ``shape``, ``d @ v`` and ``toarray()``, which
+    :func:`kmedoid_init` reads.  Any other network gets the all-pairs
+    float64 array ``(agree @ differ).toarray()``.  The bytes of the chosen
+    form (the factors, and for the array its sparse product too) are
+    counted before anything is allocated: a ValueError naming N and that
+    size refuses a form that would not fit in the machine's physical
+    memory.
     """
-    n = net.n_vertices
-    size = 3 * 8 * n * n
+    n, c, e = net.n_vertices, net.n_types, len(net.src)
+    factored = _keeps_factors(n, e, c)
+    size = _csr_bytes(n, 2 * c * n, 2 * e) + _csr_bytes(2 * c * n, n, 2 * e * (c - 1))
+    if not factored:
+        # the product, as CSR with at most N² entries, and the array
+        size += _csr_bytes(n, n, n * n) + 8 * n * n
     if PHYSICAL_MEMORY is not None and size > PHYSICAL_MEMORY:
         raise ValueError(
             f"the discordance matrix of a {n}-vertex network takes "
             f"{size / 2 ** 30:.1f} GiB ({size} bytes), more than the "
             f"{PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
-    m = np.zeros((n, n))
-    m[net.src, net.dst] = 1.0
-    d = m @ m.T
-    d += m.T @ m
-    for c in range(1, net.n_types + 1):
-        # rewriting every edge position clears the previous indicator
-        m[net.src, net.dst] = net.types == c
-        d -= m @ m.T
-        d -= m.T @ m
-    return d
+    d = _Factored(*_factors(net))
+    return d if factored else d.toarray()
 
 
-def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarray:
+def _factors(net: TypedNetwork) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """``agree`` and ``differ``, each written as CSR straight from the
+    row-major edge list and its column-major order.
+
+    Row i of ``agree`` holds, for each out-edge i -> j of type t, column
+    (t - 1) N + j, then for each in-edge h -> i of type t, column
+    (C + t - 1) N + h.  Row (t - 1) N + j of ``differ`` holds the h with an
+    edge h -> j whose type is not t, and row (C + t - 1) N + h the j with an
+    edge h -> j whose type is not t.
+    """
+    n, c, e = net.n_vertices, net.n_types, len(net.src)
+    src, dst, types = net.src, net.dst, net.types
+    by_dst = np.argsort(dst, kind="stable")
+    out_degree = np.bincount(src, minlength=n)
+    in_degree = np.bincount(dst, minlength=n)
+
+    # row i's out-edges fill its first out_degree[i] places, in edge-list
+    # order, and its in-edges the rest, in column-major order
+    index = _index_dtype(n, 2 * c * n, 2 * e)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(out_degree + in_degree, out=indptr[1:])
+    indices = np.empty(2 * e, dtype=index)
+    indices[np.arange(e) + (np.cumsum(in_degree) - in_degree)[src]] = (types - 1) * n + dst
+    indices[np.cumsum(out_degree)[dst[by_dst]] + np.arange(e)] = (
+        (c + types[by_dst] - 1) * n + src[by_dst])
+    agree = sparse.csr_array((np.ones(2 * e), indices, indptr), shape=(n, 2 * c * n))
+
+    row_sizes = np.concatenate([
+        in_degree - np.bincount((types - 1) * n + dst, minlength=c * n).reshape(c, n),
+        out_degree - np.bincount((types - 1) * n + src, minlength=c * n).reshape(c, n)])
+    index = _index_dtype(2 * c * n, n, 2 * e * (c - 1))
+    indptr = np.zeros(2 * c * n + 1, dtype=index)
+    np.cumsum(row_sizes, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=index)
+    at = 0
+    for ends, typed in ((src[by_dst], types[by_dst]), (dst, types)):
+        for t in range(1, c + 1):
+            kept = ends[typed != t]
+            indices[at:at + len(kept)] = kept
+            at += len(kept)
+    differ = sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(2 * c * n, n))
+    return agree, differ
+
+
+def kmedoid_init(distances, n_clusters: int, seed: int) -> np.ndarray:
     """Hard N x K responsibility matrix from k-medoids on the discordance.
 
-    ``distances`` is the N x N :func:`distance_matrix` of the network; it is
-    read, never written, so one matrix serves every initialization.
+    ``distances`` is the network's :func:`distance_matrix`, as it returns it,
+    or any square array of the same counts.  It is read, never written, and
+    only through products ``distances @ v`` with thin matrices, so one
+    discordance serves every initialization.
 
     Centers are drawn among the vertices without replacement, each starting
     as a singleton cluster.  Vertices are then assigned to the cluster with
@@ -93,8 +187,12 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
 
     Each round makes one product of the distances with the new assignment's
     indicator, whose per-cluster sums serve its medoid step and the next
-    round's assignment; the sums are integers below 2**53, so they are exact
-    and the tie-breaking above is unaffected.
+    round's assignment.  The distances to the centers, which only an empty
+    cluster reads after the first assignment, come from one product with
+    the centers' indicator (the discordance is symmetric), made for the
+    first assignment and in rounds that have an empty cluster.  The sums are
+    integers below 2**53, so they are exact and the tie-breaking above is
+    unaffected.
 
     When ``n_clusters`` exceeds the number of vertices, every vertex becomes
     a center and the surplus clusters stay empty.
@@ -103,23 +201,31 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
     shape = np.shape(distances)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"distances must be a square matrix, got shape {shape}")
-    d = np.asarray(distances, dtype=np.float64)
+    d = (distances if isinstance(distances, _Factored)
+         else np.asarray(distances, dtype=np.float64))
     n = shape[0]
     if n == 0:
         return np.zeros((0, n_clusters))
     k_used = min(n_clusters, n)
     rng = np.random.default_rng(seed)
     centers = rng.choice(n, size=k_used, replace=False)
-    sums, sizes = _cluster_sums(d, np.argmin(d[:, centers], axis=1), k_used)
+    cost = _to_centers(d, centers)
+    sums, sizes = _cluster_sums(d, cost.argmin(axis=1), k_used)
+    clusters = np.arange(k_used)
     seen, history = {}, []
     for t in range(MAX_MEDOID_ROUNDS):
-        cost = d[:, centers]
-        filled = sizes > 0
-        cost[:, filled] = sums[:, filled] / sizes[filled]
-        assign = np.argmin(cost, axis=1)
+        if sizes.all():
+            cost = sums / sizes
+        else:
+            # an empty cluster is scored by its center's distances
+            if t:
+                cost = _to_centers(d, centers)
+            filled = sizes > 0
+            cost[:, filled] = sums[:, filled] / sizes[filled]
+        assign = cost.argmin(axis=1)
         sums, sizes = _cluster_sums(d, assign, k_used)
-        within = np.where(assign[:, None] == np.arange(k_used), sums, np.inf)
-        centers = np.where(sizes > 0, np.argmin(within, axis=0), centers)
+        within = np.where(assign[:, None] == clusters, sums, np.inf)
+        centers = np.where(sizes > 0, within.argmin(axis=0), centers)
         t0 = seen.setdefault(centers.tobytes() + assign.tobytes(), t)
         if t0 < t:
             assign = history[t0 + (MAX_MEDOID_ROUNDS - 1 - t0) % (t - t0)]
@@ -131,7 +237,15 @@ def kmedoid_init(distances: np.ndarray, n_clusters: int, seed: int) -> np.ndarra
     return tau
 
 
-def _cluster_sums(d: np.ndarray, assign: np.ndarray, n_clusters: int):
+def _to_centers(d, centers: np.ndarray) -> np.ndarray:
+    """Distance from every vertex to each center (N x K), as the product of
+    the symmetric ``d`` with the centers' indicator."""
+    pick = np.zeros((d.shape[0], len(centers)))
+    pick[centers, np.arange(len(centers))] = 1.0
+    return d @ pick
+
+
+def _cluster_sums(d, assign: np.ndarray, n_clusters: int):
     """Summed distance from every vertex to each cluster's members (N x K),
     and the cluster sizes, from one product with the assignment indicator."""
     n = len(assign)

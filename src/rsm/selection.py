@@ -54,9 +54,10 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     for bit.  ``config.priors`` must be None: the default priors are built
     per K.
 
-    The network's discordance matrix
-    (:func:`~rsm.medoids.distance_matrix`) is built once, here; every K's
-    restarts pass that one matrix to :func:`~rsm.medoids.kmedoid_init`.
+    The network's discordance (:func:`~rsm.medoids.distance_matrix`, two
+    sparse factors or, on a dense network, an all-pairs array) is built
+    once, here; every K's restarts pass it to
+    :func:`~rsm.medoids.kmedoid_init`.
     """
     ks = sorted({_count(k, "n_clusters") for k in k_values})
     if not ks:

@@ -288,25 +288,22 @@ class TestFitCommand:
         assert code == 0
         assert "has no vertices" in capsys.readouterr().err
 
-    @pytest.mark.skipif(rsm.medoids.PHYSICAL_MEMORY is None,
-                        reason="the system does not report its physical memory")
-    def test_network_too_large_for_memory_exits_one(self, tmp_path, capsys):
-        # two edges among a million vertices load as an edge list; the
-        # 21.8 TiB the discordance matrix needs is refused before it is
-        # allocated
-        n = 1_000_000
+    def test_network_too_large_for_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the discordance of these 10 vertices and 5 edges takes 448 bytes,
+        # as its factors (tests/test_medoids.py::TestMemoryRefusal); with
+        # one byte less of memory it is refused before it is built
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 447)
         network = tmp_path / "network.txt"
         partition = tmp_path / "partition.txt"
-        network.write_text(f"rsm v1 N={n} S=1 C=2\n1 2 1\n{n} 1 2\n")
-        partition.write_text("".join(f"{i} 1\n" for i in range(1, n + 1)))
+        network.write_text("rsm v1 N=10 S=1 C=2\n1 2 1\n3 2 2\n4 5 1\n5 6 2\n6 4 2\n")
+        partition.write_text("".join(f"{i} 1\n" for i in range(1, 11)))
         code = main(["fit", "--network", str(network), "--partition",
                      str(partition), "--k", "3", "--seed", "0",
                      "--out", str(tmp_path / "run")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: the discordance matrix of a 1000000-vertex "
-                              "network takes 22351.7 GiB (24000000000000 bytes), "
-                              "more than the ")
+        assert capsys.readouterr().err == (
+            "error: the discordance matrix of a 10-vertex network takes 0.0 GiB "
+            "(448 bytes), more than the 0.0 GiB of physical memory\n")
         assert not (tmp_path / "run").exists()
 
     def test_network_without_vertices_is_refused_before_any_write(self, tmp_path, capsys):

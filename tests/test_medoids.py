@@ -1,6 +1,10 @@
 """Discordance distances and the k-medoid initializer."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,16 @@ import rsm.medoids
 from rsm import TypedNetwork, benchmark_scenario, distance_matrix, kmedoid_init
 
 from builders import random_instance
+
+
+def as_array(d):
+    """The N x N array of a :func:`distance_matrix` result in either form."""
+    return d.toarray() if isinstance(d, rsm.medoids._Factored) else d
+
+
+def factored(net):
+    """The network's discordance as its factors, whatever the branch rule."""
+    return rsm.medoids._Factored(*rsm.medoids._factors(net))
 
 
 def two_block_net(block=6):
@@ -28,6 +42,13 @@ def two_block_net(block=6):
     np.fill_diagonal(x, 0)
     net = TypedNetwork(x, np.zeros(n, dtype=int), n_types=2, n_subgraphs=1)
     return net, group
+
+
+def sparse_net():
+    """Ten vertices and five edges of two types: vertices 0 and 2 point to
+    1 with different types, and 3 -> 4 -> 5 -> 3 is a cycle."""
+    return TypedNetwork.from_edges(10, [0, 2, 3, 4, 5], [1, 1, 4, 5, 3], [1, 2, 1, 2, 2],
+                                   np.zeros(10, dtype=int), n_types=2, n_subgraphs=1)
 
 
 def distinct_rows_net(n=5):
@@ -46,14 +67,14 @@ class TestInitDistance:
         expected = np.array([[0, 1, 2],
                              [1, 0, 1],
                              [2, 1, 0]])
-        np.testing.assert_array_equal(distance_matrix(net), expected)
+        np.testing.assert_array_equal(as_array(distance_matrix(net)), expected)
         assert oracles.init_distance(net, 0, 2) == 2
 
     def test_matches_definition_on_random_networks(self):
         rng = np.random.default_rng(0)
         for _ in range(3):
             net = random_instance(rng, 14, 2, 3, 3).network
-            d = distance_matrix(net)
+            d = as_array(distance_matrix(net))
             for i in range(net.n_vertices):
                 for j in range(net.n_vertices):
                     assert d[i, j] == oracles.init_distance(net, i, j)
@@ -61,7 +82,7 @@ class TestInitDistance:
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(1)
         net = random_instance(rng, 12, 3, 2, 2).network
-        d = distance_matrix(net)
+        d = as_array(distance_matrix(net))
         np.testing.assert_array_equal(d, d.T)
         assert np.all(np.diag(d) == 0)
 
@@ -70,7 +91,7 @@ class TestInitDistance:
         x = np.zeros((4, 4), dtype=int)
         x[0, 1] = 1
         net = TypedNetwork(x, [0, 0, 0, 0], n_types=2, n_subgraphs=1)
-        assert np.all(distance_matrix(net) == 0)
+        assert np.all(as_array(distance_matrix(net)) == 0)
 
     def test_index_out_of_range(self):
         net = distinct_rows_net(3)
@@ -81,22 +102,68 @@ class TestInitDistance:
 
     def test_integer_dtype(self):
         net = distinct_rows_net(4)
-        d = distance_matrix(net)
+        d = as_array(distance_matrix(net))
         assert d.dtype == np.float64
         np.testing.assert_array_equal(d, np.round(d))
 
 
 class TestMemoryRefusal:
-    def test_refuses_a_matrix_past_physical_memory(self, monkeypatch):
-        net = distinct_rows_net(10)
-        # the peak is three 10 x 10 float64 arrays
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 3 * 8 * 10 * 10)
-        assert distance_matrix(net).shape == (10, 10)
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 3 * 8 * 10 * 10 - 1)
+    """The guard counts the bytes of the form :func:`distance_matrix`
+    returns, from N, E and C alone, before anything is built."""
+
+    def test_the_factors_count_their_values_and_indices(self, monkeypatch):
+        # N=10, C=2, E=5 keeps the factors (6CE = 60 < N² = 100).  agree:
+        # 2E = 10 values and int32 indices and 11 row pointers, 12 * 10 +
+        # 4 * 11 = 164 bytes; differ: 2E(C - 1) = 10 entries and 2CN + 1 =
+        # 41 row pointers, 12 * 10 + 4 * 41 = 284 bytes
+        net = sparse_net()
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 448)
+        assert isinstance(distance_matrix(net), rsm.medoids._Factored)
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 447)
         with pytest.raises(ValueError, match=re.escape(
                 "the discordance matrix of a 10-vertex network takes 0.0 GiB "
-                "(2400 bytes), more than the 0.0 GiB of physical memory")):
+                "(448 bytes), more than the 0.0 GiB of physical memory")):
             distance_matrix(net)
+
+    def test_the_array_counts_the_product_and_the_array_too(self, monkeypatch):
+        # N=10, C=10, E=90 takes the array.  agree: 12 * 180 + 4 * 11 =
+        # 2204 bytes; differ: 12 * 1620 + 4 * 201 = 20244; their product as
+        # CSR with at most N² entries, 12 * 100 + 4 * 11 = 1244; the array 800
+        net = distinct_rows_net(10)
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 24492)
+        assert isinstance(distance_matrix(net), np.ndarray)
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 24491)
+        with pytest.raises(ValueError, match=re.escape(
+                "the discordance matrix of a 10-vertex network takes 0.0 GiB "
+                "(24492 bytes), more than the 0.0 GiB of physical memory")):
+            distance_matrix(net)
+
+    @pytest.mark.parametrize("net", [sparse_net(), distinct_rows_net(10)],
+                             ids=["factors", "array"])
+    def test_refuses_before_building_anything(self, monkeypatch, net):
+        def unreachable(net):
+            raise AssertionError("the factors were built past the guard")
+
+        monkeypatch.setattr(rsm.medoids, "_factors", unreachable)
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 100)
+        with pytest.raises(ValueError, match="more than the 0.0 GiB of physical memory"):
+            distance_matrix(net)
+
+    def test_a_sparse_network_too_large_for_the_array_keeps_its_factors(self, monkeypatch):
+        # as an array, 100 000 vertices would take 20 N² bytes, 186 GiB;
+        # the factors of two edges take 2.0 MB
+        n = 100_000
+        net = TypedNetwork.from_edges(n, [0, 2], [1, 1], [1, 2], np.zeros(n, dtype=int),
+                                      n_types=2, n_subgraphs=1)
+        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 2 ** 30)
+        d = distance_matrix(net)
+        assert isinstance(d, rsm.medoids._Factored) and d.shape == (n, n)
+        # 0 and 2 both point to 1, with different types
+        column = np.zeros((n, 1))
+        column[2] = 1.0
+        product = d @ column
+        np.testing.assert_array_equal(np.flatnonzero(product), [0])
+        assert product[0, 0] == 1.0
 
 
 class TestKmedoidInit:
@@ -195,9 +262,9 @@ def loop_distances(net):
 
 def assert_matches_loop_kmedoids(net, n_clusters, seed):
     d = distance_matrix(net)
-    before = d.copy()
+    before = as_array(d).copy()
     tau = kmedoid_init(d, n_clusters, seed=seed)
-    np.testing.assert_array_equal(d, before)
+    np.testing.assert_array_equal(as_array(d), before)
     n = net.n_vertices
     expected = np.zeros((n, n_clusters))
     expected[np.arange(n), oracles.kmedoid_labels(net, n_clusters, seed)] = 1.0
@@ -227,7 +294,7 @@ class TestAgainstLoopReference:
     @settings(max_examples=150, deadline=None)
     @given(networks())
     def test_distance_matrix_equals_loop(self, net):
-        d = distance_matrix(net)
+        d = as_array(distance_matrix(net))
         assert d.dtype == np.float64
         np.testing.assert_array_equal(d, np.round(d))
         np.testing.assert_array_equal(d, loop_distances(net))
@@ -240,7 +307,7 @@ class TestAgainstLoopReference:
     @pytest.mark.parametrize("name", sorted(edge_case_networks()))
     def test_edge_cases(self, name):
         net = edge_case_networks()[name]
-        np.testing.assert_array_equal(distance_matrix(net), loop_distances(net))
+        np.testing.assert_array_equal(as_array(distance_matrix(net)), loop_distances(net))
         for n_clusters in (1, 2, net.n_vertices + 2):
             for seed in range(3):
                 assert_matches_loop_kmedoids(net, n_clusters, seed)
@@ -250,7 +317,8 @@ class TestAgainstLoopReference:
         rng = np.random.default_rng(5)
         for n_vertices, n_clusters in ((30, 3), (40, 6), (25, 25)):
             net = random_instance(rng, n_vertices, 2, 3, 3).network
-            np.testing.assert_array_equal(distance_matrix(net), loop_distances(net))
+            np.testing.assert_array_equal(as_array(distance_matrix(net)),
+                                          loop_distances(net))
             for seed in range(2):
                 assert_matches_loop_kmedoids(net, n_clusters, seed)
 
@@ -296,12 +364,12 @@ class TestPrecomputedDistances:
         if no_edges:
             net = TypedNetwork(np.zeros((net.n_vertices,) * 2, dtype=np.int64),
                                net.subgraph_of, net.n_types, net.n_subgraphs)
-        assert_same_labels_from_any_copy(distance_matrix(net), n_clusters, seed)
+        assert_same_labels_from_any_copy(as_array(distance_matrix(net)), n_clusters, seed)
 
     @pytest.mark.parametrize("name", sorted(edge_case_networks()))
     def test_edge_cases(self, name):
         net = edge_case_networks()[name]
-        d = distance_matrix(net)
+        d = as_array(distance_matrix(net))
         for n_clusters in (1, 2, net.n_vertices + 2):
             for seed in range(3):
                 assert_same_labels_from_any_copy(d, n_clusters, seed)
@@ -313,3 +381,86 @@ def assert_same_labels_from_any_copy(d, n_clusters, seed):
     frozen.flags.writeable = False
     for given_d in (frozen, d.astype(np.int64)):
         np.testing.assert_array_equal(kmedoid_init(given_d, n_clusters, seed), expected)
+
+
+@st.composite
+def networks_of_any_density(draw, max_vertices=12):
+    """Networks from no edges to every pair, so that both forms of the
+    discordance occur, with up to three subgraphs, some of them empty."""
+    n = draw(st.integers(0, max_vertices))
+    n_types = draw(st.integers(1, 4))
+    n_subgraphs = draw(st.integers(1, 3))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.where(rng.random((n, n)) < density, rng.integers(1, n_types + 1, size=(n, n)), 0)
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, n_subgraphs - 1)))
+    return TypedNetwork(x, labels, n_types=n_types, n_subgraphs=n_subgraphs)
+
+
+class TestFactoredForm:
+    """The factors multiply out to the loop reference's counts, and
+    ``kmedoid_init`` gives one labelling from every form of them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(networks_of_any_density(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_products_equal_the_loop(self, net, width, seed):
+        loop = loop_distances(net)
+        d = factored(net)
+        assert d.shape == loop.shape
+        np.testing.assert_array_equal(d.toarray(), loop)
+        v = np.random.default_rng(seed).integers(-5, 6, size=(net.n_vertices, width))
+        np.testing.assert_array_equal(d @ v.astype(np.float64), loop @ v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(networks_of_any_density(), st.integers(1, 14), st.integers(0, 2 ** 32 - 1))
+    def test_every_form_gives_the_same_labels(self, net, n_clusters, seed):
+        expected = kmedoid_init(loop_distances(net), n_clusters, seed)
+        labels = oracles.kmedoid_labels(net, n_clusters, seed)
+        np.testing.assert_array_equal(expected.argmax(axis=1), np.array(labels, dtype=int))
+        d = factored(net)
+        for given_d in (d, d.toarray()):
+            np.testing.assert_array_equal(kmedoid_init(given_d, n_clusters, seed), expected)
+        for keep in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rsm.medoids, "_keeps_factors", lambda *_: keep)
+                forced = distance_matrix(net)
+            assert isinstance(forced, rsm.medoids._Factored) is keep
+            np.testing.assert_array_equal(kmedoid_init(forced, n_clusters, seed), expected)
+
+    def test_a_paper_network_takes_the_array(self):
+        # N=100, E=2029, C=3: 6CE is 3.7 N²
+        net = benchmark_scenario(1, 0).network
+        assert isinstance(distance_matrix(net), np.ndarray)
+
+    def test_a_sparse_network_keeps_its_factors(self):
+        # 600 vertices with about 20 out-edges each and three types, the
+        # shape of the init benchmark's input: 6CE is about 0.6 N²
+        rng = np.random.default_rng(0)
+        x = np.where(rng.random((600, 600)) < 1 / 30, rng.integers(1, 4, size=(600, 600)), 0)
+        net = TypedNetwork(x, np.zeros(600, dtype=int), n_types=3, n_subgraphs=1)
+        d = distance_matrix(net)
+        assert isinstance(d, rsm.medoids._Factored)
+        for seed in range(2):
+            np.testing.assert_array_equal(kmedoid_init(d, 3, seed),
+                                          kmedoid_init(d.toarray(), 3, seed))
+
+
+def test_import_and_fit_leave_sparse_linalg_unloaded():
+    # scipy.sparse.linalg alone adds about 8 MB to the resident memory of
+    # ``import rsm``; fits on a network of either form must not load it
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import rsm",
+        "sparse = rsm.TypedNetwork.from_edges(12, [0, 2, 4], [1, 1, 5], [1, 2, 1],",
+        "                                     np.zeros(12, dtype=int), 2, 1)",
+        "for net in (sparse, rsm.benchmark_scenario(1, 0).network):",
+        "    rsm.fit(net, rsm.FitConfig(n_clusters=2, n_restarts=2, seed=0))",
+        "print('scipy.sparse.linalg' in sys.modules)",
+    ])
+    src = str(Path(rsm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["False"]
