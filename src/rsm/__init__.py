@@ -5,6 +5,11 @@ vertices carry latent clusters drawn per subgraph, and the type of each
 present edge is drawn from a distribution indexed by the endpoint clusters.
 Inference is variational Bayes with conjugate priors; the number of clusters
 is chosen by the converged lower bound.
+
+Importing the package loads numpy and scipy's top-level package only;
+scipy's special functions and sparse arrays load at the first fit, bound,
+discordance or exact-evidence call, so generating, evaluating and reading or
+writing networks start without them.
 """
 
 import logging

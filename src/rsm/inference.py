@@ -49,8 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import betaln, digamma, xlogy
+import scipy  # scipy.special and scipy.sparse load on first use, not at `import rsm`
 
 from . import medoids
 from .medoids import kmedoid_init
@@ -193,7 +192,7 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
     return _update_xi(out_sums, tau, priors.xi0)
 
 
-def _type_operator(net: TypedNetwork) -> sparse.csr_array:
+def _type_operator(net: TypedNetwork) -> scipy.sparse.csr_array:
     """(2 C N) x N sparse matrix of the typed out- and in-neighbours.
 
     Edge i -> j of type c puts a 1 at ((c - 1) N + i, j) in the upper half
@@ -205,14 +204,14 @@ def _type_operator(net: TypedNetwork) -> sparse.csr_array:
     """
     n, c = net.n_vertices, net.n_types
     rows = (net.types - 1) * n
-    return sparse.csr_array(
+    return scipy.sparse.csr_array(
         (np.ones(2 * len(net.src)),
          (np.concatenate([rows + net.src, c * n + rows + net.dst]),
           np.concatenate([net.dst, net.src]))),
         shape=(2 * c * n, n))
 
 
-def _neighbour_sums(op: sparse.csr_array, tau: np.ndarray, n_types: int
+def _neighbour_sums(op: scipy.sparse.csr_array, tau: np.ndarray, n_types: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Out- and in-neighbour sums, each N x (C K): entry (i, c K + l) of the
     first is the sum of tau[j, l] over the j with an edge i -> j of type c,
@@ -248,8 +247,10 @@ def _scores(out_sums: np.ndarray, in_sums: np.ndarray, chi: np.ndarray,
     """
     k, c = xi.shape[-2], xi.shape[-1]
     batch = xi.shape[:-3]
-    elog_alpha = digamma(chi) - digamma(chi.sum(axis=-1, keepdims=True))
-    elog_pi = digamma(xi) - digamma(xi.sum(axis=-1, keepdims=True))
+    elog_alpha = (scipy.special.digamma(chi)
+                  - scipy.special.digamma(chi.sum(axis=-1, keepdims=True)))
+    elog_pi = (scipy.special.digamma(xi)
+               - scipy.special.digamma(xi.sum(axis=-1, keepdims=True)))
     return (np.take(elog_alpha, np.asarray(subgraph_of, dtype=np.int64), axis=-2)
             + out_sums @ elog_pi.swapaxes(-1, -3).reshape(*batch, c * k, k)
             + in_sums @ elog_pi.swapaxes(-1, -2).swapaxes(-2, -3).reshape(*batch, c * k, k))
@@ -301,12 +302,12 @@ def elbo(net: TypedNetwork, state: VariationalState, priors: PriorHyperparams):
     """
     _check_state(net, state)
     _check_priors(priors, (net.n_subgraphs, state.tau.shape[-1], net.n_types))
-    presence_term = float((betaln(state.a, state.b) - priors.log_beta0).sum())
+    presence_term = float((scipy.special.betaln(state.a, state.b) - priors.log_beta0).sum())
     alpha_term = (log_dirichlet_norm(state.chi, axis=-1)
                   - priors.log_norm_chi0).sum(axis=-1)
     pi_term = (log_dirichlet_norm(state.xi, axis=-1)
                - priors.log_norm_xi0).sum(axis=(-2, -1))
-    entropy = -xlogy(state.tau, state.tau).sum(axis=(-2, -1))
+    entropy = -scipy.special.xlogy(state.tau, state.tau).sum(axis=(-2, -1))
     total = presence_term + alpha_term + pi_term + entropy
     if state.tau.ndim > 2:
         return total

@@ -20,30 +20,17 @@ The k-medoid loop has one exit: its first repeated (centers, assignment) state.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+import scipy  # scipy.sparse loads on first use, not at `import rsm`
 
-from .network import TypedNetwork, _count
+from .network import TypedNetwork, _count, _refuse_past_memory
 
 # Cap on assignment/medoid alternations.  kmedoid_init stops at a run's first
 # repeated state and returns the state the cap reaches; at K >= 2 on the paper's
 # scenario networks, four runs in ten cycle, nearly all with period 2.
 MAX_MEDOID_ROUNDS = 50
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-# A discordance that needs more than this is refused before it is allocated.
-PHYSICAL_MEMORY = _physical_memory()
 
 
 @dataclass(frozen=True)
@@ -52,8 +39,8 @@ class _Factored:
     factors, never multiplied out: ``d @ v`` is ``agree @ (differ @ v)``,
     and :meth:`toarray` forms the all-pairs array."""
 
-    agree: sparse.csr_array
-    differ: sparse.csr_array
+    agree: scipy.sparse.csr_array
+    differ: scipy.sparse.csr_array
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -112,16 +99,12 @@ def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
     if not factored:
         # the product, as CSR with at most N² entries, and the array
         size += _csr_bytes(n, n, n * n) + 8 * n * n
-    if PHYSICAL_MEMORY is not None and size > PHYSICAL_MEMORY:
-        raise ValueError(
-            f"the discordance matrix of a {n}-vertex network takes "
-            f"{size / 2 ** 30:.1f} GiB ({size} bytes), more than the "
-            f"{PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
+    _refuse_past_memory(size, f"the discordance matrix of a {n}-vertex network")
     d = _Factored(*_factors(net))
     return d if factored else d.toarray()
 
 
-def _factors(net: TypedNetwork) -> tuple[sparse.csr_array, sparse.csr_array]:
+def _factors(net: TypedNetwork) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
     """``agree`` and ``differ``, each written as CSR straight from the
     row-major edge list and its column-major order.
 
@@ -146,7 +129,7 @@ def _factors(net: TypedNetwork) -> tuple[sparse.csr_array, sparse.csr_array]:
     indices[np.arange(e) + (np.cumsum(in_degree) - in_degree)[src]] = (types - 1) * n + dst
     indices[np.cumsum(out_degree)[dst[by_dst]] + np.arange(e)] = (
         (c + types[by_dst] - 1) * n + src[by_dst])
-    agree = sparse.csr_array((np.ones(2 * e), indices, indptr), shape=(n, 2 * c * n))
+    agree = scipy.sparse.csr_array((np.ones(2 * e), indices, indptr), shape=(n, 2 * c * n))
 
     row_sizes = np.concatenate([
         in_degree - np.bincount((types - 1) * n + dst, minlength=c * n).reshape(c, n),
@@ -161,7 +144,7 @@ def _factors(net: TypedNetwork) -> tuple[sparse.csr_array, sparse.csr_array]:
             kept = ends[typed != t]
             indices[at:at + len(kept)] = kept
             at += len(kept)
-    differ = sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(2 * c * n, n))
+    differ = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(2 * c * n, n))
     return agree, differ
 
 

@@ -14,7 +14,10 @@ matrix, which finds the matrix's off-diagonal nonzeros and takes the same
 path.  The :attr:`TypedNetwork.edge_types` property is the one dense N x N
 expansion of the edge list here; everything else in the library (the sparse
 operators of :mod:`rsm.inference`, the k-medoid discordance of
-:mod:`rsm.medoids`) reads the edge list itself.
+:mod:`rsm.medoids`) reads the edge list itself.  That expansion and the
+discordance count the bytes they will need first, and pass them to one
+memory rule, ``_refuse_past_memory``, which refuses with a ValueError a call
+that needs more than the machine's physical memory, before it allocates.
 
 Every integer vector that enters the library (edge lists, labels, subgraph
 sizes) passes one rule, ``_int_vector``: a vector (of a known length, where
@@ -31,6 +34,7 @@ valid network may still hold: empty subgraphs.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +77,27 @@ def _count(value, name: str, minimum: int = 1) -> int:
     if count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {count}")
     return count
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+# A call that needs more than this is refused before it allocates anything.
+PHYSICAL_MEMORY = _physical_memory()
+
+
+def _refuse_past_memory(size: int, what: str) -> None:
+    """Refuse ``what``, which needs ``size`` bytes, with a ValueError naming
+    both when that is more than the machine's physical memory."""
+    if PHYSICAL_MEMORY is not None and size > PHYSICAL_MEMORY:
+        raise ValueError(
+            f"{what} takes {size / 2 ** 30:.1f} GiB ({size} bytes), more than the "
+            f"{PHYSICAL_MEMORY / 2 ** 30:.1f} GiB of physical memory")
 
 
 def _refuse_outside(labels: np.ndarray, n: int, what: str, suffix: str = "") -> None:
@@ -192,8 +217,12 @@ class TypedNetwork:
     @property
     def edge_types(self) -> np.ndarray:
         """The N x N type matrix (0 where absent, zero diagonal), rebuilt
-        from the edge list on every access and read-only."""
-        x = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int64)
+        from the edge list on every access and read-only.  Its 8N² bytes
+        are counted first: a matrix larger than physical memory is refused
+        with a ValueError before it is allocated."""
+        n = self.n_vertices
+        _refuse_past_memory(8 * n * n, f"the type matrix of a {n}-vertex network")
+        x = np.zeros((n, n), dtype=np.int64)
         x[self.src, self.dst] = self.types
         x.flags.writeable = False
         return x

@@ -14,7 +14,7 @@ they share only the check that rejects priors of another shape.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
+import scipy  # scipy.special loads on first use, not at `import rsm`
 
 from .inference import _check_priors
 from .network import TypedNetwork, _count
@@ -22,11 +22,11 @@ from .params import PriorHyperparams
 
 
 def _log_beta(a, b):
-    return gammaln(a) + gammaln(b) - gammaln(a + b)
+    return scipy.special.gammaln(a) + scipy.special.gammaln(b) - scipy.special.gammaln(a + b)
 
 
 def _log_dirichlet(x, axis):
-    return gammaln(x).sum(axis=axis) - gammaln(x.sum(axis=axis))
+    return scipy.special.gammaln(x).sum(axis=axis) - scipy.special.gammaln(x.sum(axis=axis))
 
 
 def exact_log_evidence(net: TypedNetwork, n_clusters: int,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betaln, gammaln
+import scipy  # scipy.special loads on first use, not at `import rsm`
 
 from .network import _count, _readonly
 
@@ -34,7 +34,7 @@ def check_row_stochastic(arr: np.ndarray, name: str) -> None:
 def log_dirichlet_norm(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """log C(x) = sum_d log Gamma(x_d) - log Gamma(sum_d x_d) along ``axis``."""
     x = np.asarray(x, dtype=np.float64)
-    return gammaln(x).sum(axis=axis) - gammaln(x.sum(axis=axis))
+    return scipy.special.gammaln(x).sum(axis=axis) - scipy.special.gammaln(x.sum(axis=axis))
 
 
 def _set_tables(record, sk: str, ss: tuple[str, ...], kkc: str,
@@ -177,7 +177,7 @@ class PriorHyperparams:
     @cached_property
     def log_beta0(self) -> np.ndarray:
         """S x S array log B(a0, b0)."""
-        return _readonly(betaln(self.a0, self.b0))
+        return _readonly(scipy.special.betaln(self.a0, self.b0))
 
     @cached_property
     def log_norm_chi0(self) -> np.ndarray:

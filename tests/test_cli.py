@@ -292,7 +292,7 @@ class TestFitCommand:
         # the discordance of these 10 vertices and 5 edges takes 448 bytes,
         # as its factors (tests/test_medoids.py::TestMemoryRefusal); with
         # one byte less of memory it is refused before it is built
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 447)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 447)
         network = tmp_path / "network.txt"
         partition = tmp_path / "partition.txt"
         network.write_text("rsm v1 N=10 S=1 C=2\n1 2 1\n3 2 2\n4 5 1\n5 6 2\n6 4 2\n")

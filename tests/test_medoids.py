@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import rsm.medoids
+import rsm.network
 from rsm import TypedNetwork, benchmark_scenario, distance_matrix, kmedoid_init
 
 from builders import random_instance
@@ -117,9 +119,9 @@ class TestMemoryRefusal:
         # 4 * 11 = 164 bytes; differ: 2E(C - 1) = 10 entries and 2CN + 1 =
         # 41 row pointers, 12 * 10 + 4 * 41 = 284 bytes
         net = sparse_net()
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 448)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 448)
         assert isinstance(distance_matrix(net), rsm.medoids._Factored)
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 447)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 447)
         with pytest.raises(ValueError, match=re.escape(
                 "the discordance matrix of a 10-vertex network takes 0.0 GiB "
                 "(448 bytes), more than the 0.0 GiB of physical memory")):
@@ -130,9 +132,9 @@ class TestMemoryRefusal:
         # 2204 bytes; differ: 12 * 1620 + 4 * 201 = 20244; their product as
         # CSR with at most N² entries, 12 * 100 + 4 * 11 = 1244; the array 800
         net = distinct_rows_net(10)
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 24492)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 24492)
         assert isinstance(distance_matrix(net), np.ndarray)
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 24491)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 24491)
         with pytest.raises(ValueError, match=re.escape(
                 "the discordance matrix of a 10-vertex network takes 0.0 GiB "
                 "(24492 bytes), more than the 0.0 GiB of physical memory")):
@@ -145,7 +147,7 @@ class TestMemoryRefusal:
             raise AssertionError("the factors were built past the guard")
 
         monkeypatch.setattr(rsm.medoids, "_factors", unreachable)
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 100)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 100)
         with pytest.raises(ValueError, match="more than the 0.0 GiB of physical memory"):
             distance_matrix(net)
 
@@ -155,7 +157,7 @@ class TestMemoryRefusal:
         n = 100_000
         net = TypedNetwork.from_edges(n, [0, 2], [1, 1], [1, 2], np.zeros(n, dtype=int),
                                       n_types=2, n_subgraphs=1)
-        monkeypatch.setattr(rsm.medoids, "PHYSICAL_MEMORY", 2 ** 30)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 2 ** 30)
         d = distance_matrix(net)
         assert isinstance(d, rsm.medoids._Factored) and d.shape == (n, n)
         # 0 and 2 both point to 1, with different types
@@ -445,22 +447,47 @@ class TestFactoredForm:
                                           kmedoid_init(d.toarray(), 3, seed))
 
 
-def test_import_and_fit_leave_sparse_linalg_unloaded():
-    # scipy.sparse.linalg alone adds about 8 MB to the resident memory of
-    # ``import rsm``; fits on a network of either form must not load it
-    code = "\n".join([
-        "import sys",
-        "import numpy as np",
-        "import rsm",
-        "sparse = rsm.TypedNetwork.from_edges(12, [0, 2, 4], [1, 1, 5], [1, 2, 1],",
-        "                                     np.zeros(12, dtype=int), 2, 1)",
-        "for net in (sparse, rsm.benchmark_scenario(1, 0).network):",
-        "    rsm.fit(net, rsm.FitConfig(n_clusters=2, n_restarts=2, seed=0))",
-        "print('scipy.sparse.linalg' in sys.modules)",
-    ])
+def test_import_and_fit_leave_sparse_linalg_unloaded(tmp_path):
+    # importing rsm, generating, evaluating and the file layers need neither
+    # scipy.special nor scipy.sparse, about 20 MB of resident memory and a
+    # quarter of a second of start-up between them; the first fit loads
+    # both.  scipy.sparse.linalg alone adds about 8 MB more, and fits on a
+    # network of either form must not load it
+    code = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import numpy as np
+        import rsm, rsm.cli
+        from rsm.io import load_network, write_network_file
+
+        def loaded():
+            print(*(name in sys.modules for name in
+                    ("scipy.special", "scipy.sparse", "scipy.sparse.linalg")))
+
+        out = {str(tmp_path)!r}
+        with open(out + "/params.json", "w") as f:
+            json.dump({{"alpha": [[0.7, 0.3]], "gamma": [[0.5]],
+                       "pi": [[[0.6, 0.4], [0.1, 0.9]], [[0.3, 0.7], [0.8, 0.2]]],
+                       "subgraph_sizes": [9]}}, f)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["generate", "--scenario", "1", "--seed", "0", "--out", out + "/s1"],
+                         ["generate", "--params", out + "/params.json", "--seed", "0",
+                          "--out", out + "/p"],
+                         ["eval", out + "/s1/true_labels.txt", out + "/s1/true_labels.txt"]):
+                assert rsm.cli.main(argv) == 0
+        net = load_network(out + "/s1/network.txt", out + "/s1/partition.txt")
+        assert rsm.validate_network(net).ok
+        write_network_file(out + "/copy.txt", net)
+        rsm.PriorHyperparams.jeffreys(net.n_subgraphs, 3, net.n_types)
+        loaded()
+        sparse = rsm.TypedNetwork.from_edges(12, [0, 2, 4], [1, 1, 5], [1, 2, 1],
+                                             np.zeros(12, dtype=int), 2, 1)
+        for fitted in (sparse, net):
+            rsm.fit(fitted, rsm.FitConfig(n_clusters=2, n_restarts=2, seed=0))
+        loaded()
+    """)
     src = str(Path(rsm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout.split() == ["False"]
+    assert run.stdout.splitlines() == ["False False False", "True True False"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from builders import refused
 
+import rsm.network
 from rsm import (
     FitConfig,
     GeneratedSample,
@@ -126,6 +127,39 @@ class TestOffdiagonal:
         net = TypedNetwork(np.zeros((0, 0), dtype=int), [], 1, 1)
         assert net.edge_types.shape == (0, 0)
         assert net.src.shape == net.dst.shape == net.types.shape == (0,)
+
+
+class TestMemoryRule:
+    """``edge_types`` counts its 8N² bytes and passes them to the memory
+    rule before it allocates the matrix."""
+
+    def test_edge_types_past_physical_memory_is_refused(self, monkeypatch):
+        net = small_net()
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 72)
+        assert net.edge_types.shape == (3, 3)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 71)
+        with pytest.raises(ValueError, match=re.escape(
+                "the type matrix of a 3-vertex network takes 0.0 GiB (72 bytes), "
+                "more than the 0.0 GiB of physical memory")):
+            net.edge_types
+
+    def test_refuses_before_allocating(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the matrix was allocated past the rule")
+
+        net = TypedNetwork.from_edges(100_000, [0], [1], [1], np.zeros(100_000, dtype=int),
+                                      n_types=1, n_subgraphs=1)
+        monkeypatch.setattr(rsm.network.np, "zeros", unreachable)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 2 ** 30)
+        with pytest.raises(ValueError, match=re.escape(
+                "the type matrix of a 100000-vertex network takes 74.5 GiB "
+                "(80000000000 bytes), more than the 1.0 GiB of physical memory")):
+            net.edge_types
+
+    def test_an_unknown_memory_size_refuses_nothing(self, monkeypatch):
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", None)
+        rsm.network._refuse_past_memory(2 ** 80, "anything")
+        np.testing.assert_array_equal(small_net().edge_types[0], [0, 1, 2])
 
 
 class TestValidateNetwork:
