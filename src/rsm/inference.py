@@ -12,7 +12,12 @@ hyperparameter sweep (:func:`m_step_gamma`, :func:`m_step_alpha`,
 The ``xi`` update and the responsibility sweep are sums over present edges.
 Both read per-type neighbour sums of tau over out- and in-edges, taken from
 one sparse operator built from the network's edge list, so an iteration
-costs O(E K + N K^2 C) and no all-pairs array is formed.  The k-medoid
+costs O(E K + N K^2 C) and no all-pairs array is formed.  The operator's
+rows are ordered (half, vertex, type), so for one tau its product already
+is the N x (C K) out- and in-sums.  The sweep normalizes each vertex's
+scores with a max and a sum taken column by column, the sum in the order
+of numpy's pairwise reduction, so each row gets the bits a reduction over
+the last axis would give at a fraction of its cost for small K.  The k-medoid
 discordance (:func:`rsm.medoids.distance_matrix`) is kept as two sparse
 factors too, and becomes an all-pairs array only on a network dense enough
 for the array to be its cheaper form.
@@ -26,10 +31,13 @@ restarts in lockstep: one sparse product gives every restart's neighbour
 sums, the ``xi`` update and the scores are batched matrix products, and
 each restart keeps its own bound and stop test.  Each sum adds the same
 terms in the same order whatever the batch, so a restart's trace is bit
-for bit the one it gives alone.  Inside the loop tau, chi and xi stay
-plain arrays; a restart's checked :class:`~rsm.params.VariationalState`
-and its :class:`~rsm.params.RestartSummary` are built once, when it
-leaves.  The prior-only normalizers of the bound are cached on the
+for bit the one it gives alone.  Inside the loop tau, chi, xi, the
+neighbour sums and the scores stay plain arrays, one row per running
+restart, held together so that one filter drops the restarts that stop;
+a restart's checked :class:`~rsm.params.VariationalState` and its
+:class:`~rsm.params.RestartSummary` are built once, when it leaves.  A
+loop whose arrays would not fit in physical memory is refused before it
+starts.  The prior-only normalizers of the bound are cached on the
 :class:`~rsm.params.PriorHyperparams`.
 
 All updates maximize the same evidence lower bound
@@ -46,14 +54,20 @@ C(x) = prod_d Gamma(x_d) / Gamma(sum_d x_d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy  # scipy.special and scipy.sparse load on first use, not at `import rsm`
 
 from . import medoids
 from .medoids import kmedoid_init
-from .network import TypedNetwork, _count, _int_vector, _refuse_outside
+from .network import (
+    TypedNetwork,
+    _count,
+    _int_vector,
+    _refuse_outside,
+    _refuse_past_memory,
+)
 from .network import validate_network  # noqa: F401 # bench/tracing.py wraps it here
 from .params import (
     FitResult,
@@ -193,20 +207,21 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
 
 
 def _type_operator(net: TypedNetwork) -> scipy.sparse.csr_array:
-    """(2 C N) x N sparse matrix of the typed out- and in-neighbours.
+    """(2 N C) x N sparse matrix of the typed out- and in-neighbours, its
+    rows ordered (half, vertex, type).
 
-    Edge i -> j of type c puts a 1 at ((c - 1) N + i, j) in the upper half
-    and at (C N + (c - 1) N + j, i) in the lower half, so one product with
-    tau gives the sums over out-neighbours and over in-neighbours.  Within a
-    row the columns ascend, as in two separate operators, so each sum adds
-    the same terms in the same order.  Types lie in ``1..n_types``, as the
-    network's construction ensures.
+    Edge i -> j of type c puts a 1 at (i C + c - 1, j) in the upper half and
+    at (N C + j C + c - 1, i) in the lower half, so one product with an
+    N x K tau is, read as 2 x N x (C K), the sums over out-neighbours and
+    over in-neighbours.  Within a row the columns ascend, as in two separate
+    operators, so each sum adds the same terms in the same order.  Types lie
+    in ``1..n_types``, as the network's construction ensures.
     """
     n, c = net.n_vertices, net.n_types
-    rows = (net.types - 1) * n
+    types = net.types - 1
     return scipy.sparse.csr_array(
         (np.ones(2 * len(net.src)),
-         (np.concatenate([rows + net.src, c * n + rows + net.dst]),
+         (np.concatenate([net.src * c + types, c * n + net.dst * c + types]),
           np.concatenate([net.dst, net.src]))),
         shape=(2 * c * n, n))
 
@@ -217,13 +232,16 @@ def _neighbour_sums(op: scipy.sparse.csr_array, tau: np.ndarray, n_types: int
     first is the sum of tau[j, l] over the j with an edge i -> j of type c,
     and of the second over the j with an edge j -> i of type c.
 
-    A stack of R taus takes one product over N x (R K) columns and gives
-    stacks of sums; a CSR product adds each column's terms in the same
-    order whatever the column count."""
+    For one tau the product is the two halves as they stand, so they are
+    returned without a copy.  A stack of R taus takes one product over
+    N x (R K) columns, and one transposed copy moves its restart axis first;
+    a CSR product adds each column's terms in the same order whatever the
+    column count."""
     *batch, n, k = tau.shape
     r = math.prod(batch)
     wide = tau.reshape(r, n, k).transpose(1, 0, 2).reshape(n, r * k)
-    sums = (op @ wide).reshape(2, n_types, n, r, k).transpose(0, 3, 2, 1, 4)
+    sums = (op @ wide).reshape(2, n, n_types, r, k).transpose(0, 3, 1, 2, 4)
+    # with R = 1 the transposition moves only a unit axis: no copy is made
     out_sums, in_sums = np.ascontiguousarray(sums).reshape(2, *batch, n, n_types * k)
     return out_sums, in_sums
 
@@ -260,10 +278,44 @@ _NONFINITE_SCORES = "non-finite responsibility scores; hyperparameters are corru
 
 
 def _normalize_scores(scores: np.ndarray) -> np.ndarray:
-    """Rows of finite log scores turned into probability vectors."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    """Rows of finite log scores turned into probability vectors.
+
+    Each row's max and sum are taken column by column, which at small K is
+    far cheaper than a reduction over the last axis, and the sum adds the
+    columns in the order that reduction uses (:func:`_column_sum`), so
+    every bit is the same."""
+    top = scores[..., 0].copy()
+    for j in range(1, scores.shape[-1]):
+        np.maximum(top, scores[..., j], out=top)
+    ex = np.exp(scores - top[..., None])
+    return ex / _column_sum(ex, 0, ex.shape[-1])[..., None]
+
+
+def _column_sum(ex: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Sum of columns ``lo..hi - 1`` of ``ex``, added in the order of
+    numpy's pairwise sum, which a reduction over a contiguous last axis
+    uses: below 8 columns one running sum; up to 128 columns eight
+    interleaved running sums, combined pairwise, then the columns left
+    over one by one; above 128 the two halves, split at a multiple of 8,
+    each summed so."""
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sum(ex, lo, lo + half) + _column_sum(ex, lo + half, hi)
+    if n < 8:
+        total = ex[..., lo].copy()
+        rest = range(lo + 1, hi)
+    else:
+        lanes = [ex[..., lo + j].copy() for j in range(8)]
+        for i in range(lo + 8, hi - n % 8, 8):
+            for j, lane in enumerate(lanes):
+                lane += ex[..., i + j]
+        total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+        rest = range(hi - n % 8, hi)
+    for j in rest:
+        total += ex[..., j]
+    return total
 
 
 def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
@@ -344,7 +396,9 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
 
     The neighbour-sum operator, the subgraph one-hot and the presence
     update ``a``, ``b`` (none depends on tau) are built once before the
-    loop.  Priors shaped for another network are rejected.
+    loop.  Priors shaped for another network are rejected, and so is a
+    loop whose arrays (:func:`_loop_bytes`) would not fit in physical
+    memory, before any of them is allocated.
     """
     _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
     max_iterations = _count(max_iterations, "max_iterations")
@@ -354,6 +408,9 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     if taus.ndim not in (2, 3) or taus.shape[-2:] != (n, k):
         raise ValueError(f"tau0 must be {n} x {k} or R x {n} x {k}, "
                          f"got shape {taus.shape}")
+    r = len(taus) if taus.ndim == 3 else 1
+    _refuse_past_memory(_loop_bytes(r, n, k, net.n_types, len(net.src)),
+                        f"the update loop of R={r} restarts on N={n} vertices at K={k}")
     check_row_stochastic(taus, "tau0")
     if taus.ndim == 3:
         return _lockstep(net, taus, priors, epsilon_converge, max_iterations)
@@ -363,9 +420,49 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     return state, record.elbo_trace, record.converged
 
 
+def _loop_bytes(r: int, n: int, k: int, c: int, n_edges: int) -> int:
+    """Bytes of the loop's live float64 arrays at their peak, for R restarts
+    on N vertices, K clusters, C types and E edges: the taus, the scores,
+    their exponentials and the new taus (R N K each); the out- and
+    in-neighbour sums (2 R N C K), and their transposed copy when R > 1;
+    about five R K K C stacks of xi (xi, the previous xi, its digamma, the
+    change and gammaln's temporaries); and the operator's 2E entries."""
+    sums = 2 * r * n * c * k * (2 if r > 1 else 1)
+    return 8 * (4 * r * n * k + sums + 5 * r * k * k * c + 2 * n_edges)
+
+
 def _largest_change(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Per restart, the largest absolute entry change between two stacks."""
     return np.abs(current - previous).max(axis=tuple(range(1, current.ndim)), initial=0.0)
+
+
+class _Batch:
+    """The arrays of the restarts still running in :func:`_lockstep`, one
+    row per restart, and ``restarts``, each row's index in the stack.  Every
+    array joins the one filter, :meth:`keep`, so the rows stay aligned."""
+
+    def __init__(self, taus: np.ndarray):
+        self.restarts = np.arange(len(taus))
+        self.taus = taus
+        self.chi = self.xi = self.out_sums = self.in_sums = self.scores = None
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows flagged in the boolean mask ``rows``."""
+        for name, value in vars(self).items():
+            if value is not None:
+                setattr(self, name, value[rows])
+
+
+@dataclass
+class _Record:
+    """A running restart's record fields, frozen into a
+    :class:`~rsm.params.RestartSummary` when it leaves the loop."""
+
+    elbo_trace: list[float] = field(default_factory=list)
+
+    def freeze(self, stop_reason: str) -> RestartSummary:
+        failed = stop_reason.startswith("failed: ")
+        return RestartSummary([] if failed else self.elbo_trace, stop_reason)
 
 
 def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
@@ -376,59 +473,59 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
     membership = np.eye(net.n_subgraphs)[sub]
     a, b = m_step_gamma(net, priors)
 
+    batch = _Batch(taus)
+    collected = [_Record() for _ in taus]
     states: list = [None] * len(taus)
-    reasons: list = [None] * len(taus)
-    traces: list[list[float]] = [[] for _ in taus]
-    active = np.arange(len(taus))
+    records: list = [None] * len(taus)
     # a and b are fixed, so they change only against the priors
     ab_change = max(np.max(np.abs(a - priors.a0), initial=0.0),
                     np.max(np.abs(b - priors.b0), initial=0.0))
     previous_chi, previous_xi = priors.chi0, priors.xi0
 
     def leave(rows, reason):
-        """Record the restarts at batch positions ``rows`` as stopped for
-        ``reason``, or for ``reason(j)`` at position j."""
+        """Freeze the records of the restarts flagged in ``rows``, stopped
+        for ``reason``, or for ``reason(j)`` at row j, and keep the state
+        of each that did not fail; the caller then drops their rows."""
         for j in rows.nonzero()[0]:
-            r = active[j]
-            reasons[r] = reason if isinstance(reason, str) else reason(j)
-            if reasons[r].startswith("failed: "):
-                traces[r] = []
-            else:
-                states[r] = VariationalState(tau=taus[j], chi=chi[j], a=a, b=b, xi=xi[j])
+            r = batch.restarts[j]
+            why = reason if isinstance(reason, str) else reason(j)
+            records[r] = collected[r].freeze(why)
+            if not why.startswith("failed: "):
+                states[r] = VariationalState(tau=batch.taus[j], chi=batch.chi[j], a=a, b=b,
+                                             xi=batch.xi[j])
 
     for iteration in range(max_iterations):
-        if not len(active):
+        if not len(batch.restarts):
             break
-        chi = m_step_alpha(membership, taus, priors)
-        out_sums, in_sums = _neighbour_sums(op, taus, net.n_types)
-        xi = _update_xi(out_sums, taus, priors.xi0)
-        bounds = elbo(net, VariationalState._unchecked(taus, chi, a, b, xi), priors)
-        change = np.maximum(np.maximum(_largest_change(chi, previous_chi),
-                                       _largest_change(xi, previous_xi)), ab_change)
+        batch.chi = m_step_alpha(membership, batch.taus, priors)
+        batch.out_sums, batch.in_sums = _neighbour_sums(op, batch.taus, net.n_types)
+        batch.xi = _update_xi(batch.out_sums, batch.taus, priors.xi0)
+        bounds = elbo(net, VariationalState._unchecked(batch.taus, batch.chi, a, b, batch.xi),
+                      priors)
+        change = np.maximum(np.maximum(_largest_change(batch.chi, previous_chi),
+                                       _largest_change(batch.xi, previous_xi)), ab_change)
         ab_change = 0.0
-        for r, bound in zip(active, bounds):
-            traces[r].append(float(bound))
+        for r, bound in zip(batch.restarts, bounds):
+            collected[r].elbo_trace.append(float(bound))
         finite = np.isfinite(bounds)
-        leave(~finite, lambda j: f"failed: non-finite bound value {float(bounds[j])}")
         done = finite & (change < epsilon_converge)
-        leave(done, "converged")
+        if not finite.all() or done.any():
+            leave(~finite, lambda j: f"failed: non-finite bound value {float(bounds[j])}")
+            leave(done, "converged")
+            batch.keep(finite & ~done)
 
-        going = finite & ~done
-        if not going.all():
-            taus, chi, xi, active = taus[going], chi[going], xi[going], active[going]
-            out_sums, in_sums = out_sums[going], in_sums[going]
-        scores = _scores(out_sums, in_sums, chi, xi, sub)
-        finite = np.isfinite(scores).all(axis=(1, 2))
-        leave(~finite, "failed: " + _NONFINITE_SCORES)
-        if iteration == max_iterations - 1:
-            leave(finite, "max_iterations")
-            break
+        batch.scores = _scores(batch.out_sums, batch.in_sums, batch.chi, batch.xi, sub)
+        finite = np.isfinite(batch.scores).all(axis=(1, 2))
         if not finite.all():
-            chi, xi, active, scores = chi[finite], xi[finite], active[finite], scores[finite]
-        taus = _normalize_scores(scores)
-        previous_chi, previous_xi = chi, xi
+            leave(~finite, "failed: " + _NONFINITE_SCORES)
+            batch.keep(finite)
+        if iteration == max_iterations - 1:
+            leave(np.ones(len(batch.restarts), dtype=bool), "max_iterations")
+            break
+        batch.taus = _normalize_scores(batch.scores)
+        previous_chi, previous_xi = batch.chi, batch.xi
 
-    return tuple(states), tuple(map(RestartSummary, traces, reasons))
+    return tuple(states), tuple(records)
 
 
 def fit(net: TypedNetwork, config: FitConfig) -> FitResult:

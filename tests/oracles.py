@@ -371,11 +371,28 @@ def dense_scores(masks, tau, chi, xi, subgraph_of):
 
 
 def normalize_scores(scores):
-    """Row-wise softmax, shifted by each row's maximum."""
-    if scores.shape[0] == 0:
-        return np.zeros_like(scores)
-    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return ex / ex.sum(axis=1, keepdims=True)
+    """Softmax over the last axis, shifted by each row's maximum, with
+    numpy's reductions over that axis."""
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def neighbour_sums_loop(net, tau):
+    """Per-type neighbour sums of an N x K tau, one vertex at a time: row i
+    of the first N x (C K) array adds tau[j] into its block c - 1 for each
+    out-neighbour j of i along an edge of type c, in ascending j; the second
+    does the same over the in-neighbours."""
+    x = net.edge_types
+    n, k = tau.shape
+    out_sums = np.zeros((n, net.n_types * k))
+    in_sums = np.zeros((n, net.n_types * k))
+    for i in range(n):
+        for j in range(n):
+            if x[i, j]:
+                out_sums[i, (x[i, j] - 1) * k:x[i, j] * k] += tau[j]
+            if x[j, i]:
+                in_sums[i, (x[j, i] - 1) * k:x[j, i] * k] += tau[j]
+    return out_sums, in_sums
 
 
 def dense_fit(net, tau0, priors, max_iterations, epsilon_converge=1e-6):

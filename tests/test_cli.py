@@ -216,6 +216,45 @@ def test_fits_of_the_dense_stream_network_are_unchanged(tmp_path):
     assert fit_digests(data, tmp_path / "fit") == DENSE_STREAM_FITS
 
 
+# sha256 of two fits that the digests above do not reach: a single-restart
+# fit_single on a sparse 3000-vertex network, and a select-k whose K reach
+# 8 and 9, where the responsibility sums switch from one running sum to
+# eight interleaved ones.  Both were computed before the update loop's
+# neighbour sums and normalization were rewritten, and must not move.
+SINGLE_RESTART_FIT = "8bb113023be9d22deb5a994ff134eb5528f01fcf8a611969286c8a6a98bd3788"
+WIDE_K_CURVE = "7d2e4dd99135e316f34913f497e18225063a824fd14fb4510523d432ef4985ff"
+
+
+def test_a_single_restart_fit_on_a_sparse_network_is_pinned():
+    params, sub = rsm.scenario_params(
+        alpha=[[0.3, 0.3, 0.4], [0.5, 0.2, 0.3]], type_probs_within=[0.7, 0.2, 0.1],
+        type_probs_between=[0.1, 0.3, 0.6], edge_prob_within=0.004,
+        edge_prob_between=0.001, subgraph_sizes=[1500, 1500])
+    sample = rsm.sample_network(params, sub, 11)
+    rng = np.random.default_rng(12)
+    start = sample.true_labels.copy()
+    moved = rng.random(len(start)) < 0.3
+    start[moved] = rng.integers(3, size=int(moved.sum()))
+    priors = PriorHyperparams.constant(2, 3, 3, 0.5)
+    state, trace, converged = rsm.fit_single(sample.network, np.eye(3)[start], priors,
+                                             max_iterations=20)
+    assert len(trace) == 20 and not converged
+    digest = hashlib.sha256()
+    for values in (trace, state.tau, state.chi, state.xi):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == SINGLE_RESTART_FIT
+
+
+def test_a_select_k_over_eight_and_nine_clusters_is_pinned(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--scenario", "2", "--seed", "0", "--out", str(data)]) == 0
+    out = tmp_path / "k_curve.csv"
+    assert main(["select-k", "--network", str(data / "network.txt"),
+                 "--partition", str(data / "partition.txt"), "--seed", "3",
+                 "--k-min", "8", "--k-max", "9", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_K_CURVE
+
+
 class TestFitCommand:
     def test_fit_writes_bundle_and_reports(self, tmp_path, capsys):
         network, partition = write_benchmark_data(tmp_path)

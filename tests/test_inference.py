@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import oracles
 from builders import dense_inputs, random_instance, random_state, random_tau, refused
 
+import rsm.inference
+import rsm.network
 from rsm import (
     FitConfig,
     PriorHyperparams,
@@ -247,6 +249,50 @@ class TestFitSingle:
             priors = PriorHyperparams.jeffreys(2, 3, 2)
             _, trace, _ = fit_single(net, tau0, priors)
             assert np.all(np.diff(trace) >= -1e-8)
+
+
+class TestLoopMemory:
+    """``fit_single`` counts the bytes of its loop's live float64 arrays and
+    passes them to the memory rule before it builds anything."""
+
+    @staticmethod
+    def loop_bytes(r, n, k, c, e):
+        # taus, scores, exponentials and new taus; the out- and in-neighbour
+        # sums, with their transposed copy when R > 1; five xi stacks; and
+        # the operator's 2E entries
+        return 8 * (4 * r * n * k + 2 * r * n * c * k * (1 + (r > 1))
+                    + 5 * r * k * k * c + 2 * e)
+
+    @pytest.mark.parametrize("n_restarts", [1, 2])
+    def test_accepted_at_the_exact_figure_and_refused_a_byte_below(
+            self, monkeypatch, n_restarts):
+        net = demo_sample().network
+        priors = PriorHyperparams.jeffreys(2, 3, 3)
+        starts = np.stack([kmedoid_init(distance_matrix(net), 3, seed=r)
+                           for r in range(n_restarts)])
+        tau0 = starts if n_restarts > 1 else starts[0]
+        size = self.loop_bytes(n_restarts, 30, 3, 3, len(net.src))
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size)
+        fit_single(net, tau0, priors, max_iterations=2)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the loop was built past the rule")
+
+        monkeypatch.setattr(rsm.inference, "_type_operator", unreachable)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size - 1)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"the update loop of R={n_restarts} restarts on N=30 vertices at K=3 "
+                f"takes 0.0 GiB ({size} bytes), more than the 0.0 GiB of physical memory")):
+            fit_single(net, tau0, priors, max_iterations=2)
+
+    def test_fit_is_refused_through_its_loop(self, monkeypatch):
+        net = demo_sample().network
+        size = self.loop_bytes(5, 30, 3, 3, len(net.src))
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the update loop of R=5 restarts on N=30 vertices at K=3 "
+                f"takes 0.0 GiB ({size} bytes)")):
+            fit(net, FitConfig(n_clusters=3))
 
 
 class TestUpdatesRejectInvalidNetworks:

@@ -14,6 +14,13 @@ network allocates far less than one N x N float64 array.
 prior normalizers cached on ``PriorHyperparams``; its last bound must equal,
 bit for bit, both the public ``elbo`` of the state it returns and the bound
 written out with the normalizers computed afresh.
+
+The loop's two fast paths must equal their slow references bit for bit:
+the neighbour sums, read off a vertex-ordered operator, against a loop
+that adds each vertex's typed neighbours in ascending order, for one tau
+and for stacks; and the column-wise normalization against numpy's
+reductions over the last axis, for K = 1 to 140, past both the 8-column
+and the 128-column switch of numpy's pairwise sum.
 """
 
 import tracemalloc
@@ -36,6 +43,7 @@ from rsm import (
     fit_single,
     m_step_pi,
 )
+from rsm.inference import _neighbour_sums, _normalize_scores, _type_operator
 from rsm.params import log_dirichlet_norm
 
 RTOL = 1e-12
@@ -120,6 +128,42 @@ class TestAgainstDenseMasks:
             change = max(np.max(np.abs(ref.chi - previous.chi), initial=0.0),
                          np.max(np.abs(ref.xi - previous.xi), initial=0.0))
             assert converged == (change < 1e-6)
+
+
+class TestAgainstLoopReferences:
+    @settings(max_examples=100, deadline=None)
+    @given(instances(), st.integers(1, 3), st.data())
+    def test_neighbour_sums(self, data, n_restarts, draw):
+        net, tau, _, _ = data
+        others = [draw.draw(arrays(np.float64, tau.shape, elements=st.floats(0.0, 1.0)))
+                  for _ in range(n_restarts - 1)]
+        taus = np.stack([tau, *others])
+        op = _type_operator(net)
+        expected = [oracles.neighbour_sums_loop(net, one) for one in taus]
+        # one N x K tau, and a stack of R = 1 to 3 of them
+        single = _neighbour_sums(op, tau, net.n_types)
+        stacked = _neighbour_sums(op, taus, net.n_types)
+        pairs = [(single, expected[0])] + [((stacked[0][r], stacked[1][r]), expected[r])
+                                           for r in range(n_restarts)]
+        for mine, theirs in pairs:
+            for got, want in zip(mine, theirs):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 6),
+           st.integers(1, 140) | st.sampled_from([7, 8, 9, 16, 17, 128, 129, 136, 137]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 30.0, 300.0]))
+    def test_normalization(self, n_restarts, n, k, stacked, seed, spread):
+        # scores drawn from a seeded generator, so that every entry differs
+        # and a sum in another order would differ in its last bits; the
+        # wider spreads give exponentials that underflow to exact zeros
+        shape = (n_restarts, n, k) if stacked else (n, k)
+        scores = spread * np.random.default_rng(seed).standard_normal(shape)
+        expected = oracles.normalize_scores(scores)
+        normalized = _normalize_scores(scores)
+        assert normalized.shape == expected.shape
+        assert normalized.tobytes() == expected.tobytes()
 
 
 def uncached_elbo(state, priors):
