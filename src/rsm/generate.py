@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import TypedNetwork, _count, _int_vector, _readonly, _refuse_outside
+from .network import (TypedNetwork, _count, _int_vector, _readonly, _refuse_outside,
+                      _refuse_past_memory)
 from .params import RsmParams
 
 
@@ -109,18 +110,28 @@ def sample_network(params: RsmParams, subgraph_of: np.ndarray,
     are drawn 2**20 at a time, so no temporary holds more than about 2**20
     entries beyond the edge list itself.  Anything but a vector of integers
     in ``0..S - 1`` is refused with a ValueError, which names the first
-    label out of range and its vertex.
+    label out of range and its vertex.  So is a sample whose expected edge
+    count, ``gamma`` times each block's ordered pairs, would take more than
+    physical memory at 48 bytes per edge; nothing is drawn before that.
     """
     subgraph_of = _int_vector(subgraph_of, "subgraph_of")
     n = subgraph_of.shape[0]
     s = params.n_subgraphs
     _refuse_outside(subgraph_of, s, "subgraph label")
-    src, dst, types, z = _draw(params, subgraph_of,
-                                 np.random.default_rng(_count(seed, "seed", 0)))
+    rng = np.random.default_rng(_count(seed, "seed", 0))
+    sizes = np.bincount(subgraph_of, minlength=s)
+    expected = float((params.gamma * (np.outer(sizes, sizes) - np.diag(sizes))).sum())
+    _refuse_past_memory(int(_EDGE_BYTES * expected),
+                        f"a sample of about {expected:.0f} edges on {n} vertices")
+    src, dst, types, z = _draw(params, subgraph_of, rng)
     net = TypedNetwork.from_edges(n, src, dst, types, subgraph_of,
                                   n_types=params.n_types, n_subgraphs=s)
     return GeneratedSample(network=net, true_labels=z, params=params)
 
+
+# Bytes held per edge at once: the drawn src, dst and types and the
+# network's copies of them, six int64 values
+_EDGE_BYTES = 48
 
 # Ordered pairs per count-and-choice draw, and type uniforms per draw.  Above
 # a 2% density, choice without replacement allocates one index per pair, so

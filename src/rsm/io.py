@@ -18,13 +18,16 @@ are positive and fit in int64.
 Each format is a list of rules over its int64 columns, checked on all lines
 at once; the earliest bad line is reported with its number and the first
 rule it breaks.  The columns are read from the file's bytes in a few numpy
-passes when the text holds only ASCII digits, spaces, tabs, CR and LF, and
-no token of more than 18 digits.  Any other text (a sign, ``_``, ``\\x0b``
-or ``\\x0c``, a non-ASCII digit, a value that may not fit in int64) is read
-by ``str.split`` and ``int`` instead, under the same rules and messages.
-Edge and label lines are written from one byte buffer.  :func:`load_network`
-builds the network with :meth:`~rsm.network.TypedNetwork.from_edges`, so
-reading costs grow with the number of lines; no N x N array is built.
+passes over one block of lines at a time when the text holds only ASCII
+digits, spaces, tabs, CR and LF, and no token of more than 18 digits.  Any
+other text (a sign, ``_``, ``\\x0b`` or ``\\x0c``, a non-ASCII digit, a
+value that may not fit in int64), in any block, sends the whole text to
+``str.split`` and ``int`` instead, under the same rules and messages.  Edge
+and label lines are formatted and written a chunk of lines at a time.  So
+the temporaries of a read or a write are one block's or one chunk's beside
+the text and the columns.  :func:`load_network` builds the network with
+:meth:`~rsm.network.TypedNetwork.from_edges`, so reading costs grow with
+the number of lines; no N x N array is built.
 """
 
 from __future__ import annotations
@@ -83,11 +86,30 @@ def _format_rows(columns) -> bytes:
     return out.tobytes()
 
 
+# rows formatted and written at a time, so that a write's temporaries are
+# one chunk's whatever the number of rows
+_WRITE_ROWS = 8192
+
+
+def _write_rows(path, header: bytes, columns, offsets) -> None:
+    """Write ``header``, then one line per row of the equal-length integer
+    ``columns``: each value plus its column's entry of ``offsets``, as
+    :func:`_format_rows` writes it.  A column of None holds the row numbers
+    0, 1, ....  The rows are formatted and written a chunk at a time."""
+    rows = len(next(c for c in columns if c is not None))
+    with open(path, "wb") as out:
+        out.write(header)
+        for at in range(0, rows, _WRITE_ROWS):
+            end = min(at + _WRITE_ROWS, rows)
+            out.write(_format_rows([np.arange(at + o, end + o) if c is None else c[at:end] + o
+                                    for c, o in zip(columns, offsets)]))
+
+
 def write_network_file(path, net: TypedNetwork) -> None:
-    """Write header plus one ``src dst type`` line per edge, row-major."""
+    """Write header plus one ``src dst type`` line per edge, row-major,
+    a chunk of lines at a time."""
     header = f"rsm v1 N={net.n_vertices} S={net.n_subgraphs} C={net.n_types}\n"
-    Path(path).write_bytes(header.encode("ascii")
-                           + _format_rows((net.src + 1, net.dst + 1, net.types)))
+    _write_rows(path, header.encode("ascii"), (net.src, net.dst, net.types), (1, 1, 0))
 
 
 def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray]:
@@ -201,44 +223,87 @@ def _increasing(keys: np.ndarray) -> bool:
     return bool(after.all())
 
 
+# bytes tokenized at a time, cut back to a line end, so that the
+# temporaries of a read are one block's whatever the length of the text
+_READ_BLOCK = 1 << 16
+
+
+def _blocks(data: np.ndarray):
+    """Yield ``(start, end)`` of consecutive pieces that cover ``data``.
+    A piece ends after the last LF in its first ``_READ_BLOCK`` bytes, or,
+    if they hold none, in the next ``_READ_BLOCK`` bytes, and so on; the
+    last piece ends with ``data``."""
+    at = 0
+    while at < data.size:
+        look, end = at, min(at + _READ_BLOCK, data.size)
+        while end < data.size:
+            breaks = np.flatnonzero(data[look:end] == ord("\n"))
+            if breaks.size:
+                end = look + int(breaks[-1]) + 1
+                break
+            look, end = end, min(end + _READ_BLOCK, data.size)
+        yield at, end
+        at = end
+
+
 def _ascii_tokens(text) -> tuple[np.ndarray, np.ndarray] | None:
     """The number of tokens on each LF-separated line of ``text``, a str or
     the bytes of an ASCII one, and the int64 values of all its tokens in
     order, as ``str.split`` and ``int`` read them.
 
-    Works on the bytes in a few numpy passes.  Returns None, leaving the
-    text to ``str.split``, when it is not ASCII, holds a byte that is not a
-    digit, space, tab, CR or LF (a sign, ``_``, ``\\x0b`` or ``\\x0c``, for
-    instance), or holds a token of more than 18 digits, which might not fit
-    in int64.
+    Works on the bytes in a few numpy passes over one block of lines at a
+    time: the first counts each block's lines and tokens, and the second
+    reads each block's counts and values straight into the outputs.
+    Returns None, leaving the whole text to ``str.split``, when it is not
+    ASCII, holds a byte that is not a digit, space, tab, CR or LF (a sign,
+    ``_``, ``\\x0b`` or ``\\x0c``, for instance), or holds a token of more
+    than 18 digits, which might not fit in int64.
     """
     if isinstance(text, str):
         if not text.isascii():
             return None
         text = text.encode("ascii")
     data = np.frombuffer(text, dtype=np.uint8)
-    digits = data - np.uint8(ord("0"))
-    is_digit = digits < 10
-    if not (is_digit | (data == ord(" ")) | (data == ord("\n")) | (data == ord("\t"))
-            | (data == ord("\r"))).all():
-        return None
-    # a run of digits starts at each odd change and ends before each even one
-    bounds = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
-    starts, ends = bounds[0::2], bounds[1::2]
-    longest = (ends - starts).max(initial=0)
-    if longest > 18:
-        return None
-    breaks = np.flatnonzero(data == ord("\n"))
-    counts = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
-    # Horner's rule over the places, the highest first: a place left of a
-    # token's first digit reads 0 (an index below 0 wraps round, and reads 0
-    # too; it is never below -data.size, as the longest token lies in data)
-    values = np.zeros(starts.size, dtype=np.int64)
-    at = ends - longest
-    for _ in range(longest):
-        values *= 10
-        values += digits[at] * (at >= starts)
-        at += 1
+    blocks = list(_blocks(data))
+    n_lines, n_tokens = 1, 0
+    for start, end in blocks:
+        block = data[start:end]
+        digit = (block - np.uint8(ord("0"))) < 10
+        if not (digit | (block == ord(" ")) | (block == ord("\n")) | (block == ord("\t"))
+                | (block == ord("\r"))).all():
+            return None
+        # a block starts a line, so a token starts at its first byte or at
+        # a digit after a blank
+        n_tokens += int(digit[0]) + np.count_nonzero(digit[1:] > digit[:-1])
+        n_lines += np.count_nonzero(block == ord("\n"))
+    counts = np.zeros(n_lines, dtype=np.int64)
+    values = np.zeros(n_tokens, dtype=np.int64)
+    line = token = 0
+    for start, end in blocks:
+        digits = data[start:end] - np.uint8(ord("0"))
+        is_digit = digits < 10
+        # a run of digits starts at each odd change and ends before each even one
+        bounds = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+        starts, ends = bounds[0::2], bounds[1::2]
+        longest = (ends - starts).max(initial=0)
+        if longest > 18:
+            return None
+        # the block's lines, the last of which the next block continues
+        breaks = np.flatnonzero(data[start:end] == ord("\n"))
+        counts[line:line + breaks.size + 1] = np.diff(np.searchsorted(starts, breaks),
+                                                      prepend=0, append=starts.size)
+        line += breaks.size
+        # Horner's rule over the places, the highest first: a place left of a
+        # token's first digit reads 0 (an index below 0 wraps round, and reads
+        # 0 too; it is never below -digits.size, as the longest token lies in
+        # the block)
+        out = values[token:token + starts.size]
+        token += starts.size
+        at = ends - longest
+        for _ in range(longest):
+            out *= 10
+            out += digits[at] * (at >= starts)
+            at += 1
     return counts, values
 
 
@@ -296,12 +361,12 @@ def load_network(network_path, partition_path) -> TypedNetwork:
 
 def write_labels_file(path, labels: np.ndarray) -> None:
     """Write a vector of 0-indexed cluster labels as 1-indexed ``vertex
-    cluster`` lines.  Anything but a vector of integers in ``0..2**63 - 2``,
-    the labels :func:`read_labels_file` reads back, is refused unwritten."""
+    cluster`` lines, a chunk of lines at a time; no labels write one LF.
+    Anything but a vector of integers in ``0..2**63 - 2``, the labels
+    :func:`read_labels_file` reads back, is refused unwritten."""
     labels = _int_vector(labels, "labels")
     _refuse_outside(labels, _INT64_MAX, "label")
-    rows = _format_rows((np.arange(1, labels.size + 1), labels + 1))
-    Path(path).write_bytes(rows or b"\n")
+    _write_rows(path, b"" if labels.size else b"\n", (None, labels), (1, 1))
 
 
 def read_labels_file(path) -> dict[int, int]:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy  # scipy.special loads on first use, not at `import rsm`
 
 from .inference import _check_priors
-from .network import TypedNetwork, _count
+from .network import TypedNetwork, _count, _refuse_past_memory
 from .params import PriorHyperparams
 
 
@@ -41,8 +41,10 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
     every assignment and is added once at the end.
 
     Raises ValueError for priors shaped for another network or K, as
-    :func:`rsm.inference.fit` does, or when the assignment count exceeds
-    the enumeration budget ``max_enumeration``.
+    :func:`rsm.inference.fit` does, when the assignment count exceeds the
+    enumeration budget ``max_enumeration``, or, before enumerating, when
+    its float64 arrays of ``k^n * n * k`` and ``k^n * k * k * C`` entries
+    would take more than physical memory.
     """
     n = net.n_vertices
     k = _count(n_clusters, "n_clusters")
@@ -53,6 +55,9 @@ def exact_log_evidence(net: TypedNetwork, n_clusters: int,
         raise ValueError(
             f"{k}^{n} = {n_assignments} assignments exceed the enumeration "
             f"budget {max_enumeration}")
+    # its (k^n, n, k) one-hot memberships and (k^n, k, k, C) type counts
+    _refuse_past_memory(8 * n_assignments * (n * k + k * k * net.n_types),
+                        f"the enumeration of {k}^{n} = {n_assignments} assignments")
 
     # Presence factor: counts depend only on the observed presence pattern.
     sub = net.subgraph_of

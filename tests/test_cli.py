@@ -25,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 import oracles
 
 import rsm
+import rsm.io
 from rsm import exact_log_evidence, PriorHyperparams, TypedNetwork
 from rsm.cli import main
 from rsm.io import load_network, write_labels_file, write_network_file, write_partition_file
@@ -155,6 +156,43 @@ def test_seeded_generate_outputs_are_pinned(tmp_path, source):
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("network.txt", "partition.txt", "true_labels.txt"))
     assert digests == SEEDED_OUTPUTS[source]
+
+
+# sha256 of network.txt, partition.txt and true_labels.txt that `rsm generate
+# --params --seed 0` writes for MULTI_BLOCK_PARAMS: 3000 vertices and a
+# network file of about 330 KB, which spans several of the blocks that
+# edge-list files are read in and several of the chunks of rows they are
+# written in, where every file of SEEDED_OUTPUTS fits in one.  Computed
+# before the files were read and written a block at a time; must not move.
+MULTI_BLOCK_PARAMS = {
+    "alpha": [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]],
+    "gamma": [[0.0055, 0.0022, 0.0022], [0.0022, 0.0055, 0.0022], [0.0022, 0.0022, 0.0055]],
+    "pi": [[[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.3, 0.4, 0.3]],
+           [[0.2, 0.2, 0.6], [0.6, 0.3, 0.1], [0.1, 0.8, 0.1]],
+           [[0.4, 0.4, 0.2], [0.2, 0.1, 0.7], [0.8, 0.1, 0.1]]],
+    "subgraph_sizes": [1000, 1000, 1000],
+}
+MULTI_BLOCK_OUTPUTS = (
+    "bb2f07d41a3e1d3f826f0cd9a185fa1c2843dec6d26afb2eb63248ec120fa8e6",
+    "1c219c498ccc3b948414318ad4d0a6b546693e77b2c2ca9bd9198bb9f41d60ef",
+    "d105c0f0bc13a9e1fc0ac8bd926422c33756ced2705ce98f1ce37917fd9f79ba")
+
+
+def test_a_multi_block_generate_output_is_pinned_and_round_trips(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(MULTI_BLOCK_PARAMS))
+    out = tmp_path / "data"
+    assert main(["generate", "--params", str(path), "--seed", "0", "--out", str(out)]) == 0
+    written = [(out / name).read_bytes()
+               for name in ("network.txt", "partition.txt", "true_labels.txt")]
+    assert tuple(hashlib.sha256(b).hexdigest() for b in written) == MULTI_BLOCK_OUTPUTS
+    net = load_network(out / "network.txt", out / "partition.txt")
+    assert len(written[0]) > 4 * rsm.io._READ_BLOCK
+    assert len(net.src) > 3 * rsm.io._WRITE_ROWS
+    write_network_file(tmp_path / "network.txt", net)
+    write_partition_file(tmp_path / "partition.txt", net)
+    assert (tmp_path / "network.txt").read_bytes() == written[0]
+    assert (tmp_path / "partition.txt").read_bytes() == written[1]
 
 
 # sha256 of what `rsm fit --k 3 --restarts 5 --seed 7` and `rsm select-k

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 
 import rsm.generate
+import rsm.network
 from rsm import (
     GeneratedSample,
     RsmParams,
@@ -243,6 +244,43 @@ class TestSampleNetwork:
         sample = sample_network(params, np.zeros(0, dtype=int), seed=0)
         assert sample.network.n_vertices == 0
         assert sample.true_labels.shape == (0,)
+
+
+class TestSampleMemory:
+    """``sample_network`` counts 48 bytes for each expected edge, gamma
+    times each block's ordered pairs, and passes them to the memory rule
+    before it draws anything."""
+
+    # 2 x 4 vertices: 12 ordered pairs in each diagonal block and 16 in each
+    # other, so 0.5 * 24 + 0.25 * 32 = 20 expected edges
+    params = RsmParams(alpha=[[1.0], [1.0]], gamma=[[0.5, 0.25], [0.25, 0.5]], pi=[[[1.0]]])
+    sub = np.repeat([0, 1], 4)
+
+    def test_accepted_at_the_exact_figure_and_refused_a_byte_below(self, monkeypatch):
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 20 * 48)
+        assert sample_network(self.params, self.sub, 0).network.n_vertices == 8
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sample was drawn past the rule")
+
+        monkeypatch.setattr(rsm.generate, "_draw", unreachable)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 20 * 48 - 1)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "a sample of about 20 edges on 8 vertices takes 0.0 GiB (960 bytes), "
+                "more than the 0.0 GiB of physical memory")):
+            sample_network(self.params, self.sub, 0)
+
+    def test_refuses_before_drawing(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sample was drawn past the rule")
+
+        monkeypatch.setattr(rsm.generate, "_draw", unreachable)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 2 ** 30)
+        params = RsmParams(alpha=[[1.0]], gamma=[[1.0]], pi=[[[1.0]]])
+        with pytest.raises(ValueError, match=re.escape(
+                "a sample of about 9999900000 edges on 100000 vertices takes 447.0 GiB "
+                "(479995200000 bytes), more than the 1.0 GiB of physical memory")):
+            sample_network(params, np.zeros(100_000, dtype=int), 0)
 
 
 # A three-subgraph, two-cluster, three-type model on 14 vertices whose

@@ -9,6 +9,9 @@ import pytest
 import oracles
 from builders import random_instance
 
+import rsm.network
+import rsm.oracle
+
 from rsm import (
     FitConfig,
     PriorHyperparams,
@@ -121,6 +124,42 @@ class TestExactLogEvidence:
         # a raised budget admits the same instance
         value = exact_log_evidence(net, 2, priors, max_enumeration=8192)
         assert np.isfinite(value)
+
+    def test_enumeration_past_memory_is_refused_before_enumerating(self, monkeypatch):
+        # 2^3 assignments of a 3-vertex network at K=2 and C=2: one-hot
+        # memberships of 8 x 3 x 2 and type counts of 8 x 2 x 2 x 2 floats
+        net = TypedNetwork(np.array([[0, 1, 0], [2, 0, 0], [0, 1, 0]]), [0, 0, 0],
+                           n_types=2, n_subgraphs=1)
+        priors = PriorHyperparams.jeffreys(1, 2, 2)
+        size = 8 * 8 * (3 * 2 + 2 * 2 * 2)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size)
+        expected = exact_log_evidence(net, 2, priors)
+        assert np.isfinite(expected)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the enumeration started past the rule")
+
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size - 1)
+        monkeypatch.setattr(rsm.oracle.np, "arange", unreachable)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"the enumeration of 2^3 = 8 assignments takes 0.0 GiB ({size} bytes), "
+                "more than the 0.0 GiB of physical memory")):
+            exact_log_evidence(net, 2, priors)
+
+    def test_a_budget_past_memory_is_refused_by_the_memory_rule(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the enumeration started past the rule")
+
+        net = TypedNetwork.from_edges(40, [0], [1], [1], np.zeros(40, dtype=int),
+                                      n_types=1, n_subgraphs=1)
+        priors = PriorHyperparams.jeffreys(1, 2, 1)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 2 ** 30)
+        monkeypatch.setattr(rsm.oracle.np, "arange", unreachable)
+        # 2^40 x 8 x (40 x 2 + 2 x 2 x 1) bytes
+        with pytest.raises(ValueError, match=re.escape(
+                "the enumeration of 2^40 = 1099511627776 assignments takes 688128.0 GiB "
+                "(738871813865472 bytes), more than the 1.0 GiB of physical memory")):
+            exact_log_evidence(net, 2, priors, max_enumeration=2 ** 40)
 
     def test_rejects_mismatched_priors(self):
         priors = PriorHyperparams.jeffreys(1, 3, 1)
