@@ -11,21 +11,24 @@ hyperparameter sweep (:func:`m_step_gamma`, :func:`m_step_alpha`,
 
 The ``xi`` update and the responsibility sweep are sums over present edges.
 Both read per-type neighbour sums of tau over out- and in-edges, taken from
-one sparse operator built from the network's edge list, so an iteration
-costs O(E K + N K^2 C) and no all-pairs array is formed.  The operator's
-rows are ordered (half, vertex, type), so for one tau its product already
-is the N x (C K) out- and in-sums.  The sweep normalizes each vertex's
-scores with a max and a sum taken column by column, the sum in the order
-of numpy's pairwise reduction, so each row gets the bits a reduction over
-the last axis would give at a fraction of its cost for small K.  The k-medoid
-discordance (:func:`rsm.medoids.distance_matrix`) is kept as two sparse
-factors too, and becomes an all-pairs array only on a network dense enough
-for the array to be its cheaper form.
+one sparse operator, the network's
+:attr:`~rsm.network.TypedNetwork._type_operator`, which the network builds
+from its edge list once and keeps, so an iteration costs O(E K + N K^2 C)
+and no all-pairs array is formed.  The operator's rows are ordered (half,
+vertex, type), so for one tau its product already is the N x (C K) out-
+and in-sums.  The sweep normalizes each vertex's scores with a max and a
+sum taken column by column, the sum in the order of numpy's pairwise
+reduction, so each row gets the bits a reduction over the last axis would
+give at a fraction of its cost for small K.  The k-medoid discordance
+(:func:`rsm.medoids.distance_matrix`) is kept as two sparse factors, one
+of them that same operator with its rows regrouped by vertex, and becomes
+an all-pairs array only on a network dense enough for the array to be its
+cheaper form.
 
 What cannot change is computed outside the loops.  :func:`fit` builds the
 k-medoid discordance once (:func:`rsm.selection.select_k` once for
-every K), draws every restart's start, and hands the stack to one
-:func:`fit_single` call.  That call builds the sparse operator, the
+every K), which builds the network's operator, draws every restart's start,
+and hands the stack to one :func:`fit_single` call.  That call builds the
 subgraph one-hot and the presence update (``a``, ``b``) once, and runs the
 restarts in lockstep: one sparse product gives every restart's neighbour
 sums, the ``xi`` update and the scores are batched matrix products, and
@@ -37,7 +40,9 @@ restart, held together so that one filter drops the restarts that stop;
 a restart's checked :class:`~rsm.params.VariationalState` and its
 :class:`~rsm.params.RestartSummary` are built once, when it leaves.  A
 loop whose arrays would not fit in physical memory is refused before it
-starts.  The prior-only normalizers of the bound are cached on the
+starts, and :func:`fit` and :func:`rsm.selection.select_k` refuse it
+before they build the discordance or draw a start.  The prior-only
+normalizers of the bound are cached on the
 :class:`~rsm.params.PriorHyperparams`.
 
 All updates maximize the same evidence lower bound
@@ -64,6 +69,7 @@ from .medoids import kmedoid_init
 from .network import (
     TypedNetwork,
     _count,
+    _csr_bytes,
     _int_vector,
     _refuse_outside,
     _refuse_past_memory,
@@ -202,35 +208,15 @@ def m_step_pi(net: TypedNetwork, tau: np.ndarray,
     """
     tau = _check_tau(tau, net.n_vertices)
     _check_priors(priors, (net.n_subgraphs, tau.shape[-1], net.n_types))
-    out_sums, _ = _neighbour_sums(_type_operator(net), tau, net.n_types)
+    out_sums, _ = _neighbour_sums(net, tau)
     return _update_xi(out_sums, tau, priors.xi0)
 
 
-def _type_operator(net: TypedNetwork) -> scipy.sparse.csr_array:
-    """(2 N C) x N sparse matrix of the typed out- and in-neighbours, its
-    rows ordered (half, vertex, type).
-
-    Edge i -> j of type c puts a 1 at (i C + c - 1, j) in the upper half and
-    at (N C + j C + c - 1, i) in the lower half, so one product with an
-    N x K tau is, read as 2 x N x (C K), the sums over out-neighbours and
-    over in-neighbours.  Within a row the columns ascend, as in two separate
-    operators, so each sum adds the same terms in the same order.  Types lie
-    in ``1..n_types``, as the network's construction ensures.
-    """
-    n, c = net.n_vertices, net.n_types
-    types = net.types - 1
-    return scipy.sparse.csr_array(
-        (np.ones(2 * len(net.src)),
-         (np.concatenate([net.src * c + types, c * n + net.dst * c + types]),
-          np.concatenate([net.dst, net.src]))),
-        shape=(2 * c * n, n))
-
-
-def _neighbour_sums(op: scipy.sparse.csr_array, tau: np.ndarray, n_types: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _neighbour_sums(net: TypedNetwork, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Out- and in-neighbour sums, each N x (C K): entry (i, c K + l) of the
     first is the sum of tau[j, l] over the j with an edge i -> j of type c,
-    and of the second over the j with an edge j -> i of type c.
+    and of the second over the j with an edge j -> i of type c, both read
+    from the network's typed operator.
 
     For one tau the product is the two halves as they stand, so they are
     returned without a copy.  A stack of R taus takes one product over
@@ -238,11 +224,11 @@ def _neighbour_sums(op: scipy.sparse.csr_array, tau: np.ndarray, n_types: int
     a CSR product adds each column's terms in the same order whatever the
     column count."""
     *batch, n, k = tau.shape
-    r = math.prod(batch)
+    r, c = math.prod(batch), net.n_types
     wide = tau.reshape(r, n, k).transpose(1, 0, 2).reshape(n, r * k)
-    sums = (op @ wide).reshape(2, n, n_types, r, k).transpose(0, 3, 1, 2, 4)
+    sums = (net._type_operator @ wide).reshape(2, n, c, r, k).transpose(0, 3, 1, 2, 4)
     # with R = 1 the transposition moves only a unit axis: no copy is made
-    out_sums, in_sums = np.ascontiguousarray(sums).reshape(2, *batch, n, n_types * k)
+    out_sums, in_sums = np.ascontiguousarray(sums).reshape(2, *batch, n, c * k)
     return out_sums, in_sums
 
 
@@ -326,7 +312,7 @@ def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:
     state shaped for another network is rejected.
     """
     _check_state(net, state)
-    out_sums, in_sums = _neighbour_sums(_type_operator(net), state.tau, net.n_types)
+    out_sums, in_sums = _neighbour_sums(net, state.tau)
     scores = _scores(out_sums, in_sums, state.chi, state.xi, net.subgraph_of)
     if not np.all(np.isfinite(scores)):
         raise FloatingPointError(_NONFINITE_SCORES)
@@ -394,11 +380,12 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     is None, and its record has an empty trace and the stop reason
     ``"failed: <message>"``, with the message it would have raised.
 
-    The neighbour-sum operator, the subgraph one-hot and the presence
-    update ``a``, ``b`` (none depends on tau) are built once before the
-    loop.  Priors shaped for another network are rejected, and so is a
-    loop whose arrays (:func:`_loop_bytes`) would not fit in physical
-    memory, before any of them is allocated.
+    The subgraph one-hot and the presence update ``a``, ``b`` (neither
+    depends on tau) are built once before the loop, and the neighbour sums
+    read the network's :attr:`~rsm.network.TypedNetwork._type_operator`.
+    Priors shaped for another network are rejected, and so is a loop whose
+    arrays (:func:`_loop_bytes`) would not fit in physical memory, before
+    any of them, or the operator, is allocated.
     """
     _check_priors(priors, (net.n_subgraphs, priors.n_clusters, net.n_types))
     max_iterations = _count(max_iterations, "max_iterations")
@@ -408,9 +395,7 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     if taus.ndim not in (2, 3) or taus.shape[-2:] != (n, k):
         raise ValueError(f"tau0 must be {n} x {k} or R x {n} x {k}, "
                          f"got shape {taus.shape}")
-    r = len(taus) if taus.ndim == 3 else 1
-    _refuse_past_memory(_loop_bytes(r, n, k, net.n_types, len(net.src)),
-                        f"the update loop of R={r} restarts on N={n} vertices at K={k}")
+    _refuse_past_loop(net, len(taus) if taus.ndim == 3 else 1, k)
     check_row_stochastic(taus, "tau0")
     if taus.ndim == 3:
         return _lockstep(net, taus, priors, epsilon_converge, max_iterations)
@@ -420,15 +405,25 @@ def fit_single(net: TypedNetwork, tau0: np.ndarray, priors: PriorHyperparams,
     return state, record.elbo_trace, record.converged
 
 
+def _refuse_past_loop(net: TypedNetwork, r: int, k: int) -> None:
+    """Refuse the update loop of R restarts at K on ``net`` when its arrays
+    (:func:`_loop_bytes`) would not fit in physical memory."""
+    n = net.n_vertices
+    _refuse_past_memory(_loop_bytes(r, n, k, net.n_types, len(net.src)),
+                        f"the update loop of R={r} restarts on N={n} vertices at K={k}")
+
+
 def _loop_bytes(r: int, n: int, k: int, c: int, n_edges: int) -> int:
-    """Bytes of the loop's live float64 arrays at their peak, for R restarts
-    on N vertices, K clusters, C types and E edges: the taus, the scores,
-    their exponentials and the new taus (R N K each); the out- and
-    in-neighbour sums (2 R N C K), and their transposed copy when R > 1;
+    """Bytes of the loop's live arrays at their peak, for R restarts on N
+    vertices, K clusters, C types and E edges: in float64, the taus, the
+    scores, their exponentials and the new taus (R N K each), the out- and
+    in-neighbour sums (2 R N C K), and their transposed copy when R > 1, and
     about five R K K C stacks of xi (xi, the previous xi, its digamma, the
-    change and gammaln's temporaries); and the operator's 2E entries."""
+    change and gammaln's temporaries); and the network's typed operator as
+    CSR, counted whether or not it is built yet."""
     sums = 2 * r * n * c * k * (2 if r > 1 else 1)
-    return 8 * (4 * r * n * k + sums + 5 * r * k * k * c + 2 * n_edges)
+    return (8 * (4 * r * n * k + sums + 5 * r * k * k * c)
+            + _csr_bytes(2 * c * n, n, 2 * n_edges))
 
 
 def _largest_change(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -468,7 +463,6 @@ class _Record:
 def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
               epsilon_converge: float, max_iterations: int):
     """:func:`fit_single`'s loop over a checked R x N x K stack of starts."""
-    op = _type_operator(net)
     sub = net.subgraph_of
     membership = np.eye(net.n_subgraphs)[sub]
     a, b = m_step_gamma(net, priors)
@@ -498,7 +492,7 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
         if not len(batch.restarts):
             break
         batch.chi = m_step_alpha(membership, batch.taus, priors)
-        batch.out_sums, batch.in_sums = _neighbour_sums(op, batch.taus, net.n_types)
+        batch.out_sums, batch.in_sums = _neighbour_sums(net, batch.taus)
         batch.xi = _update_xi(batch.out_sums, batch.taus, priors.xi0)
         bounds = elbo(net, VariationalState._unchecked(batch.taus, batch.chi, a, b, batch.xi),
                       priors)
@@ -538,10 +532,13 @@ def fit(net: TypedNetwork, config: FitConfig) -> FitResult:
     index); the same inputs and seed always reproduce the same result.
     Only when every restart fails is FloatingPointError raised.
 
-    The discordance, :func:`~rsm.medoids.distance_matrix` in whichever
-    form it takes, is built once here and read by every restart's
+    A fit whose update loop would not fit in physical memory is refused
+    first, before anything is built or drawn.  The discordance,
+    :func:`~rsm.medoids.distance_matrix` in whichever form it takes, is then
+    built once here and read by every restart's
     :func:`~rsm.medoids.kmedoid_init`.
     """
+    _refuse_past_loop(net, config.n_restarts, config.n_clusters)
     return _fit(net, config, medoids.distance_matrix(net))
 
 

@@ -9,9 +9,12 @@ The discordance depends on the network alone, so :func:`kmedoid_init` takes
 it as its input: :func:`rsm.inference.fit` builds it once with
 :func:`distance_matrix` for every restart, and
 :func:`rsm.selection.select_k` once for every candidate K.  It is the
-product of two sparse factors built from the edge list; on a sparse network
-it stays that product, which :func:`kmedoid_init` reads only through
-products with thin matrices, so memory and time grow with the edge count.
+product of two sparse factors: ``agree``, the network's typed operator
+(:attr:`~rsm.network.TypedNetwork._type_operator`, which the VB-EM sweep
+reads too) with its rows regrouped by vertex, and ``differ``, built from the
+edge list.  On a sparse network it stays that product, which
+:func:`kmedoid_init` reads only through products with thin matrices, so
+memory and time grow with the edge count.
 Only on a network dense enough for the all-pairs array to be the cheaper
 form is it multiplied out.
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # scipy.sparse loads on first use, not at `import rsm`
 
-from .network import TypedNetwork, _count, _refuse_past_memory
+from .network import TypedNetwork, _count, _csr_bytes, _index_dtype, _refuse_past_memory
 
 # Cap on assignment/medoid alternations.  kmedoid_init stops at a run's first
 # repeated state and returns the state the cap reaches; at K >= 2 on the paper's
@@ -53,18 +56,6 @@ class _Factored:
         return (self.agree @ self.differ).toarray()
 
 
-def _index_dtype(*sizes: int) -> type:
-    """The index type scipy keeps for a sparse array with these extents and
-    nonzero count."""
-    return np.int32 if max(sizes, default=0) <= np.iinfo(np.int32).max else np.int64
-
-
-def _csr_bytes(n_rows: int, n_cols: int, nnz: int) -> int:
-    """Bytes of a float64 CSR array: values, column indices and row pointers."""
-    index = np.dtype(_index_dtype(n_rows, n_cols, nnz)).itemsize
-    return (8 + index) * nnz + index * (n_rows + 1)
-
-
 def _keeps_factors(n_vertices: int, n_edges: int, n_types: int) -> bool:
     """Whether the discordance stays factored: when the factors' 2CE
     nonzeros, at about three times the cost of a dense entry, are fewer
@@ -80,7 +71,10 @@ def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
     each vertex's own features and ``differ`` (a row per feature, a column
     per vertex) the same features under each of the other C - 1 types, so
     ``agree @ differ`` counts the shared out- and in-neighbours whose edge
-    types differ.  The factors hold 2E and 2E(C - 1) ones; nothing
+    types differ.  ``agree`` is the network's
+    :attr:`~rsm.network.TypedNetwork._type_operator` with its rows regrouped
+    by vertex, so this call builds that operator if nothing has yet, and the
+    network keeps it.  The factors hold 2E and 2E(C - 1) ones; nothing
     cancels, so every entry is an exact integer of at most 2(N - 2).
 
     A network with 6CE < N² is sparse enough that products through the
@@ -88,14 +82,16 @@ def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
     object with ``shape``, ``d @ v`` and ``toarray()``, which
     :func:`kmedoid_init` reads.  Any other network gets the all-pairs
     float64 array ``(agree @ differ).toarray()``.  The bytes of the chosen
-    form (the factors, and for the array its sparse product too) are
-    counted before anything is allocated: a ValueError naming N and that
-    size refuses a form that would not fit in the machine's physical
-    memory.
+    form are counted before anything is allocated: the operator, as CSR,
+    whether or not the network holds it already; the two factors; and for
+    the array, the sparse product and the array too.  A ValueError naming N
+    and that size refuses a form that would not fit in the machine's
+    physical memory.
     """
     n, c, e = net.n_vertices, net.n_types, len(net.src)
     factored = _keeps_factors(n, e, c)
-    size = _csr_bytes(n, 2 * c * n, 2 * e) + _csr_bytes(2 * c * n, n, 2 * e * (c - 1))
+    size = (_csr_bytes(2 * c * n, n, 2 * e) + _csr_bytes(n, 2 * c * n, 2 * e)
+            + _csr_bytes(2 * c * n, n, 2 * e * (c - 1)))
     if not factored:
         # the product, as CSR with at most N² entries, and the array
         size += _csr_bytes(n, n, n * n) + 8 * n * n
@@ -105,32 +101,27 @@ def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
 
 
 def _factors(net: TypedNetwork) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
-    """``agree`` and ``differ``, each written as CSR straight from the
-    row-major edge list and its column-major order.
+    """``agree``, the network's typed operator with its rows regrouped by
+    vertex, and ``differ``, written as CSR straight from the row-major edge
+    list and its column-major order.
 
-    Row i of ``agree`` holds, for each out-edge i -> j of type t, column
-    (t - 1) N + j, then for each in-edge h -> i of type t, column
-    (C + t - 1) N + h.  Row (t - 1) N + j of ``differ`` holds the h with an
-    edge h -> j whose type is not t, and row (C + t - 1) N + h the j with an
-    edge h -> j whose type is not t.
+    Row i of ``agree`` is the operator's 2C rows (half, i, t) side by side,
+    row (half, i, t) in the columns (half C + t) N to (half C + t + 1) N, so
+    it holds, for each out-edge i -> j of type t, column (t - 1) N + j, and
+    for each in-edge h -> i of type t, column (C + t - 1) N + h.  Row
+    (t - 1) N + j of ``differ`` holds the h with an edge h -> j whose type
+    is not t, and row (C + t - 1) N + h the j with an edge h -> j whose type
+    is not t.  Both keep 32-bit indices where the sizes allow, ``agree``
+    from the operator.
     """
     n, c, e = net.n_vertices, net.n_types, len(net.src)
     src, dst, types = net.src, net.dst, net.types
+    by_vertex = np.arange(2 * c * n).reshape(2, n, c).transpose(1, 0, 2).ravel()
+    agree = net._type_operator[by_vertex].reshape((n, 2 * c * n)).tocsr()
+
     by_dst = np.argsort(dst, kind="stable")
     out_degree = np.bincount(src, minlength=n)
     in_degree = np.bincount(dst, minlength=n)
-
-    # row i's out-edges fill its first out_degree[i] places, in edge-list
-    # order, and its in-edges the rest, in column-major order
-    index = _index_dtype(n, 2 * c * n, 2 * e)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(out_degree + in_degree, out=indptr[1:])
-    indices = np.empty(2 * e, dtype=index)
-    indices[np.arange(e) + (np.cumsum(in_degree) - in_degree)[src]] = (types - 1) * n + dst
-    indices[np.cumsum(out_degree)[dst[by_dst]] + np.arange(e)] = (
-        (c + types[by_dst] - 1) * n + src[by_dst])
-    agree = scipy.sparse.csr_array((np.ones(2 * e), indices, indptr), shape=(n, 2 * c * n))
-
     row_sizes = np.concatenate([
         in_degree - np.bincount((types - 1) * n + dst, minlength=c * n).reshape(c, n),
         out_degree - np.bincount((types - 1) * n + src, minlength=c * n).reshape(c, n)])

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, replace
 
 from . import medoids
-from .inference import FitConfig, _fit
+from .inference import FitConfig, _fit, _refuse_past_loop
 from .network import TypedNetwork, _count
 from .params import FitResult
 
@@ -54,10 +54,11 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     for bit.  ``config.priors`` must be None: the default priors are built
     per K.
 
-    The network's discordance (:func:`~rsm.medoids.distance_matrix`, two
-    sparse factors or, on a dense network, an all-pairs array) is built
-    once, here; every K's restarts pass it to
-    :func:`~rsm.medoids.kmedoid_init`.
+    The update loop of the largest K, the largest of them, is checked
+    against physical memory first, before anything is built or drawn.  The
+    network's discordance (:func:`~rsm.medoids.distance_matrix`, two sparse
+    factors or, on a dense network, an all-pairs array) is then built once,
+    here; every K's restarts pass it to :func:`~rsm.medoids.kmedoid_init`.
     """
     ks = sorted({_count(k, "n_clusters") for k in k_values})
     if not ks:
@@ -65,6 +66,7 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
     if config.priors is not None:
         raise ValueError("select_k builds priors per K; leave config.priors unset")
 
+    _refuse_past_loop(net, config.n_restarts, ks[-1])
     distances = medoids.distance_matrix(net)
     per_k: dict[int, FitResult] = {}
     failures: dict[int, str] = {}

@@ -13,6 +13,10 @@ before the sweep moved to sparse neighbour sums.  It shares the unchanged
 bound and mixing and presence updates with the package, so it checks the
 sparse ``xi`` update and responsibility sweep alone.
 
+:func:`agree_scatter` is the k-medoid discordance's ``agree`` factor as it
+was written before it was regrouped from the network's typed operator:
+scattered from the edge list, one row per vertex.
+
 :func:`structured_scenario` expands a structured scenario into its
 tables and subgraph labels entry by entry, to check
 :func:`rsm.generate.scenario_params`.
@@ -36,6 +40,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 from scipy.special import digamma as scipy_digamma
 
 from rsm import VariationalState, elbo, m_step_alpha, m_step_gamma
@@ -393,6 +398,33 @@ def neighbour_sums_loop(net, tau):
             if x[j, i]:
                 in_sums[i, (x[j, i] - 1) * k:x[j, i] * k] += tau[j]
     return out_sums, in_sums
+
+
+def agree_scatter(net):
+    """The discordance's ``agree`` factor (N x 2 C N) as
+    ``rsm.medoids._factors`` wrote it before it regrouped the network's
+    typed operator: CSR scattered straight from the row-major edge list and
+    its column-major order, with int64 indices.
+
+    Row i holds, for each out-edge i -> j of type t, column (t - 1) N + j,
+    in edge-list order, then for each in-edge h -> i of type t, column
+    (C + t - 1) N + h, in column-major order, so its columns need not
+    ascend.
+    """
+    n, c, e = net.n_vertices, net.n_types, len(net.src)
+    src, dst, types = net.src, net.dst, net.types
+    by_dst = np.argsort(dst, kind="stable")
+    out_degree = np.bincount(src, minlength=n)
+    in_degree = np.bincount(dst, minlength=n)
+    # row i's out-edges fill its first out_degree[i] places and its
+    # in-edges the rest
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(out_degree + in_degree, out=indptr[1:])
+    indices = np.empty(2 * e, dtype=np.int64)
+    indices[np.arange(e) + (np.cumsum(in_degree) - in_degree)[src]] = (types - 1) * n + dst
+    indices[np.cumsum(out_degree)[dst[by_dst]] + np.arange(e)] = (
+        (c + types[by_dst] - 1) * n + src[by_dst])
+    return scipy.sparse.csr_array((np.ones(2 * e), indices, indptr), shape=(n, 2 * c * n))
 
 
 def dense_fit(net, tau0, priors, max_iterations, epsilon_converge=1e-6):

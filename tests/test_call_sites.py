@@ -9,7 +9,10 @@ reaches ``elbo``, ``m_step_alpha`` and ``m_step_gamma`` through
 ``rsm.inference``: the first two once per iteration of its loop, whatever
 the number of restarts it runs in lockstep, and the last once per call.  A
 network is validated once, when it is built, so none of ``fit``,
-``fit_single`` and ``select_k`` calls ``validate_network``.
+``fit_single`` and ``select_k`` calls ``validate_network``.  A network
+builds its typed operator once, whatever reads it, and the file path
+(``generate``, ``eval``, loading, validating and writing a network) builds
+none.
 """
 
 import ast
@@ -19,18 +22,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rsm.cli
 import rsm.inference
 import rsm.medoids
 import rsm.network
 from rsm import (
     FitConfig,
     PriorHyperparams,
+    TypedNetwork,
     benchmark_scenario,
+    e_step,
     fit,
     fit_single,
     kmedoid_init,
+    m_step_pi,
     select_k,
 )
+from rsm.io import load_network, write_network_file
 
 
 def count_calls(monkeypatch, module, name):
@@ -69,6 +77,43 @@ def test_select_k_builds_the_discordance_matrix_once(monkeypatch, network):
     assert len(calls) == 1
     assert calls[0] == (network,)
     assert len(inits) == 12
+
+
+def count_builds(monkeypatch):
+    """Replace the builder of ``TypedNetwork._type_operator`` by a wrapper
+    that records the network of each call; returns the list of records."""
+    calls = []
+    build = TypedNetwork._type_operator.func
+
+    def counted(net):
+        calls.append(net)
+        return build(net)
+
+    monkeypatch.setattr(TypedNetwork._type_operator, "func", counted)
+    return calls
+
+
+def test_a_network_builds_its_operator_once(monkeypatch):
+    net = benchmark_scenario(1, 3).network
+    builds = count_builds(monkeypatch)
+    config = FitConfig(n_clusters=3, n_restarts=2, max_iterations=4, seed=0)
+    state = fit(net, config).state
+    select_k(net, range(1, 7), config)
+    e_step(net, state)
+    m_step_pi(net, state.tau, PriorHyperparams.jeffreys(net.n_subgraphs, 3, net.n_types))
+    assert builds == [net]
+
+
+def test_the_file_path_builds_no_operator(monkeypatch, tmp_path):
+    builds = count_builds(monkeypatch)
+    out = tmp_path / "sample"
+    assert rsm.cli.main(["generate", "--scenario", "1", "--seed", "0", "--out", str(out)]) == 0
+    labels = str(out / "true_labels.txt")
+    assert rsm.cli.main(["eval", labels, labels]) == 0
+    net = load_network(out / "network.txt", out / "partition.txt")
+    assert rsm.network.validate_network(net).ok
+    write_network_file(tmp_path / "copy.txt", net)
+    assert builds == []
 
 
 def test_fit_single_reaches_the_traced_updates(monkeypatch, network):

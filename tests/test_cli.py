@@ -366,10 +366,11 @@ class TestFitCommand:
         assert "has no vertices" in capsys.readouterr().err
 
     def test_network_too_large_for_memory_exits_one(self, tmp_path, capsys, monkeypatch):
-        # the discordance of these 10 vertices and 5 edges takes 448 bytes,
-        # as its factors (tests/test_medoids.py::TestMemoryRefusal); with
-        # one byte less of memory it is refused before it is built
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 447)
+        # the update loop of 5 restarts at K=3 on these 10 vertices and 5
+        # edges takes 18 284 bytes (tests/test_inference.py::TestLoopMemory),
+        # more than their discordance; with one byte less of memory the fit
+        # is refused before anything is built
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 18283)
         network = tmp_path / "network.txt"
         partition = tmp_path / "partition.txt"
         network.write_text("rsm v1 N=10 S=1 C=2\n1 2 1\n3 2 2\n4 5 1\n5 6 2\n6 4 2\n")
@@ -379,8 +380,8 @@ class TestFitCommand:
                      "--out", str(tmp_path / "run")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: the discordance matrix of a 10-vertex network takes 0.0 GiB "
-            "(448 bytes), more than the 0.0 GiB of physical memory\n")
+            "error: the update loop of R=5 restarts on N=10 vertices at K=3 takes "
+            "0.0 GiB (18284 bytes), more than the 0.0 GiB of physical memory\n")
         assert not (tmp_path / "run").exists()
 
     def test_network_without_vertices_is_refused_before_any_write(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ or multinomial counts.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,28 +248,51 @@ class TestSampleNetwork:
 
 
 class TestSampleMemory:
-    """``sample_network`` counts 48 bytes for each expected edge, gamma
-    times each block's ordered pairs, and passes them to the memory rule
-    before it draws anything."""
+    """``sample_network`` counts, for each expected edge (gamma times each
+    block's ordered pairs), 48 bytes of edge list and its copy, and for each
+    edge of the type step's largest chunk, at most 2**20, (24 + 8 C) bytes
+    of temporaries, and passes the sum to the memory rule before it draws
+    anything."""
 
     # 2 x 4 vertices: 12 ordered pairs in each diagonal block and 16 in each
-    # other, so 0.5 * 24 + 0.25 * 32 = 20 expected edges
+    # other, so 0.5 * 24 + 0.25 * 32 = 20 expected edges, all in one chunk;
+    # one type, so 48 + 24 + 8 = 80 bytes each
     params = RsmParams(alpha=[[1.0], [1.0]], gamma=[[0.5, 0.25], [0.25, 0.5]], pi=[[[1.0]]])
     sub = np.repeat([0, 1], 4)
 
     def test_accepted_at_the_exact_figure_and_refused_a_byte_below(self, monkeypatch):
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 20 * 48)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 20 * 80)
         assert sample_network(self.params, self.sub, 0).network.n_vertices == 8
 
         def unreachable(*args, **kwargs):
             raise AssertionError("the sample was drawn past the rule")
 
         monkeypatch.setattr(rsm.generate, "_draw", unreachable)
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 20 * 48 - 1)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 20 * 80 - 1)
         with pytest.raises(ValueError, match="^" + re.escape(
-                "a sample of about 20 edges on 8 vertices takes 0.0 GiB (960 bytes), "
+                "a sample of about 20 edges on 8 vertices takes 0.0 GiB (1600 bytes), "
                 "more than the 0.0 GiB of physical memory")):
             sample_network(self.params, self.sub, 0)
+
+    def test_the_peak_stays_under_the_count(self, monkeypatch):
+        # the files benchmark's shape: 3 x 1000 vertices, about 30 000
+        # edges, three types; the count is (48 + 48) bytes per edge
+        params = RsmParams(alpha=np.full((3, 3), 1 / 3),
+                           gamma=np.where(np.eye(3, dtype=bool), 0.006, 0.002),
+                           pi=np.full((3, 3, 3), 1 / 3))
+        counted = []
+        refuse = rsm.generate._refuse_past_memory
+        monkeypatch.setattr(rsm.generate, "_refuse_past_memory",
+                            lambda size, what: counted.append(size) or refuse(size, what))
+        tracemalloc.start()
+        try:
+            sample = sample_network(params, np.repeat([0, 1, 2], 1000), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 29_000 < len(sample.network.src) < 31_000
+        assert counted == [pytest.approx(96 * 29_982, abs=1)]
+        assert peak < counted[0]
 
     def test_refuses_before_drawing(self, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -278,8 +302,8 @@ class TestSampleMemory:
         monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 2 ** 30)
         params = RsmParams(alpha=[[1.0]], gamma=[[1.0]], pi=[[[1.0]]])
         with pytest.raises(ValueError, match=re.escape(
-                "a sample of about 9999900000 edges on 100000 vertices takes 447.0 GiB "
-                "(479995200000 bytes), more than the 1.0 GiB of physical memory")):
+                "a sample of about 9999900000 edges on 100000 vertices takes 447.1 GiB "
+                "(480028754432 bytes), more than the 1.0 GiB of physical memory")):
             sample_network(params, np.zeros(100_000, dtype=int), 0)
 
 

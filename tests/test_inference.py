@@ -17,6 +17,7 @@ import oracles
 from builders import dense_inputs, random_instance, random_state, random_tau, refused
 
 import rsm.inference
+import rsm.medoids
 import rsm.network
 from rsm import (
     FitConfig,
@@ -36,6 +37,7 @@ from rsm import (
     m_step_gamma,
     m_step_pi,
     sample_network,
+    select_k,
 )
 
 
@@ -252,21 +254,28 @@ class TestFitSingle:
 
 
 class TestLoopMemory:
-    """``fit_single`` counts the bytes of its loop's live float64 arrays and
-    passes them to the memory rule before it builds anything."""
+    """``fit_single`` counts the bytes of its loop's live arrays and passes
+    them to the memory rule before it builds anything; ``fit`` and
+    ``select_k`` apply the same rule before they build the discordance or
+    draw a start."""
 
     @staticmethod
     def loop_bytes(r, n, k, c, e):
-        # taus, scores, exponentials and new taus; the out- and in-neighbour
-        # sums, with their transposed copy when R > 1; five xi stacks; and
-        # the operator's 2E entries
-        return 8 * (4 * r * n * k + 2 * r * n * c * k * (1 + (r > 1))
-                    + 5 * r * k * k * c + 2 * e)
+        # float64 taus, scores, exponentials and new taus; the out- and
+        # in-neighbour sums, with their transposed copy when R > 1; five xi
+        # stacks; and the typed operator as CSR: 2E float64 values with
+        # int32 column indices, and 2CN + 1 int32 row pointers
+        return (8 * (4 * r * n * k + 2 * r * n * c * k * (1 + (r > 1))
+                     + 5 * r * k * k * c) + 12 * 2 * e + 4 * (2 * c * n + 1))
+
+    @staticmethod
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work was done past the rule")
 
     @pytest.mark.parametrize("n_restarts", [1, 2])
     def test_accepted_at_the_exact_figure_and_refused_a_byte_below(
             self, monkeypatch, n_restarts):
-        net = demo_sample().network
+        net, fresh = demo_sample().network, demo_sample().network
         priors = PriorHyperparams.jeffreys(2, 3, 3)
         starts = np.stack([kmedoid_init(distance_matrix(net), 3, seed=r)
                            for r in range(n_restarts)])
@@ -275,24 +284,35 @@ class TestLoopMemory:
         monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size)
         fit_single(net, tau0, priors, max_iterations=2)
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the loop was built past the rule")
+        # a fresh network, whose operator is not built yet, is counted alike
+        # and refused before the operator or the loop is built
+        monkeypatch.setattr(TypedNetwork._type_operator, "func", self.unreachable)
+        monkeypatch.setattr(rsm.inference, "_lockstep", self.unreachable)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size - 1)
+        for refused_net in (net, fresh):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"the update loop of R={n_restarts} restarts on N=30 vertices at K=3 "
+                    f"takes 0.0 GiB ({size} bytes), more than the 0.0 GiB of physical "
+                    "memory")):
+                fit_single(refused_net, tau0, priors, max_iterations=2)
 
-        monkeypatch.setattr(rsm.inference, "_type_operator", unreachable)
+    @pytest.mark.parametrize("entry", ["fit", "select_k"])
+    def test_fit_and_select_k_are_refused_before_any_work(self, monkeypatch, entry):
+        # select_k checks the loop of its largest K, the largest loop
+        net = demo_sample().network
+        size = self.loop_bytes(5, 30, 4, 3, len(net.src))
+        for module, name in ((rsm.medoids, "distance_matrix"),
+                             (rsm.inference, "kmedoid_init"),
+                             (rsm.inference, "fit_single")):
+            monkeypatch.setattr(module, name, self.unreachable)
         monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size - 1)
         with pytest.raises(ValueError, match="^" + re.escape(
-                f"the update loop of R={n_restarts} restarts on N=30 vertices at K=3 "
+                f"the update loop of R=5 restarts on N=30 vertices at K=4 "
                 f"takes 0.0 GiB ({size} bytes), more than the 0.0 GiB of physical memory")):
-            fit_single(net, tau0, priors, max_iterations=2)
-
-    def test_fit_is_refused_through_its_loop(self, monkeypatch):
-        net = demo_sample().network
-        size = self.loop_bytes(5, 30, 3, 3, len(net.src))
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size - 1)
-        with pytest.raises(ValueError, match=re.escape(
-                f"the update loop of R=5 restarts on N=30 vertices at K=3 "
-                f"takes 0.0 GiB ({size} bytes)")):
-            fit(net, FitConfig(n_clusters=3))
+            if entry == "fit":
+                fit(net, FitConfig(n_clusters=4))
+            else:
+                select_k(net, [2, 4, 1], FitConfig(n_clusters=1))
 
 
 class TestUpdatesRejectInvalidNetworks:

@@ -111,33 +111,41 @@ class TestInitDistance:
 
 class TestMemoryRefusal:
     """The guard counts the bytes of the form :func:`distance_matrix`
-    returns, from N, E and C alone, before anything is built."""
+    returns, and of the network's typed operator, from N, E and C alone,
+    before anything is built.  The operator is counted whether or not the
+    network holds it already, so a refusal does not depend on which call
+    came first."""
 
     def test_the_factors_count_their_values_and_indices(self, monkeypatch):
-        # N=10, C=2, E=5 keeps the factors (6CE = 60 < N² = 100).  agree:
-        # 2E = 10 values and int32 indices and 11 row pointers, 12 * 10 +
-        # 4 * 11 = 164 bytes; differ: 2E(C - 1) = 10 entries and 2CN + 1 =
-        # 41 row pointers, 12 * 10 + 4 * 41 = 284 bytes
-        net = sparse_net()
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 448)
-        assert isinstance(distance_matrix(net), rsm.medoids._Factored)
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 447)
-        with pytest.raises(ValueError, match=re.escape(
-                "the discordance matrix of a 10-vertex network takes 0.0 GiB "
-                "(448 bytes), more than the 0.0 GiB of physical memory")):
-            distance_matrix(net)
+        # N=10, C=2, E=5 keeps the factors (6CE = 60 < N² = 100).  The
+        # operator: 2E = 10 values and int32 indices and 2CN + 1 = 41 row
+        # pointers, 12 * 10 + 4 * 41 = 284 bytes; agree: 10 entries and 11
+        # row pointers, 12 * 10 + 4 * 11 = 164 bytes; differ: 2E(C - 1) = 10
+        # entries and 41 row pointers, 284 bytes
+        for built in (False, True):
+            net = sparse_net()
+            if built:
+                net._type_operator
+            monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 731)
+            with pytest.raises(ValueError, match=re.escape(
+                    "the discordance matrix of a 10-vertex network takes 0.0 GiB "
+                    "(732 bytes), more than the 0.0 GiB of physical memory")):
+                distance_matrix(net)
+            monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 732)
+            assert isinstance(distance_matrix(net), rsm.medoids._Factored)
 
     def test_the_array_counts_the_product_and_the_array_too(self, monkeypatch):
-        # N=10, C=10, E=90 takes the array.  agree: 12 * 180 + 4 * 11 =
-        # 2204 bytes; differ: 12 * 1620 + 4 * 201 = 20244; their product as
-        # CSR with at most N² entries, 12 * 100 + 4 * 11 = 1244; the array 800
+        # N=10, C=10, E=90 takes the array.  The operator: 12 * 180 + 4 *
+        # 201 = 2964 bytes; agree: 12 * 180 + 4 * 11 = 2204; differ: 12 *
+        # 1620 + 4 * 201 = 20244; their product as CSR with at most N²
+        # entries, 12 * 100 + 4 * 11 = 1244; the array 800
         net = distinct_rows_net(10)
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 24492)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 27456)
         assert isinstance(distance_matrix(net), np.ndarray)
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 24491)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 27455)
         with pytest.raises(ValueError, match=re.escape(
                 "the discordance matrix of a 10-vertex network takes 0.0 GiB "
-                "(24492 bytes), more than the 0.0 GiB of physical memory")):
+                "(27456 bytes), more than the 0.0 GiB of physical memory")):
             distance_matrix(net)
 
     @pytest.mark.parametrize("net", [sparse_net(), distinct_rows_net(10)],
@@ -147,6 +155,7 @@ class TestMemoryRefusal:
             raise AssertionError("the factors were built past the guard")
 
         monkeypatch.setattr(rsm.medoids, "_factors", unreachable)
+        monkeypatch.setattr(TypedNetwork._type_operator, "func", unreachable)
         monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 100)
         with pytest.raises(ValueError, match="more than the 0.0 GiB of physical memory"):
             distance_matrix(net)
@@ -386,17 +395,43 @@ def assert_same_labels_from_any_copy(d, n_clusters, seed):
 
 
 @st.composite
-def networks_of_any_density(draw, max_vertices=12):
+def networks_of_any_density(draw, max_vertices=12, max_types=4):
     """Networks from no edges to every pair, so that both forms of the
     discordance occur, with up to three subgraphs, some of them empty."""
     n = draw(st.integers(0, max_vertices))
-    n_types = draw(st.integers(1, 4))
+    n_types = draw(st.integers(1, max_types))
     n_subgraphs = draw(st.integers(1, 3))
     density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = np.where(rng.random((n, n)) < density, rng.integers(1, n_types + 1, size=(n, n)), 0)
     labels = draw(arrays(np.int64, n, elements=st.integers(0, n_subgraphs - 1)))
     return TypedNetwork(x, labels, n_types=n_types, n_subgraphs=n_subgraphs)
+
+
+class TestDerivedAgree:
+    """``agree``, the network's typed operator with its rows regrouped by
+    vertex, is the matrix that the edge-list scatter of
+    ``oracles.agree_scatter`` builds, and the discordance in either form
+    multiplies as that reference's factors do.  Every product adds exact
+    integers, so the order of the columns within a row does not show."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks_of_any_density(max_vertices=10, max_types=6), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_scatter(self, net, width, seed):
+        reference = oracles.agree_scatter(net)
+        agree, differ = rsm.medoids._factors(net)
+        assert agree.shape == reference.shape
+        assert agree.indices.dtype == agree.indptr.dtype == np.int32
+        assert (agree != reference).nnz == 0
+        v = np.random.default_rng(seed).integers(0, 2, size=(net.n_vertices, width))
+        expected = reference @ (differ @ v.astype(np.float64))
+        for keep in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rsm.medoids, "_keeps_factors", lambda *_: keep)
+                d = distance_matrix(net)
+            assert isinstance(d, rsm.medoids._Factored) is keep
+            np.testing.assert_array_equal(d @ v.astype(np.float64), expected)
 
 
 class TestFactoredForm:

@@ -43,7 +43,7 @@ from rsm import (
     fit_single,
     m_step_pi,
 )
-from rsm.inference import _neighbour_sums, _normalize_scores, _type_operator
+from rsm.inference import _neighbour_sums, _normalize_scores
 from rsm.params import log_dirichlet_norm
 
 RTOL = 1e-12
@@ -138,11 +138,10 @@ class TestAgainstLoopReferences:
         others = [draw.draw(arrays(np.float64, tau.shape, elements=st.floats(0.0, 1.0)))
                   for _ in range(n_restarts - 1)]
         taus = np.stack([tau, *others])
-        op = _type_operator(net)
         expected = [oracles.neighbour_sums_loop(net, one) for one in taus]
         # one N x K tau, and a stack of R = 1 to 3 of them
-        single = _neighbour_sums(op, tau, net.n_types)
-        stacked = _neighbour_sums(op, taus, net.n_types)
+        single = _neighbour_sums(net, tau)
+        stacked = _neighbour_sums(net, taus)
         pairs = [(single, expected[0])] + [((stacked[0][r], stacked[1][r]), expected[r])
                                            for r in range(n_restarts)]
         for mine, theirs in pairs:
