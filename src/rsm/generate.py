@@ -77,7 +77,9 @@ def labels_from_sizes(sizes, n_subgraphs: int) -> np.ndarray:
     ``sizes`` must be a vector of ``n_subgraphs`` nonnegative integers.
     Another shape, a fraction and a negative size are refused with a
     ValueError naming ``subgraph_sizes``; a value that is not a number
-    fails numpy's conversion to float.
+    fails numpy's conversion to float.  Labels whose 8 N bytes would take
+    more than physical memory are refused with a ValueError before they
+    are allocated.
     """
     n_subgraphs = _count(n_subgraphs, "n_subgraphs")
     sizes = np.asarray(sizes, dtype=np.float64)
@@ -87,6 +89,8 @@ def labels_from_sizes(sizes, n_subgraphs: int) -> np.ndarray:
     sizes = _int_vector(sizes, "subgraph_sizes")
     if np.any(sizes < 0):
         raise ValueError(f"subgraph_sizes must be nonnegative, got {sizes.min()}")
+    n = sum(sizes.tolist())
+    _refuse_past_memory(8 * n, f"the subgraph labels of {n} vertices")
     return np.repeat(np.arange(n_subgraphs), sizes)
 
 

@@ -16,10 +16,11 @@ one sparse operator, the network's
 from its edge list once and keeps, so an iteration costs O(E K + N K^2 C)
 and no all-pairs array is formed.  The operator's rows are ordered (half,
 vertex, type), so for one tau its product already is the N x (C K) out-
-and in-sums.  The sweep normalizes each vertex's scores with a max and a
-sum taken column by column, the sum in the order of numpy's pairwise
-reduction, so each row gets the bits a reduction over the last axis would
-give at a fraction of its cost for small K.  The k-medoid discordance
+and in-sums.  The sweep normalizes each vertex's scores with a max taken
+column by column, and below 8 clusters with a sum taken so too, in the
+order numpy's reduction over the last axis uses there; from 8 clusters up
+the sum is that reduction.  Each row gets the bits the reduction would
+give, at a fraction of its cost for small K.  The k-medoid discordance
 (:func:`rsm.medoids.distance_matrix`) is kept as two sparse factors, one
 of them that same operator with its rows regrouped by vertex, and becomes
 an all-pairs array only on a network dense enough for the array to be its
@@ -266,42 +267,21 @@ _NONFINITE_SCORES = "non-finite responsibility scores; hyperparameters are corru
 def _normalize_scores(scores: np.ndarray) -> np.ndarray:
     """Rows of finite log scores turned into probability vectors.
 
-    Each row's max and sum are taken column by column, which at small K is
-    far cheaper than a reduction over the last axis, and the sum adds the
-    columns in the order that reduction uses (:func:`_column_sum`), so
-    every bit is the same."""
+    Each row's max is taken column by column, which at small K is far
+    cheaper than a reduction over the last axis and gives the same bits.
+    Below 8 columns the sum is one running sum, numpy's own order there;
+    from 8 up it is numpy's reduction over the last axis."""
+    k = scores.shape[-1]
     top = scores[..., 0].copy()
-    for j in range(1, scores.shape[-1]):
+    for j in range(1, k):
         np.maximum(top, scores[..., j], out=top)
     ex = np.exp(scores - top[..., None])
-    return ex / _column_sum(ex, 0, ex.shape[-1])[..., None]
-
-
-def _column_sum(ex: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Sum of columns ``lo..hi - 1`` of ``ex``, added in the order of
-    numpy's pairwise sum, which a reduction over a contiguous last axis
-    uses: below 8 columns one running sum; up to 128 columns eight
-    interleaved running sums, combined pairwise, then the columns left
-    over one by one; above 128 the two halves, split at a multiple of 8,
-    each summed so."""
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _column_sum(ex, lo, lo + half) + _column_sum(ex, lo + half, hi)
-    if n < 8:
-        total = ex[..., lo].copy()
-        rest = range(lo + 1, hi)
-    else:
-        lanes = [ex[..., lo + j].copy() for j in range(8)]
-        for i in range(lo + 8, hi - n % 8, 8):
-            for j, lane in enumerate(lanes):
-                lane += ex[..., i + j]
-        total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                 + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-        rest = range(hi - n % 8, hi)
-    for j in rest:
+    if k >= 8:
+        return ex / ex.sum(axis=-1, keepdims=True)
+    total = ex[..., 0].copy()
+    for j in range(1, k):
         total += ex[..., j]
-    return total
+    return ex / total[..., None]
 
 
 def e_step(net: TypedNetwork, state: VariationalState) -> np.ndarray:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .generate import labels_from_sizes
 from .inference import FitConfig
-from .network import TypedNetwork, _int_vector, _refuse_outside
+from .network import TypedNetwork, _int_vector, _refuse_outside, _row_order
 from .params import FitResult, RsmParams
 from .selection import SelectionResult
 
@@ -194,8 +194,8 @@ def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
     # a repeated key is blamed on its later line; whether the earlier line
     # passes cannot move the earliest bad line, as it would be earlier still.
     # Keys that strictly increase, as in a row-major file, repeat none.
-    if not _increasing(columns[:key]):
-        order = np.lexsort(columns[key - 1::-1])
+    order = _row_order(columns[:key])
+    if order is not None:
         keys = columns[:key, order]
         bad[order[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]] = True
     if bad.any():
@@ -212,15 +212,6 @@ def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
         _fail(path, first + first_bad, f"non-integer field in {line!r}")
     message = next((m for m, test in rules if test(*named.values())), repeated)
     _fail(path, first + first_bad, message.format(**named))
-
-
-def _increasing(keys: np.ndarray) -> bool:
-    """Whether the rows of ``keys``, one column per line, strictly increase
-    in lexicographic order."""
-    after = keys[-1, 1:] > keys[-1, :-1]
-    for column in keys[-2::-1]:
-        after = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & after)
-    return bool(after.all())
 
 
 # bytes tokenized at a time, cut back to a line end, so that the

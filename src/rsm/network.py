@@ -130,6 +130,16 @@ def _refuse_first(src: np.ndarray, dst: np.ndarray, bad: np.ndarray, what: str) 
         raise ValueError(f"edge ({src[e]}, {dst[e]}) {what}")
 
 
+def _row_order(keys) -> np.ndarray | None:
+    """None when the rows of ``keys``, one column per key field, most
+    significant first, strictly increase in lexicographic order, as in a
+    row-major edge list; otherwise their stable order by ``np.lexsort``."""
+    after = keys[-1][1:] > keys[-1][:-1]
+    for column in keys[-2::-1]:
+        after = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & after)
+    return None if after.all() else np.lexsort(keys[::-1])
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class TypedNetwork:
     """A directed network whose present edges carry a categorical type.
@@ -212,9 +222,8 @@ class TypedNetwork:
         _refuse_first(src, dst, (src < 0) | (src >= n) | (dst < 0) | (dst >= n),
                       f"has a vertex outside 0..{n - 1}")
         _refuse_first(src, dst, src == dst, "is a self-loop")
-        later = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))
-        if not later.all():
-            order = np.lexsort((dst, src))
+        order = _row_order((src, dst))
+        if order is not None:
             src, dst, types = src[order], dst[order], types[order]
             _refuse_first(src[1:], dst[1:], (src[1:] == src[:-1]) & (dst[1:] == dst[:-1]),
                           "is listed twice")

@@ -107,6 +107,26 @@ class TestGenerate:
         assert net.n_vertices == 12
         assert net.n_types == 2
 
+    def test_params_for_a_trillion_vertices_exit_one_before_the_labels(
+            self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the labels were allocated past the memory rule")
+
+        monkeypatch.setattr(np, "repeat", unreachable)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 2 ** 30)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"alpha": [[1.0]], "gamma": [[0.5]],
+                                           "pi": [[[1.0]]], "subgraph_sizes": [10 ** 12]}))
+        out = tmp_path / "data"
+        code = main(["generate", "--params", str(params_path), "--seed", "0",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {params_path}:1: the subgraph labels of 1000000000000 vertices "
+            "takes 7450.6 GiB (8000000000000 bytes), more than the 1.0 GiB of "
+            "physical memory\n")
+        assert not out.exists()
+
     def test_scenario_and_params_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["generate", "--scenario", "1", "--params", "p.json",

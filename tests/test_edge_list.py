@@ -11,6 +11,7 @@ could give, naming the pair.
 
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,24 @@ class TestFromEdges:
     def test_refusals_name_the_pair(self, src, dst, types, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             TypedNetwork.from_edges(3, src, dst, types, [0, 0, 0], 2, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), min_size=1, max_size=20),
+        st.lists(st.integers(0, 20), min_size=1, max_size=4))),
+        st.randoms(use_true_random=False))
+    def test_a_repeat_names_the_smallest_repeated_pair(self, data, random):
+        n, edges, again = data
+        # list some pairs a second or third time, then shuffle the whole list
+        edges = edges + [edges[i % len(edges)] for i in again]
+        random.shuffle(edges)
+        first = min(e for e, count in Counter(edges).items() if count > 1)
+        src, dst = map(list, zip(*edges))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"edge ({first[0]}, {first[1]}) is listed twice") + "$"):
+            TypedNetwork.from_edges(n, src, dst, [1] * len(edges), [0] * n, 1, 1)
 
     def test_refuses_bad_sizes_and_labels(self):
         with pytest.raises(ValueError, match="subgraph_of must be a length-3 vector"):

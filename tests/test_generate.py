@@ -27,6 +27,7 @@ from rsm import (
     sample_network,
     scenario_params,
 )
+from rsm.generate import labels_from_sizes
 
 
 class TestScenarioParams:
@@ -305,6 +306,31 @@ class TestSampleMemory:
                 "a sample of about 9999900000 edges on 100000 vertices takes 447.1 GiB "
                 "(480028754432 bytes), more than the 1.0 GiB of physical memory")):
             sample_network(params, np.zeros(100_000, dtype=int), 0)
+
+
+class TestLabelsMemory:
+    """``labels_from_sizes`` passes the 8 N bytes of its labels to the
+    memory rule before it allocates them."""
+
+    def test_accepted_at_the_exact_figure_and_refused_a_byte_below(self, monkeypatch):
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 8 * 6)
+        assert labels_from_sizes([2, 0, 4], 3).tolist() == [0, 0, 2, 2, 2, 2]
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 8 * 6 - 1)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "the subgraph labels of 6 vertices takes 0.0 GiB (48 bytes), "
+                "more than the 0.0 GiB of physical memory")):
+            labels_from_sizes([2, 0, 4], 3)
+
+    def test_refuses_before_allocating(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the labels were allocated past the rule")
+
+        monkeypatch.setattr(np, "repeat", unreachable)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 2 ** 30)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "the subgraph labels of 1000000000000 vertices takes 7450.6 GiB "
+                "(8000000000000 bytes), more than the 1.0 GiB of physical memory")):
+            labels_from_sizes([10 ** 12], 1)
 
 
 # A three-subgraph, two-cluster, three-type model on 14 vertices whose
