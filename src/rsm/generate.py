@@ -70,17 +70,11 @@ def scenario_params(alpha, type_probs_within, type_probs_between,
     return params, labels_from_sizes(subgraph_sizes, params.n_subgraphs)
 
 
-def labels_from_sizes(sizes, n_subgraphs: int) -> np.ndarray:
-    """Contiguous subgraph labels: the first ``sizes[0]`` vertices in
-    subgraph 0, the next ``sizes[1]`` in subgraph 1, and so on.
-
-    ``sizes`` must be a vector of ``n_subgraphs`` nonnegative integers.
+def _sizes(sizes, n_subgraphs: int) -> np.ndarray:
+    """``sizes`` as an int64 vector of ``n_subgraphs`` nonnegative sizes.
     Another shape, a fraction and a negative size are refused with a
     ValueError naming ``subgraph_sizes``; a value that is not a number
-    fails numpy's conversion to float.  Labels whose 8 N bytes would take
-    more than physical memory are refused with a ValueError before they
-    are allocated.
-    """
+    fails numpy's conversion to float."""
     n_subgraphs = _count(n_subgraphs, "n_subgraphs")
     sizes = np.asarray(sizes, dtype=np.float64)
     if sizes.ndim != 1 or sizes.shape[0] != n_subgraphs:
@@ -89,9 +83,22 @@ def labels_from_sizes(sizes, n_subgraphs: int) -> np.ndarray:
     sizes = _int_vector(sizes, "subgraph_sizes")
     if np.any(sizes < 0):
         raise ValueError(f"subgraph_sizes must be nonnegative, got {sizes.min()}")
+    return sizes
+
+
+def labels_from_sizes(sizes, n_subgraphs: int) -> np.ndarray:
+    """Contiguous subgraph labels: the first ``sizes[0]`` vertices in
+    subgraph 0, the next ``sizes[1]`` in subgraph 1, and so on.
+
+    ``sizes`` must be a vector of ``n_subgraphs`` nonnegative integers, as
+    :func:`_sizes` checks.  Labels whose 8 N bytes would take more than
+    physical memory are refused with a ValueError before they are
+    allocated.
+    """
+    sizes = _sizes(sizes, n_subgraphs)
     n = sum(sizes.tolist())
     _refuse_past_memory(8 * n, f"the subgraph labels of {n} vertices")
-    return np.repeat(np.arange(n_subgraphs), sizes)
+    return np.repeat(np.arange(sizes.size), sizes)
 
 
 def sample_network(params: RsmParams, subgraph_of: np.ndarray,

@@ -17,36 +17,35 @@ are positive and fit in int64.
 
 Each format is a list of rules over its int64 columns, checked on all lines
 at once; the earliest bad line is reported with its number and the first
-rule it breaks.  The columns are read from the file's bytes in a few numpy
-passes over one block of lines at a time when the text holds only ASCII
-digits, spaces, tabs, CR and LF, and no token of more than 18 digits.  Any
-other text (a sign, ``_``, ``\\x0b`` or ``\\x0c``, a non-ASCII digit, a
-value that may not fit in int64), in any block, sends the whole text to
-``str.split`` and ``int`` instead, under the same rules and messages.  Edge
-and label lines are formatted and written a chunk of lines at a time.  So
-the temporaries of a read or a write are one block's or one chunk's beside
-the text and the columns.  :func:`load_network` builds the network with
-:meth:`~rsm.network.TypedNetwork.from_edges`, so reading costs grow with
-the number of lines; no N x N array is built.
+rule it breaks.  The columns are read from the open file by numpy's own
+reader, ``np.loadtxt``, which reads only what ``str.split`` and ``int``
+read and refuses the rest.  When it refuses a file (a ``_``, a non-ASCII
+digit, a value past int64, a line of another width, no lines at all), or
+its columns break a rule, the text is read whole and ``str.split`` and
+``int`` find the earliest bad line and its message.  So a read that passes
+never holds the text, only the columns.  Edge and label lines are
+formatted and written a chunk of lines at a time.  :func:`load_network`
+builds the network with :meth:`~rsm.network.TypedNetwork.from_edges`, so
+reading costs grow with the number of lines; no N x N array is built.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .generate import labels_from_sizes
+from .generate import _sizes, labels_from_sizes
 from .inference import FitConfig
 from .network import TypedNetwork, _int_vector, _refuse_outside, _row_order
 from .params import FitResult, RsmParams
 from .selection import SelectionResult
 
 _HEADER_RE = re.compile(r"^rsm v1 N=(\d+) S=(\d+) C=(\d+)$")
-# what str.lstrip strips: \s matches the characters str.isspace accepts
-_LEADING_SPACE_RE = re.compile(r"\s*")
 _INT64_MAX = 2 ** 63 - 1
 
 
@@ -122,87 +121,124 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.n
     self-loop, type in ``1..C``, and no pair listed on an earlier line.
     A header whose N does not fit in int64 is refused.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    # the header is the first non-blank line; the edge lines follow it, and
-    # are read in place rather than from a copy of the text after it
-    at = _LEADING_SPACE_RE.match(text).end()
-    lineno = text.count("\n", 0, at) + 1
-    end = text.find("\n", at)
-    end = len(text) if end < 0 else end
-    header = text[at:end].strip()
-    if not header:
-        _fail(path, 1, "missing header line 'rsm v1 N=<n> S=<s> C=<c>'")
-    match = _HEADER_RE.match(header)
-    if match is None:
-        _fail(path, lineno, f"bad header {header!r}, expected 'rsm v1 N=<n> S=<s> C=<c>'")
-    n, s, c = (int(g) for g in match.groups())
-    if s < 1 or c < 1:
-        _fail(path, lineno, f"S and C must be >= 1, got S={s} C={c}")
-    if n > _INT64_MAX:
-        _fail(path, lineno, f"N={n} outside 0..{_INT64_MAX}")
-    src, dst, typ = _read_rows(path, text, ("src", "dst", "type"), [
-        (f"source vertex {{src}} outside 1..{n}", lambda i, j, t: (i < 1) | (i > n)),
-        (f"destination vertex {{dst}} outside 1..{n}", lambda i, j, t: (j < 1) | (j > n)),
-        ("self-loops are not allowed", lambda i, j, t: i == j),
-        (f"edge type {{type}} outside 1..{c}", lambda i, j, t: (t < 1) | (t > c)),
-    ], "duplicate edge {src} -> {dst}", key=2, first=lineno + 1, start=end + 1)
+    with _utf8_lines(path) as lines:
+        # the header is the first non-blank line; the edge lines follow it
+        lineno, header = 1, lines.readline()
+        while header and not header.strip():
+            lineno, header = lineno + 1, lines.readline()
+        header = header.strip()
+        if not header:
+            _fail(path, 1, "missing header line 'rsm v1 N=<n> S=<s> C=<c>'")
+        match = _HEADER_RE.match(header)
+        if match is None:
+            _fail(path, lineno, f"bad header {header!r}, expected 'rsm v1 N=<n> S=<s> C=<c>'")
+        n, s, c = (int(g) for g in match.groups())
+        if s < 1 or c < 1:
+            _fail(path, lineno, f"S and C must be >= 1, got S={s} C={c}")
+        if n > _INT64_MAX:
+            _fail(path, lineno, f"N={n} outside 0..{_INT64_MAX}")
+        src, dst, typ = _read_rows(path, lines, ("src", "dst", "type"), [
+            (f"source vertex {{src}} outside 1..{n}", lambda i, j, t: (i < 1) | (i > n)),
+            (f"destination vertex {{dst}} outside 1..{n}", lambda i, j, t: (j < 1) | (j > n)),
+            ("self-loops are not allowed", lambda i, j, t: i == j),
+            (f"edge type {{type}} outside 1..{c}", lambda i, j, t: (t < 1) | (t > c)),
+        ], "duplicate edge {src} -> {dst}", key=2, first=lineno + 1)
     return n, s, c, src - 1, dst - 1, typ
 
 
-def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
-               key: int = 1, first: int = 1, start: int = 0) -> np.ndarray:
-    """The non-blank lines of ``text[start:]``, which starts on line
-    ``first`` of ``path``, as int64 columns, one per name in ``fields``.
+@contextmanager
+def _utf8_lines(path):
+    """``path`` open as UTF-8 text with universal newlines, as
+    ``Path.read_text`` reads it.  A byte that is not UTF-8 is reported as
+    ``read_text`` reports it, at its position in the file rather than in
+    the chunk being decoded."""
+    try:
+        with open(path, encoding="utf-8") as lines:
+            yield lines
+    except UnicodeDecodeError:
+        Path(path).read_text(encoding="utf-8")
+        raise
 
-    Each line must hold one integer per field and pass every rule, a
-    ``(message, test)`` pair: ``test`` flags the lines that break the rule,
-    given the columns.  No two lines may share their first ``key`` fields;
-    the later line of a pair breaks ``repeated``.  All lines are checked
-    together, and the earliest bad line is reported with the first message
-    it earns, found by running the tests again on its Python ints.
-    Messages are format strings over the field names.
 
-    An ASCII text is encoded once and tokenized from ``start`` in place;
-    only the ``str.split`` path and an error report copy the lines out.
+def _loaded(lines, width: int) -> np.ndarray | None:
+    """The int64 columns numpy's reader reads from the rest of the open
+    text file ``lines``, or None when it refuses them, warns (no lines, or,
+    in older numpy, a fraction read into an int column), or reads a width
+    other than ``width``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return rows.T if rows.shape[1] == width else None
+
+
+def _first_bad(columns: np.ndarray, rules, key: int) -> int | None:
+    """The first row of ``columns`` that breaks a rule or repeats the first
+    ``key`` fields of another row, or None.
+
+    A repeated key is blamed on its later row; whether the earlier row
+    passes cannot move the first bad row, as it would be earlier still.
+    Keys that strictly increase, as in a row-major file, repeat none.
     """
-    tokens = _ascii_tokens(memoryview(text.encode("ascii"))[start:] if text.isascii()
-                           else text[start:])
-    if tokens is None:
-        text, start = text[start:], 0
-        counts = np.fromiter(map(len, map(str.split, text.split("\n"))), dtype=np.int64)
-    else:
-        counts, values = tokens
-    lines = np.flatnonzero(counts)
-    width = len(fields)
-    # Each step finds the earliest line breaking its rule and drops the
-    # lines from there on, so later steps see well-formed lines only.
-    first_bad = counts.size
-    wrong = np.flatnonzero(counts[lines] != width)
-    if wrong.size:
-        first_bad = lines[wrong[0]]
-        lines = lines[:wrong[0]]
-    # every line before first_bad holds width tokens
-    if tokens is None:
-        values = _integers(text.split()[:width * lines.size])
-    if values.size < width * lines.size:
-        first_bad = lines[values.size // width]
-        lines = lines[:values.size // width]
-    columns = values[:width * lines.size].reshape(-1, width).T
-    bad = np.zeros(lines.size, dtype=bool)
+    bad = np.zeros(columns.shape[1], dtype=bool)
     for _, test in rules:
         bad |= test(*columns)
-    # a repeated key is blamed on its later line; whether the earlier line
-    # passes cannot move the earliest bad line, as it would be earlier still.
-    # Keys that strictly increase, as in a row-major file, repeat none.
     order = _row_order(columns[:key])
     if order is not None:
         keys = columns[:key, order]
         bad[order[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]] = True
-    if bad.any():
-        first_bad = lines[np.argmax(bad)]
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _read_rows(path, lines, fields: tuple[str, ...], rules, repeated: str,
+               key: int = 1, first: int = 1) -> np.ndarray:
+    """The non-blank lines of the rest of the open text file ``lines``,
+    which starts on line ``first`` of ``path``, as int64 columns, one per
+    name in ``fields``.
+
+    Each line must hold one integer per field and pass every rule, a
+    ``(message, test)`` pair: ``test`` flags the lines that break the rule,
+    given the columns.  No two lines may share their first ``key`` fields;
+    the later line of a pair breaks ``repeated``.  The earliest bad line is
+    reported with the first message it earns, found by running the tests
+    again on its Python ints.  Messages are format strings over the field
+    names.
+
+    numpy's reader reads the lines straight from the file, and its columns
+    are returned when they pass every check.  Otherwise the text is read
+    from where it started, and ``str.split`` and ``int`` read it again and
+    find the earliest bad line; only this path reports one.
+    """
+    start = lines.tell()
+    columns = _loaded(lines, len(fields))
+    if columns is not None and _first_bad(columns, rules, key) is None:
+        return columns
+    lines.seek(start)
+    text = lines.read()
+    counts = np.fromiter(map(len, map(str.split, text.split("\n"))), dtype=np.int64)
+    rows = np.flatnonzero(counts)
+    width = len(fields)
+    # Each step finds the earliest line breaking its rule and drops the
+    # lines from there on, so later steps see well-formed lines only.
+    first_bad = counts.size
+    wrong = np.flatnonzero(counts[rows] != width)
+    if wrong.size:
+        first_bad = rows[wrong[0]]
+        rows = rows[:wrong[0]]
+    # every line before first_bad holds width tokens
+    values = _integers(text.split()[:width * rows.size])
+    if values.size < width * rows.size:
+        first_bad = rows[values.size // width]
+        rows = rows[:values.size // width]
+    columns = values[:width * rows.size].reshape(-1, width).T
+    bad = _first_bad(columns, rules, key)
+    if bad is not None:
+        first_bad = rows[bad]
     if first_bad == counts.size:
         return columns
-    line = text[start:].split("\n")[first_bad].strip()
+    line = text.split("\n")[first_bad].strip()
     parts = line.split()
     if len(parts) != width:
         _fail(path, first + first_bad, f"expected '{' '.join(fields)}', got {line!r}")
@@ -212,90 +248,6 @@ def _read_rows(path, text: str, fields: tuple[str, ...], rules, repeated: str,
         _fail(path, first + first_bad, f"non-integer field in {line!r}")
     message = next((m for m, test in rules if test(*named.values())), repeated)
     _fail(path, first + first_bad, message.format(**named))
-
-
-# bytes tokenized at a time, cut back to a line end, so that the
-# temporaries of a read are one block's whatever the length of the text
-_READ_BLOCK = 1 << 16
-
-
-def _blocks(data: np.ndarray):
-    """Yield ``(start, end)`` of consecutive pieces that cover ``data``.
-    A piece ends after the last LF in its first ``_READ_BLOCK`` bytes, or,
-    if they hold none, in the next ``_READ_BLOCK`` bytes, and so on; the
-    last piece ends with ``data``."""
-    at = 0
-    while at < data.size:
-        look, end = at, min(at + _READ_BLOCK, data.size)
-        while end < data.size:
-            breaks = np.flatnonzero(data[look:end] == ord("\n"))
-            if breaks.size:
-                end = look + int(breaks[-1]) + 1
-                break
-            look, end = end, min(end + _READ_BLOCK, data.size)
-        yield at, end
-        at = end
-
-
-def _ascii_tokens(text) -> tuple[np.ndarray, np.ndarray] | None:
-    """The number of tokens on each LF-separated line of ``text``, a str or
-    the bytes of an ASCII one, and the int64 values of all its tokens in
-    order, as ``str.split`` and ``int`` read them.
-
-    Works on the bytes in a few numpy passes over one block of lines at a
-    time: the first counts each block's lines and tokens, and the second
-    reads each block's counts and values straight into the outputs.
-    Returns None, leaving the whole text to ``str.split``, when it is not
-    ASCII, holds a byte that is not a digit, space, tab, CR or LF (a sign,
-    ``_``, ``\\x0b`` or ``\\x0c``, for instance), or holds a token of more
-    than 18 digits, which might not fit in int64.
-    """
-    if isinstance(text, str):
-        if not text.isascii():
-            return None
-        text = text.encode("ascii")
-    data = np.frombuffer(text, dtype=np.uint8)
-    blocks = list(_blocks(data))
-    n_lines, n_tokens = 1, 0
-    for start, end in blocks:
-        block = data[start:end]
-        digit = (block - np.uint8(ord("0"))) < 10
-        if not (digit | (block == ord(" ")) | (block == ord("\n")) | (block == ord("\t"))
-                | (block == ord("\r"))).all():
-            return None
-        # a block starts a line, so a token starts at its first byte or at
-        # a digit after a blank
-        n_tokens += int(digit[0]) + np.count_nonzero(digit[1:] > digit[:-1])
-        n_lines += np.count_nonzero(block == ord("\n"))
-    counts = np.zeros(n_lines, dtype=np.int64)
-    values = np.zeros(n_tokens, dtype=np.int64)
-    line = token = 0
-    for start, end in blocks:
-        digits = data[start:end] - np.uint8(ord("0"))
-        is_digit = digits < 10
-        # a run of digits starts at each odd change and ends before each even one
-        bounds = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
-        starts, ends = bounds[0::2], bounds[1::2]
-        longest = (ends - starts).max(initial=0)
-        if longest > 18:
-            return None
-        # the block's lines, the last of which the next block continues
-        breaks = np.flatnonzero(data[start:end] == ord("\n"))
-        counts[line:line + breaks.size + 1] = np.diff(np.searchsorted(starts, breaks),
-                                                      prepend=0, append=starts.size)
-        line += breaks.size
-        # Horner's rule over the places, the highest first: a place left of a
-        # token's first digit reads 0 (an index below 0 wraps round, and reads
-        # 0 too; it is never below -digits.size, as the longest token lies in
-        # the block)
-        out = values[token:token + starts.size]
-        token += starts.size
-        at = ends - longest
-        for _ in range(longest):
-            out *= 10
-            out += digits[at] * (at >= starts)
-            at += 1
-    return counts, values
 
 
 def _integers(tokens: list[str]) -> np.ndarray:
@@ -326,18 +278,19 @@ def read_partition_file(path, n_vertices: int, n_subgraphs: int) -> np.ndarray:
     ``1..n_subgraphs``; the array is allocated only once the file holds
     that many distinct vertices in range.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    vertex, subgraph = _read_rows(path, text, ("vertex", "subgraph"), [
-        (f"vertex {{vertex}} outside 1..{n_vertices}",
-         lambda v, s: (v < 1) | (v > n_vertices)),
-        (f"subgraph {{subgraph}} outside 1..{n_subgraphs}",
-         lambda v, s: (s < 1) | (s > n_subgraphs)),
-    ], "vertex {vertex} listed twice")
-    if vertex.size < n_vertices:
-        # the ids are distinct and positive, so once sorted they match
-        # 1, 2, ... up to the first one missing
-        missing = np.count_nonzero(np.sort(vertex) == np.arange(1, vertex.size + 1)) + 1
-        _fail(path, text.count("\n") + 1, f"no subgraph given for vertex {missing}")
+    with _utf8_lines(path) as lines:
+        vertex, subgraph = _read_rows(path, lines, ("vertex", "subgraph"), [
+            (f"vertex {{vertex}} outside 1..{n_vertices}",
+             lambda v, s: (v < 1) | (v > n_vertices)),
+            (f"subgraph {{subgraph}} outside 1..{n_subgraphs}",
+             lambda v, s: (s < 1) | (s > n_subgraphs)),
+        ], "vertex {vertex} listed twice")
+        if vertex.size < n_vertices:
+            # the ids are distinct and positive, so once sorted they match
+            # 1, 2, ... up to the first one missing
+            missing = np.count_nonzero(np.sort(vertex) == np.arange(1, vertex.size + 1)) + 1
+            lines.seek(0)
+            _fail(path, lines.read().count("\n") + 1, f"no subgraph given for vertex {missing}")
     out = np.empty(n_vertices, dtype=np.int64)
     out[vertex - 1] = subgraph - 1
     return out
@@ -366,13 +319,13 @@ def read_labels_file(path) -> dict[int, int]:
     Unlike partitions, label files stand alone (no declared N): any vertex
     ids in ``1..2**63 - 1`` are accepted, each at most once.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    vertex, cluster = _read_rows(path, text, ("vertex", "cluster"), [
-        ("vertex {vertex} outside 1..", lambda v, k: v < 1),
-        ("cluster {cluster} must be >= 1", lambda v, k: k < 1),
-        (f"vertex {{vertex}} outside 1..{_INT64_MAX}", lambda v, k: v > _INT64_MAX),
-        (f"cluster {{cluster}} outside 1..{_INT64_MAX}", lambda v, k: k > _INT64_MAX),
-    ], "vertex {vertex} listed twice")
+    with _utf8_lines(path) as lines:
+        vertex, cluster = _read_rows(path, lines, ("vertex", "cluster"), [
+            ("vertex {vertex} outside 1..", lambda v, k: v < 1),
+            ("cluster {cluster} must be >= 1", lambda v, k: k < 1),
+            (f"vertex {{vertex}} outside 1..{_INT64_MAX}", lambda v, k: v > _INT64_MAX),
+            (f"cluster {{cluster}} outside 1..{_INT64_MAX}", lambda v, k: k > _INT64_MAX),
+        ], "vertex {vertex} listed twice")
     if not vertex.size:
         _fail(path, 1, "no labels found")
     return dict(zip((vertex - 1).tolist(), (cluster - 1).tolist()))
@@ -400,10 +353,13 @@ def read_params_file(path) -> tuple[RsmParams, np.ndarray]:
         params = RsmParams(alpha=np.asarray(data["alpha"], dtype=np.float64),
                            gamma=np.asarray(data["gamma"], dtype=np.float64),
                            pi=np.asarray(data["pi"], dtype=np.float64))
-        return params, labels_from_sizes(data["subgraph_sizes"], params.n_subgraphs)
+        sizes = _sizes(data["subgraph_sizes"], params.n_subgraphs)
     except (TypeError, ValueError) as exc:
         # TypeError: a value numpy cannot read as a number, such as an object
         raise FormatError(f"{path}:1: {exc}") from exc
+    # outside the try: labels that cannot fit are refused by the memory
+    # rule's own message, not as a malformed file
+    return params, labels_from_sizes(sizes, params.n_subgraphs)
 
 
 def _format_row(values) -> str:

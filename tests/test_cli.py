@@ -122,7 +122,7 @@ class TestGenerate:
                      "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {params_path}:1: the subgraph labels of 1000000000000 vertices "
+            "error: the subgraph labels of 1000000000000 vertices "
             "takes 7450.6 GiB (8000000000000 bytes), more than the 1.0 GiB of "
             "physical memory\n")
         assert not out.exists()
@@ -180,10 +180,10 @@ def test_seeded_generate_outputs_are_pinned(tmp_path, source):
 
 # sha256 of network.txt, partition.txt and true_labels.txt that `rsm generate
 # --params --seed 0` writes for MULTI_BLOCK_PARAMS: 3000 vertices and a
-# network file of about 330 KB, which spans several of the blocks that
-# edge-list files are read in and several of the chunks of rows they are
-# written in, where every file of SEEDED_OUTPUTS fits in one.  Computed
-# before the files were read and written a block at a time; must not move.
+# network file of 331 504 bytes, which spans several of the chunks of rows
+# that edge-list files are written in, where every file of SEEDED_OUTPUTS
+# fits in one.  Computed before the files were written a chunk at a time;
+# must not move.
 MULTI_BLOCK_PARAMS = {
     "alpha": [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]],
     "gamma": [[0.0055, 0.0022, 0.0022], [0.0022, 0.0055, 0.0022], [0.0022, 0.0022, 0.0055]],
@@ -207,7 +207,7 @@ def test_a_multi_block_generate_output_is_pinned_and_round_trips(tmp_path):
                for name in ("network.txt", "partition.txt", "true_labels.txt")]
     assert tuple(hashlib.sha256(b).hexdigest() for b in written) == MULTI_BLOCK_OUTPUTS
     net = load_network(out / "network.txt", out / "partition.txt")
-    assert len(written[0]) > 4 * rsm.io._READ_BLOCK
+    assert len(written[0]) == 331_504
     assert len(net.src) > 3 * rsm.io._WRITE_ROWS
     write_network_file(tmp_path / "network.txt", net)
     write_partition_file(tmp_path / "partition.txt", net)

@@ -1,5 +1,6 @@
 """File formats: round trips, strict parsing, and result bundles."""
 
+import io
 import json
 import math
 import re
@@ -380,12 +381,11 @@ class TestLabelsReaderAgainstTheLoop:
 
 
 # Mostly small ids, so that keys repeat; some tokens of 17 to 20 digits,
-# around the 18 the byte tokenizer reads; and some that only ``int`` reads,
-# or nothing does.
+# around the 19 of int64; and some that only ``int`` reads, or nothing does.
 _tokens = st.one_of(st.integers(0, 12).map(str), st.integers(0, 12).map(str),
                     st.from_regex(r"[0-9]{17,20}", fullmatch=True),
                     st.sampled_from(["007", "00", "-1", "+1", "1_0", "x", "\u0661"]))
-# Mostly spaces; "\x0b" and "\x0c" separate tokens for ``str.split`` only.
+# Mostly spaces; a lone "\r" is left in the text by ``io.StringIO``.
 _gaps = st.sampled_from([" "] * 6 + ["  ", "\t", "\r", " \r", "\x0b", "\x0c"])
 
 
@@ -409,9 +409,34 @@ LAYOUTS = [
 ]
 
 
+def rows_or_message(text, fields, key, rules):
+    """The columns ``_read_rows`` reads from ``text``, or its message."""
+    try:
+        columns = rsm.io._read_rows("f", io.StringIO(text), fields, rules, "{a} repeated", key)
+    except FormatError as exc:
+        return str(exc)
+    assert columns.dtype == np.int64
+    return columns.tolist()
+
+
+def split_columns(text, width):
+    """The int64 columns that ``str.split`` and ``int`` read from the
+    non-blank LF-separated lines of ``text``, or None when a line does not
+    hold ``width`` integers in int64."""
+    rows = [line.split() for line in text.split("\n") if line.split()]
+    try:
+        values = [int(token) for row in rows if len(row) == width for token in row]
+    except ValueError:
+        return None
+    if len(values) != width * len(rows) or not all(-2 ** 63 <= v < 2 ** 63 for v in values):
+        return None
+    return np.array(values, dtype=np.int64).reshape(-1, width).T
+
+
 class TestTokenizer:
-    """The byte tokenizer reads what ``str.split`` and ``int`` read, and
-    leaves to them what it cannot."""
+    """numpy's reader reads what ``str.split`` and ``int`` read, and leaves
+    to them what it cannot.  ``io.StringIO`` keeps a lone CR, which a file
+    opened with universal newlines turns into a line end."""
 
     @settings(max_examples=300, deadline=None)
     @given(edge_list_texts())
@@ -422,34 +447,91 @@ class TestTokenizer:
     @example("1\x0b2\n3\x0c4\n")
     @example("1 2\n3 4")
     @example("1 2\n \t\r\n3 4\n\n")
+    @example("1 2\r3 4\n")
     @example("")
     def test_same_columns_or_same_message_without_it(self, text):
         for fields, key, rules in LAYOUTS:
-            def read():
-                try:
-                    columns = rsm.io._read_rows("f", text, fields, rules, "{a} repeated", key)
-                except FormatError as exc:
-                    return str(exc)
-                assert columns.dtype == np.int64
-                return columns.tolist()
+            got = rows_or_message(text, fields, key, rules)
+            with mock.patch.object(rsm.io, "_loaded", lambda lines, width: None):
+                assert rows_or_message(text, fields, key, rules) == got
 
-            got = read()
-            with mock.patch.object(rsm.io, "_ascii_tokens", lambda text: None):
-                assert read() == got
+    @pytest.mark.parametrize("text", ["1 2\n3 4\n", "007\t1\r\n\n 2 5", "+1 -2\n",
+                                      "1\x0b2\n3\x0c4\n", "1\xa02\n3\u30004\n",
+                                      "9223372036854775807 -9223372036854775808\n"])
+    def test_reads_what_int_reads(self, text):
+        got = rsm.io._loaded(io.StringIO(text), 2)
+        assert got.dtype == np.int64
+        assert got.tolist() == split_columns(text, 2).tolist()
 
-    @pytest.mark.parametrize("text", ["1 2\n3 4\n", "007\t1\r\n\n 2", "", "\n \n",
-                                      "123456789012345678 1\n"])
-    def test_reads_digits_and_ascii_blanks(self, text):
-        counts, values = rsm.io._ascii_tokens(text)
-        lines = text.split("\n")
-        assert counts.tolist() == [len(line.split()) for line in lines]
-        assert values.tolist() == [int(token) for token in text.split()]
-
-    @pytest.mark.parametrize("text", ["1\x0b2\n", "1\x0c2\n", "1\x1c2\n", "-1 2\n",
-                                      "+1 2\n", "1_0 2\n", "1 \u0662\n", "1 2\u00a0\n",
-                                      "1234567890123456789 1\n"])
+    @pytest.mark.parametrize("text", ["", "\n \n", "1_0 2\n", "1 \u0662\n", "1.0 2\n",
+                                      "9223372036854775808 1\n", "1 2\r3 4\n", "1 2 3\n",
+                                      "1 2\n3\n", "#1 2\n", "1 2\x00\n"])
     def test_leaves_the_rest_to_str_split(self, text):
-        assert rsm.io._ascii_tokens(text) is None
+        assert rsm.io._loaded(io.StringIO(text), 2) is None
+
+    @pytest.mark.parametrize("late", ["4_0", "\u0664", "12345678901234567890", "4.0"])
+    def test_a_late_token_sends_the_whole_text_to_str_split(self, late):
+        text = "".join(f"{v} 2\n" for v in range(1, 101)) + f"101 {late}\n102 6\n"
+        fields, key, rules = LAYOUTS[0]
+        assert rsm.io._loaded(io.StringIO(text), 2) is None
+        got = rows_or_message(text, fields, key, rules)
+        with mock.patch.object(rsm.io, "_loaded", lambda lines, width: None):
+            assert rows_or_message(text, fields, key, rules) == got
+
+
+# Characters that numpy's reader and ``str.split`` or ``int`` might read
+# differently: signs, marks of other number syntaxes, quotes, CR, the
+# blanks ``str.split`` splits on besides space and tab, non-ASCII digits
+# and NUL.
+_BLANKS = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000"
+# mostly plain integers, so that many texts are read whole
+_fields = st.one_of(*[st.integers(-3, 30).map(str)] * 6,
+                    st.from_regex(r"[0-9]{18,20}", fullmatch=True),
+                    st.text("0123456789+-_.ex#'\"\u0661\uff12\u0e53\x00" + _BLANKS,
+                            min_size=1, max_size=4))
+_blanks = st.one_of(st.just(" "), st.text(_BLANKS, min_size=1, max_size=2))
+
+
+@st.composite
+def loose_texts(draw):
+    """``(text, width)``: lines of mostly ``width`` fields, with any blanks
+    between and around them, each ending in LF or CR LF; the text may lose
+    its last character."""
+    width = draw(st.integers(1, 3))
+    text = ""
+    for _ in range(draw(st.integers(0, 5))):
+        size = draw(st.sampled_from([width] * 8 + [0, width - 1, width + 1]))
+        fields = draw(st.lists(_fields, min_size=size, max_size=size))
+        gaps = draw(st.lists(_blanks, min_size=len(fields) + 1, max_size=len(fields) + 1))
+        line = "".join(g + f for g, f in zip(gaps, fields)) + gaps[-1]
+        if draw(st.booleans()):
+            line = line.strip(_BLANKS)
+        text += line + draw(st.sampled_from(["\n", "\r\n"]))
+    return (text[:-1] if draw(st.booleans()) else text), width
+
+
+class TestNumpyReader:
+    """numpy's reader gives None or exactly the columns ``str.split`` and
+    ``int`` read, whatever the text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(loose_texts())
+    @example(("", 2))
+    @example(("\n \t\n\x85\n", 1))
+    @example(("1 2\r3 4\n", 2))
+    @example(("1\x1c2\n3\u30004\r\n", 2))
+    @example(("9223372036854775807 1\n9223372036854775808 1\n", 2))
+    @example(("\u0661 1\n", 2))
+    @example(("1\x002\n", 1))
+    @example(("+0 -0 00\n", 3))
+    def test_none_or_the_columns_of_str_split(self, case):
+        text, width = case
+        got = rsm.io._loaded(io.StringIO(text), width)
+        if got is not None:
+            want = split_columns(text, width)
+            assert want is not None
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.tolist() == want.tolist()
 
 
 class TestFormatter:
@@ -474,65 +556,6 @@ class TestFormatter:
     def test_no_labels_write_one_lf(self, tmp_path):
         write_labels_file(tmp_path / "labels.txt", np.zeros(0, dtype=np.int64))
         assert (tmp_path / "labels.txt").read_bytes() == b"\n"
-
-
-def rows_or_message(text, fields, key, rules):
-    """The columns ``_read_rows`` reads from ``text``, or its message."""
-    try:
-        return rsm.io._read_rows("f", text, fields, rules, "{a} repeated", key).tolist()
-    except FormatError as exc:
-        return str(exc)
-
-
-class TestReadBlocks:
-    """The byte tokenizer reads one block of lines at a time, and reads
-    the same whatever the block size; blocks of 1 to 64 bytes cut these
-    texts into many, and some lines into pieces of their own."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(edge_list_texts(), st.integers(1, 64))
-    @example("1 2\n3 4", 3)
-    @example("1\t2\r\n3\t 4\r\n1 2 3\t\r\n", 2)
-    @example("1 2\n \t\r\n\n   \n3 4\n", 1)
-    @example("1 2\n" * 20 + "3 1234567890123456789\n", 8)
-    @example("1 2\n" * 20 + "3 -4\n5 6", 8)
-    def test_same_columns_or_same_message_as_str_split(self, text, block):
-        with mock.patch.object(rsm.io, "_READ_BLOCK", block):
-            for fields, key, rules in LAYOUTS:
-                got = rows_or_message(text, fields, key, rules)
-                with mock.patch.object(rsm.io, "_ascii_tokens", lambda text: None):
-                    assert rows_or_message(text, fields, key, rules) == got
-
-    @settings(max_examples=60, deadline=None)
-    @given(edge_list_texts(), st.integers(1, 64))
-    @example("1 2\n \t\r\n\n   \n3 4", 1)
-    @example("12345678901234567 1 2 3\n4\n", 4)
-    def test_counts_and_values_of_str_split_or_none_as_in_one_block(self, text, block):
-        data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        with mock.patch.object(rsm.io, "_READ_BLOCK", block):
-            pieces = list(rsm.io._blocks(data))
-            tokens = rsm.io._ascii_tokens(text)
-        # consecutive pieces that cover the text, each but the last ending in LF
-        bounds = [0] + [end for _, end in pieces]
-        assert [start for start, _ in pieces] == bounds[:-1]
-        assert bounds[-1] == data.size
-        assert all(data[end - 1] == ord("\n") for _, end in pieces[:-1])
-        if rsm.io._ascii_tokens(text) is None:
-            assert tokens is None
-            return
-        counts, values = tokens
-        assert counts.tolist() == [len(line.split()) for line in text.split("\n")]
-        assert values.tolist() == [int(token) for token in text.split()]
-
-    @pytest.mark.parametrize("late", ["1234567890123456789", "-4", "+4", "4_0", "\x0b4"])
-    def test_a_late_token_sends_the_whole_text_to_str_split(self, late):
-        text = "".join(f"{v} 2\n" for v in range(1, 101)) + f"101 {late}\n102 6\n"
-        fields, key, rules = LAYOUTS[0]
-        with mock.patch.object(rsm.io, "_READ_BLOCK", 16):
-            assert rsm.io._ascii_tokens(text) is None
-            got = rows_or_message(text, fields, key, rules)
-        with mock.patch.object(rsm.io, "_ascii_tokens", lambda text: None):
-            assert rows_or_message(text, fields, key, rules) == got
 
 
 class TestWriteChunks:
@@ -578,10 +601,10 @@ def traced_peak(call) -> float:
 
 
 class TestMemory:
-    """Writing and reading an edge list take one chunk's or one block's
-    temporaries beside the columns, not several copies of the file: on
-    about 200 000 edges (a 2.5 MB file) the writer once peaked at 33.6 MiB
-    and the loader at 32.4 MiB."""
+    """Writing an edge list takes one chunk's temporaries, and reading one
+    takes numpy's reader's beside the columns, never the text: on about
+    200 000 edges (a 2.5 MB file) the writer once peaked at 33.6 MiB and
+    the loader at 32.4 MiB."""
 
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):
@@ -607,6 +630,29 @@ class TestMemory:
         assert traced_peak(lambda: loaded.append(
             load_network(out / "network.txt", out / "partition.txt"))) < 16
         np.testing.assert_array_equal(loaded[0].src, net.src)
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is reported as ``Path.read_text`` reports
+    it, at its position in the file: in the network header, just after it,
+    and past the first 8 KiB, which a text file decodes a chunk at a time."""
+
+    @pytest.mark.parametrize("read, data, position", [
+        (read_network_file, b"rsm v1 N=3 S=1 C=\xff\n1 2 1\n", 17),
+        (read_network_file, b"rsm v1 N=3 S=1 C=2\n\xff1 2 1\n", 19),
+        (read_network_file, b"rsm v1 N=3 S=1 C=2\n1 2 1\n" + b"\n" * 9975 + b"\xff\n", 10000),
+        (lambda path: read_partition_file(path, 3, 1),
+         b"1 1\n2 1\n3 1\n" + b"\n" * 9988 + b"3 \xff\n", 10002),
+        (read_labels_file, b"1 1\n" + b"\n" * 9996 + b"\xff", 10000),
+    ], ids=["network header", "after the header", "network past 8 KiB",
+            "partition past 8 KiB", "labels past 8 KiB"])
+    def test_the_message_gives_the_position_in_the_file(self, tmp_path, read, data, position):
+        path = tmp_path / "file.txt"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as raised:
+            read(path)
+        assert str(raised.value) == (f"'utf-8' codec can't decode byte 0xff in position "
+                                     f"{position}: invalid start byte")
 
 
 _label_shapes = npst.array_shapes(min_dims=0, max_dims=2, max_side=4)
