@@ -120,6 +120,7 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.n
     three fields, integers, source and destination in ``1..N``, no
     self-loop, type in ``1..C``, and no pair listed on an earlier line.
     A header whose N does not fit in int64 is refused.
+    The three vectors are views of one int64 block, not copies of it.
     """
     with _utf8_lines(path) as lines:
         # the header is the first non-blank line; the edge lines follow it
@@ -143,7 +144,9 @@ def read_network_file(path) -> tuple[int, int, int, np.ndarray, np.ndarray, np.n
             ("self-loops are not allowed", lambda i, j, t: i == j),
             (f"edge type {{type}} outside 1..{c}", lambda i, j, t: (t < 1) | (t > c)),
         ], "duplicate edge {src} -> {dst}", key=2, first=lineno + 1)
-    return n, s, c, src - 1, dst - 1, typ
+    src -= 1
+    dst -= 1
+    return n, s, c, src, dst, typ
 
 
 @contextmanager

@@ -9,10 +9,10 @@ The discordance depends on the network alone, so :func:`kmedoid_init` takes
 it as its input: :func:`rsm.inference.fit` builds it once with
 :func:`distance_matrix` for every restart, and
 :func:`rsm.selection.select_k` once for every candidate K.  It is the
-product of two sparse factors: ``agree``, the network's typed operator
-(:attr:`~rsm.network.TypedNetwork._type_operator`, which the VB-EM sweep
-reads too) with its rows regrouped by vertex, and ``differ``, built from the
-edge list.  On a sparse network it stays that product, which
+product of two sparse factors, ``agree`` and ``differ``, both the network's
+typed operator (:attr:`~rsm.network.TypedNetwork._type_operator`, which the
+VB-EM sweep reads too) with its rows regrouped, in the operator's order
+within a row.  On a sparse network it stays that product, which
 :func:`kmedoid_init` reads only through products with thin matrices, so
 memory and time grow with the edge count.
 Only on a network dense enough for the all-pairs array to be the cheaper
@@ -71,9 +71,9 @@ def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
     each vertex's own features and ``differ`` (a row per feature, a column
     per vertex) the same features under each of the other C - 1 types, so
     ``agree @ differ`` counts the shared out- and in-neighbours whose edge
-    types differ.  ``agree`` is the network's
-    :attr:`~rsm.network.TypedNetwork._type_operator` with its rows regrouped
-    by vertex, so this call builds that operator if nothing has yet, and the
+    types differ.  Both factors regroup the rows of the network's
+    :attr:`~rsm.network.TypedNetwork._type_operator`, in its order within a
+    row, so this call builds that operator if nothing has yet, and the
     network keeps it.  The factors hold 2E and 2E(C - 1) ones; nothing
     cancels, so every entry is an exact integer of at most 2(N - 2).
 
@@ -101,40 +101,36 @@ def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
 
 
 def _factors(net: TypedNetwork) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
-    """``agree``, the network's typed operator with its rows regrouped by
-    vertex, and ``differ``, written as CSR straight from the row-major edge
-    list and its column-major order.
+    """``agree`` and ``differ``, both regrouped from the rows (half, v, t)
+    of the network's typed operator, t counted from 0.
 
     Row i of ``agree`` is the operator's 2C rows (half, i, t) side by side,
-    row (half, i, t) in the columns (half C + t) N to (half C + t + 1) N, so
-    it holds, for each out-edge i -> j of type t, column (t - 1) N + j, and
-    for each in-edge h -> i of type t, column (C + t - 1) N + h.  Row
-    (t - 1) N + j of ``differ`` holds the h with an edge h -> j whose type
-    is not t, and row (C + t - 1) N + h the j with an edge h -> j whose type
-    is not t.  Both keep 32-bit indices where the sizes allow, ``agree``
-    from the operator.
+    row (half, i, t) in the columns (half C + t) N to (half C + t + 1) N.
+    Row (block C + t) N + v of ``differ`` joins the other half's rows
+    (v, c), c != t, in the operator's order, so its columns ascend within
+    each type but not across them: for block 0, the h with an edge h -> v
+    of a type other than t, and for block 1, the j with an edge v -> j.
+    Both keep 32-bit indices where the sizes allow.
     """
-    n, c, e = net.n_vertices, net.n_types, len(net.src)
-    src, dst, types = net.src, net.dst, net.types
+    n, c, op = net.n_vertices, net.n_types, net._type_operator
     by_vertex = np.arange(2 * c * n).reshape(2, n, c).transpose(1, 0, 2).ravel()
-    agree = net._type_operator[by_vertex].reshape((n, 2 * c * n)).tocsr()
+    rows = op[by_vertex]
+    rows.indices += np.repeat(np.tile(np.arange(2 * c) * n, n), np.diff(rows.indptr))
+    agree = scipy.sparse.csr_array((rows.data, rows.indices, rows.indptr[::2 * c].copy()),
+                                   shape=(n, 2 * c * n))
 
-    by_dst = np.argsort(dst, kind="stable")
-    out_degree = np.bincount(src, minlength=n)
-    in_degree = np.bincount(dst, minlength=n)
-    row_sizes = np.concatenate([
-        in_degree - np.bincount((types - 1) * n + dst, minlength=c * n).reshape(c, n),
-        out_degree - np.bincount((types - 1) * n + src, minlength=c * n).reshape(c, n)])
-    index = _index_dtype(2 * c * n, n, 2 * e * (c - 1))
+    sizes = np.diff(op.indptr).reshape(2, n, c)
+    index = _index_dtype(2 * c * n, n, op.nnz * (c - 1))
     indptr = np.zeros(2 * c * n + 1, dtype=index)
-    np.cumsum(row_sizes, out=indptr[1:])
+    others = sizes.sum(axis=2, keepdims=True) - sizes  # (half, v, t): entries of types != t
+    np.cumsum(others[::-1].transpose(0, 2, 1), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=index)
-    at = 0
-    for ends, typed in ((src[by_dst], types[by_dst]), (dst, types)):
-        for t in range(1, c + 1):
-            kept = ends[typed != t]
-            indices[at:at + len(kept)] = kept
-            at += len(kept)
+    for block, half in enumerate((1, 0)):
+        ends = op.indices[op.indptr[half * c * n]:op.indptr[(half + 1) * c * n]]
+        typed = np.repeat(np.tile(np.arange(c), n), sizes[half].ravel())
+        for t in range(c):
+            row = (block * c + t) * n
+            indices[indptr[row]:indptr[row + n]] = ends[typed != t]
     differ = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(2 * c * n, n))
     return agree, differ
 

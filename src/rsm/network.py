@@ -266,8 +266,8 @@ class TypedNetwork:
         and over in-neighbours.  Within a row the columns ascend, as in two
         separate operators, so each sum adds the same terms in the same
         order.  The VB-EM updates of :mod:`rsm.inference` read it, and the
-        k-medoid discordance of :mod:`rsm.medoids` regroups its rows by
-        vertex.  It holds 2E float64 ones with their column indices, and
+        k-medoid discordance of :mod:`rsm.medoids` regroups its rows into its
+        two factors.  It holds 2E float64 ones with their column indices, and
         2 N C + 1 row pointers, indexed in 32 bits where the sizes allow:
         5.3 MB at E = 200 000, N = 20 000 and C = 3.
         """

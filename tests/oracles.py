@@ -13,9 +13,9 @@ before the sweep moved to sparse neighbour sums.  It shares the unchanged
 bound and mixing and presence updates with the package, so it checks the
 sparse ``xi`` update and responsibility sweep alone.
 
-:func:`agree_scatter` is the k-medoid discordance's ``agree`` factor as it
-was written before it was regrouped from the network's typed operator:
-scattered from the edge list, one row per vertex.
+:func:`agree_scatter` and :func:`differ_scatter` are the k-medoid
+discordance's two factors as they were written before they were regrouped
+from the network's typed operator: scattered from the edge list.
 
 :func:`structured_scenario` expands a structured scenario into its
 tables and subgraph labels entry by entry, to check
@@ -425,6 +425,34 @@ def agree_scatter(net):
     indices[np.cumsum(out_degree)[dst[by_dst]] + np.arange(e)] = (
         (c + types[by_dst] - 1) * n + src[by_dst])
     return scipy.sparse.csr_array((np.ones(2 * e), indices, indptr), shape=(n, 2 * c * n))
+
+
+def differ_scatter(net):
+    """The discordance's ``differ`` factor (2 C N x N) as
+    ``rsm.medoids._factors`` wrote it before it regrouped the network's
+    typed operator: CSR written straight from the row-major edge list and
+    its stable order by destination.
+
+    Row (t - 1) N + j holds the h with an edge h -> j whose type is not t,
+    and row (C + t - 1) N + h the j with an edge h -> j whose type is not
+    t, so the columns of every row ascend.
+    """
+    n, c, e = net.n_vertices, net.n_types, len(net.src)
+    src, dst, types = net.src, net.dst, net.types
+    by_dst = np.argsort(dst, kind="stable")
+    out_degree = np.bincount(src, minlength=n)
+    in_degree = np.bincount(dst, minlength=n)
+    row_sizes = np.concatenate([
+        in_degree - np.bincount((types - 1) * n + dst, minlength=c * n).reshape(c, n),
+        out_degree - np.bincount((types - 1) * n + src, minlength=c * n).reshape(c, n)])
+    indptr = np.zeros(2 * c * n + 1, dtype=np.int64)
+    np.cumsum(row_sizes, out=indptr[1:])
+    indices = np.concatenate([
+        ends[typed != t]
+        for ends, typed in ((src[by_dst], types[by_dst]), (dst, types))
+        for t in range(1, c + 1)])
+    return scipy.sparse.csr_array((np.ones(2 * e * (c - 1)), indices, indptr),
+                                  shape=(2 * c * n, n))
 
 
 def dense_fit(net, tau0, priors, max_iterations, epsilon_converge=1e-6):

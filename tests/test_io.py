@@ -139,6 +139,18 @@ class TestNetworkFile:
         assert (src.tolist(), dst.tolist(), types.tolist()) == (
             [2, 0, 1], [0, 2, 0], [2, 1, 1])
 
+    @pytest.mark.parametrize("numpy_reads", [True, False])
+    def test_columns_are_views_of_one_block(self, tmp_path, numpy_reads):
+        # the 1-offset comes off in place, so neither path copies src or dst
+        path = tmp_path / "net.txt"
+        path.write_text("rsm v1 N=3 S=1 C=2\n3 1 2\n1 3 1\n2 1 1\n")
+        with mock.patch.object(rsm.io, "_loaded",
+                               rsm.io._loaded if numpy_reads else lambda lines, width: None):
+            n, s, c, src, dst, types = read_network_file(path)
+        assert (src.tolist(), dst.tolist(), types.tolist()) == (
+            [2, 0, 1], [0, 2, 0], [2, 1, 1])
+        assert src.base is not None and src.base is dst.base is types.base
+
     def test_a_million_vertices_load_as_an_edge_list(self, tmp_path):
         # the reader allocates nothing of size N x N, so a header naming a
         # million vertices with two edges reads at once

@@ -1,5 +1,6 @@
 """Discordance distances and the k-medoid initializer."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -432,6 +433,63 @@ class TestDerivedAgree:
                 d = distance_matrix(net)
             assert isinstance(d, rsm.medoids._Factored) is keep
             np.testing.assert_array_equal(d @ v.astype(np.float64), expected)
+
+
+class TestDerivedDiffer:
+    """``differ``, each row joining one vertex's operator rows of the other
+    half under the other types, holds the entries that the edge-list
+    scatter of ``oracles.differ_scatter`` writes, and multiplies as it does.
+    Its columns ascend within a type only; every product adds exact
+    integers, so that order does not show."""
+
+    @staticmethod
+    def assert_matches_the_scatter(net, width, seed):
+        reference = oracles.differ_scatter(net)
+        differ = rsm.medoids._factors(net)[1]
+        assert differ.shape == reference.shape
+        assert differ.indices.dtype == differ.indptr.dtype == np.int32
+        np.testing.assert_array_equal(differ.indptr, reference.indptr)
+        assert (differ != reference).nnz == 0
+        v = np.random.default_rng(seed).integers(0, 2, size=(net.n_vertices, width))
+        np.testing.assert_array_equal(differ @ v.astype(np.float64),
+                                      reference @ v.astype(np.float64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks_of_any_density(max_vertices=10, max_types=6), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_scatter(self, net, width, seed):
+        self.assert_matches_the_scatter(net, width, seed)
+
+    @pytest.mark.parametrize("n,n_types,density", [
+        (6, 1, 0.5),  # one type: every row of differ is empty
+        (6, 3, 0.0),  # no edges
+        (0, 2, 0.0),  # no vertices
+    ])
+    def test_edge_cases(self, n, n_types, density):
+        rng = np.random.default_rng(n + n_types)
+        x = np.where(rng.random((n, n)) < density,
+                     rng.integers(1, n_types + 1, size=(n, n)), 0)
+        net = TypedNetwork(x, np.zeros(n, dtype=int), n_types=n_types, n_subgraphs=1)
+        assert rsm.medoids._factors(net)[1].nnz == 0
+        self.assert_matches_the_scatter(net, 2, 0)
+
+
+# sha256 of the bytes of every k-medoid start of the 24 paper networks,
+# kmedoid_init(distance_matrix(benchmark_scenario(s, r).network), K, seed)
+# for s = 1..3, r = 0..7, K = 1..6 and seed = 0..4, in that order: 720
+# starts, as the discordance factors scattered from the edge list gave them.
+PAPER_STARTS = "5b942e33989a9b930d5cab0765c8da5f4299e685458f0bd644f211d3372a6578"
+
+
+def test_the_paper_starts_are_pinned():
+    digest = hashlib.sha256()
+    for scenario in (1, 2, 3):
+        for replicate in range(8):
+            d = distance_matrix(benchmark_scenario(scenario, replicate).network)
+            for n_clusters in range(1, 7):
+                for seed in range(5):
+                    digest.update(kmedoid_init(d, n_clusters, seed).tobytes())
+    assert digest.hexdigest() == PAPER_STARTS
 
 
 class TestFactoredForm:
