@@ -8,8 +8,8 @@ oracle`` prints the exact log evidence of a small network.
 Every run with an explicit ``--seed`` writes byte-identical outputs; without
 one, a seed is drawn from OS entropy and printed so the run can be repeated.
 Exit codes: 0 on success, 2 for usage errors (among them any count option
-that is not an integer >= 1 and an ``--epsilon`` that is not > 0), and 1 for
-bad inputs, files or memory.
+that is not an integer >= 1, a ``--seed`` that is not an integer >= 0 and
+an ``--epsilon`` that is not > 0), and 1 for bad inputs, files or memory.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ def count(text: str) -> int:
     return _count(int(text), "count")
 
 
+def seed(text: str) -> int:
+    """The argparse type of every ``--seed``: an integer >= 0."""
+    return _count(int(text), "seed", 0)
+
+
 def epsilon(text: str) -> float:
     """The argparse type of ``--epsilon``: a tolerance that ``fit`` takes, > 0."""
     value = float(text)
@@ -68,7 +73,7 @@ def _add_fit_options(sub: argparse.ArgumentParser) -> None:
                           "(default %(default)s)")
     sub.add_argument("--max-iter", type=count, default=FitConfig.max_iterations,
                      help="iteration cap per restart (default %(default)s)")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=seed, default=None,
                      help="RNG seed (default: drawn from OS entropy and printed)")
 
 
@@ -82,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = gen.add_mutually_exclusive_group(required=True)
     source.add_argument("--scenario", type=int, choices=(1, 2, 3), help="benchmark scenario")
     source.add_argument("--params", help="parameter JSON file")
-    gen.add_argument("--seed", type=int, default=None,
+    gen.add_argument("--seed", type=seed, default=None,
                      help="RNG seed (default: drawn from OS entropy and printed)")
     gen.add_argument("--out", required=True, help="output directory")
 

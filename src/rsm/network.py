@@ -7,11 +7,10 @@ edge's type in ``types``.  Every vertex additionally carries an observed
 subgraph label (0-indexed in memory; file formats are 1-indexed, see
 :mod:`rsm.io`).
 
-A network is built by :meth:`TypedNetwork.from_edges` from an edge list in
-any order, which is how the file reader of :mod:`rsm.io` and the sampler of
-:mod:`rsm.generate` build theirs, or by the constructor from an N x N type
-matrix, which finds the matrix's off-diagonal nonzeros and takes the same
-path.  The :attr:`TypedNetwork.edge_types` property is the one dense N x N
+A network is built only by :meth:`TypedNetwork.from_edges`, from an edge
+list in any order, which is how the file reader of :mod:`rsm.io` and the
+sampler of :mod:`rsm.generate` build theirs.  The
+:attr:`TypedNetwork.edge_types` property is the one dense N x N
 expansion of the edge list here.  The one other structure built from it is
 the sparse ``TypedNetwork._type_operator``, built once per network and
 read by both the VB-EM updates of :mod:`rsm.inference` and the k-medoid
@@ -50,16 +49,6 @@ def _readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
-def _check_integers(values: np.ndarray, name: str) -> None:
-    """Refuse an array whose entries are not all int64 integers."""
-    if values.size and not np.can_cast(values.dtype, np.int64):
-        # a uint64 past int64 wraps in the cast and compares unequal; NaN,
-        # inf and floats past int64 fail before it, which would warn
-        if not ((values.dtype.kind == "u" or np.all(np.abs(values) < 2.0 ** 63))
-                and np.all(values == values.astype(np.int64))):
-            raise ValueError(f"{name} must contain integers")
-
-
 def _int_vector(values, name: str, length: int | None = None) -> np.ndarray:
     """``values`` as an int64 vector, copied only if its dtype differs; any
     other shape and a non-integer entry are refused, naming ``name``."""
@@ -67,7 +56,12 @@ def _int_vector(values, name: str, length: int | None = None) -> np.ndarray:
     if arr.ndim != 1 or length not in (None, len(arr)):
         size = "" if length is None else f"length-{length} "
         raise ValueError(f"{name} must be a {size}vector, got shape {arr.shape}")
-    _check_integers(arr, name)
+    if arr.size and not np.can_cast(arr.dtype, np.int64):
+        # a uint64 past int64 wraps in the cast and compares unequal; NaN,
+        # inf and floats past int64 fail before it, which would warn
+        if not ((arr.dtype.kind == "u" or np.all(np.abs(arr) < 2.0 ** 63))
+                and np.all(arr == arr.astype(np.int64))):
+            raise ValueError(f"{name} must contain integers")
     return arr.astype(np.int64, copy=False)
 
 
@@ -144,33 +138,14 @@ def _row_order(keys) -> np.ndarray | None:
 class TypedNetwork:
     """A directed network whose present edges carry a categorical type.
 
-    Parameters
-    ----------
-    edge_types:
-        N x N integer matrix.  ``edge_types[i, j]`` is the type (1..n_types)
-        of the edge from i to j, or 0 if no edge exists.  Diagonal entries
-        are dropped.
-    subgraph_of:
-        Length-N integer vector of observed subgraph labels in
-        ``{0, ..., n_subgraphs - 1}``.
-    n_types:
-        Number of edge types C (>= 1).
-    n_subgraphs:
-        Number of subgraphs S (>= 1).
-
-    The network keeps the nonzero off-diagonal entries of ``edge_types`` as
-    read-only row-major arrays ``src``, ``dst`` and ``types``, built as by
-    :meth:`from_edges`; the :attr:`edge_types` property rebuilds the matrix
-    from them on every access.  The sparse ``_type_operator`` is built
-    from them once, at its first access, and kept for the network's
-    lifetime: every fit, update and discordance on the network reads that
-    one copy.
-
-    Raises ValueError for inconsistent shapes, a count that is not an
-    integer >= 1, types or labels that are not int64 integers, and for an
-    off-diagonal type outside ``0..n_types`` or a label outside
-    ``0..n_subgraphs - 1``, as ``"invalid network: "`` followed by the first
-    such fault (types before labels).
+    Built only by :meth:`from_edges`; calling the class with arguments
+    raises a TypeError, so no network skips the checks.  The network keeps its
+    edges as read-only row-major int64 arrays ``src``, ``dst`` and
+    ``types``, and its labels as the read-only ``subgraph_of``; the
+    :attr:`edge_types` property rebuilds the N x N matrix from them on
+    every access.  The sparse ``_type_operator`` is built from them once,
+    at its first access, and kept for the network's lifetime: every fit,
+    update and discordance on the network reads that one copy.
     """
 
     src: np.ndarray
@@ -181,17 +156,6 @@ class TypedNetwork:
     n_types: int
     n_subgraphs: int
 
-    def __init__(self, edge_types, subgraph_of, n_types: int, n_subgraphs: int):
-        x = np.asarray(edge_types)
-        if x.ndim != 2 or x.shape[0] != x.shape[1]:
-            raise ValueError(f"edge_types must be a square matrix, got shape {x.shape}")
-        _check_integers(x, "edge_types")
-        present = x != 0
-        np.fill_diagonal(present, False)
-        src, dst = np.nonzero(present)
-        self._set_edges(x.shape[0], src, dst, x[src, dst], subgraph_of,
-                        n_types, n_subgraphs)
-
     @classmethod
     def from_edges(cls, n_vertices: int, src, dst, types, subgraph_of,
                    n_types: int, n_subgraphs: int) -> TypedNetwork:
@@ -199,19 +163,19 @@ class TypedNetwork:
 
         ``src``, ``dst`` and ``types`` are equal-length integer vectors: the
         0-indexed endpoints of each present edge i -> j and its type in
-        ``1..n_types``.  The edges are sorted row-major.  A vertex outside
-        ``0..n_vertices - 1``, a self-loop, a pair listed twice and a type
-        of 0 are refused with a ValueError naming the pair; everything
-        else is refused as by the dense constructor.
-        """
-        net = cls.__new__(cls)
-        net._set_edges(n_vertices, src, dst, types, subgraph_of, n_types, n_subgraphs)
-        return net
+        ``1..n_types``.  ``subgraph_of`` is the length-``n_vertices``
+        integer vector of subgraph labels in ``0..n_subgraphs - 1``.  The
+        edges are sorted row-major.
 
-    def _set_edges(self, n, src, dst, types, subgraph_of, n_types, n_subgraphs):
-        """The one construction path: check, sort and store the edge list;
-        each rule names the first edge or vertex that breaks it."""
-        n = _count(n, "n_vertices", 0)
+        Raises ValueError for a count that is not an integer (>= 0 for
+        ``n_vertices``, >= 1 for the others), vectors of other shapes or
+        with entries that are not int64 integers, and then, naming the
+        first offender of each rule in this order: a vertex outside
+        ``0..n_vertices - 1``, a self-loop, a pair listed twice, and, after
+        ``"invalid network: "``, a type outside ``1..n_types`` and a label
+        outside ``0..n_subgraphs - 1``.
+        """
+        n = _count(n_vertices, "n_vertices", 0)
         n_types, n_subgraphs = _count(n_types, "n_types"), _count(n_subgraphs, "n_subgraphs")
         edges = [np.asarray(v) for v in (src, dst, types)]
         if any(v.ndim != 1 or v.shape != edges[0].shape for v in edges):
@@ -227,19 +191,17 @@ class TypedNetwork:
             src, dst, types = src[order], dst[order], types[order]
             _refuse_first(src[1:], dst[1:], (src[1:] == src[:-1]) & (dst[1:] == dst[:-1]),
                           "is listed twice")
-        _refuse_first(src, dst, types == 0, "has type 0, which marks an absent pair")
-        bad = (types < 0) | (types > n_types)
+        bad = (types < 1) | (types > n_types)
         if bad.any():
             e = np.argmax(bad)
             raise ValueError(f"invalid network: edge type {types[e]} at "
-                             f"({src[e]}, {dst[e]}) outside 0..{n_types}")
+                             f"({src[e]}, {dst[e]}) outside 1..{n_types}")
         _refuse_outside(sub, n_subgraphs, "invalid network: subgraph label")
-        for name, value in (("src", src), ("dst", dst), ("types", types),
-                            ("subgraph_of", sub)):
-            object.__setattr__(self, name, _readonly(value))
-        object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "n_types", n_types)
-        object.__setattr__(self, "n_subgraphs", n_subgraphs)
+        net = cls.__new__(cls)
+        vars(net).update(src=_readonly(src), dst=_readonly(dst), types=_readonly(types),
+                         subgraph_of=_readonly(sub), n_vertices=n, n_types=n_types,
+                         n_subgraphs=n_subgraphs)
+        return net
 
     @property
     def edge_types(self) -> np.ndarray:

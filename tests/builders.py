@@ -1,5 +1,10 @@
-"""Random-instance builders, a strategy for random dense network inputs,
-and the refusal of invalid networks, shared across test modules."""
+"""Random-instance builders, a network built from an N x N type matrix, a
+strategy for random dense network inputs, and the refusal of invalid
+networks, shared across test modules.
+
+The library builds a network only from its edge list
+(``TypedNetwork.from_edges``); ``dense_network`` is the tests' shorthand
+that writes a small network as the matrix it expands to."""
 
 import re
 
@@ -8,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rsm import RsmParams, VariationalState, sample_network
+from rsm import RsmParams, TypedNetwork, VariationalState, sample_network
 
 
 def random_model(rng, n_subgraphs, n_clusters, n_types):
@@ -33,6 +38,18 @@ def random_instance(rng, n_vertices, n_subgraphs, n_clusters, n_types):
         rng.integers(0, n_subgraphs, size=n_vertices - n_subgraphs),
     ])
     return sample_network(params, sub, seed=int(rng.integers(2 ** 31)))
+
+
+def dense_network(x, subgraph_of, n_types, n_subgraphs):
+    """The network whose edges are the off-diagonal nonzeros of the N x N
+    matrix ``x``, each of type ``x[i, j]``, built by ``from_edges``; the
+    diagonal is dropped, and any other entry is checked there."""
+    x = np.asarray(x)
+    present = x != 0
+    np.fill_diagonal(present, False)
+    src, dst = np.nonzero(present)
+    return TypedNetwork.from_edges(len(x), src, dst, x[src, dst], subgraph_of,
+                                   n_types, n_subgraphs)
 
 
 def refused(violation):

@@ -97,7 +97,7 @@ def presence_counts(x, sub, n_subgraphs):
 
 def validation_violations(x, sub, n_types, n_subgraphs):
     """Every range fault of a network, from a scan of the dense input
-    matrix: off-diagonal entries outside ``0..n_types`` in row-major order,
+    matrix: off-diagonal nonzeros outside ``1..n_types`` in row-major order,
     then subgraph labels outside ``0..n_subgraphs - 1``."""
     x = np.array(x, copy=True)
     if x.size:
@@ -106,7 +106,7 @@ def validation_violations(x, sub, n_types, n_subgraphs):
     violations = []
     bad = np.argwhere((x < 0) | (x > n_types))
     for i, j in bad:
-        violations.append(f"edge type {x[i, j]} at ({i}, {j}) outside 0..{n_types}")
+        violations.append(f"edge type {x[i, j]} at ({i}, {j}) outside 1..{n_types}")
     for i in np.nonzero((sub < 0) | (sub >= n_subgraphs))[0]:
         violations.append(
             f"subgraph label {sub[i]} at vertex {i} outside 0..{n_subgraphs - 1}")

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from builders import dense_network
 
 import rsm
 import rsm.io
@@ -85,10 +86,12 @@ class TestGenerate:
         assert excinfo.value.code == 2
 
     def test_negative_seed_is_refused_by_name_before_any_write(self, tmp_path, capsys):
-        code = main(["generate", "--scenario", "1", "--seed", "-1",
-                     "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["generate", "--scenario", "1", "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: argument --seed: invalid seed value: '-1'\n")
         assert not (tmp_path / "x").exists()
 
     def test_params_file_source(self, tmp_path, capsys):
@@ -601,6 +604,22 @@ def test_an_epsilon_fit_refuses_is_a_usage_error(tmp_path, capsys, command, valu
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["fit", "--k", "1"], ["select-k"]])
+@pytest.mark.parametrize("value", ["-1", "1.5"])
+def test_a_seed_fit_refuses_is_a_usage_error(tmp_path, capsys, command, value):
+    """A seed that FitConfig refuses exits 2 from the parser, before it is
+    printed or a file is read or written."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--network", str(tmp_path / "network.txt"),
+              "--partition", str(tmp_path / "partition.txt"),
+              "--out", str(tmp_path / "out"), "--seed", value])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --seed: invalid seed value: '{value}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @st.composite
 def small_networks(draw):
     """A network of 0-8 vertices, 1-3 subgraphs (any of them may be empty)
@@ -611,7 +630,7 @@ def small_networks(draw):
     types = st.just(0) if draw(st.booleans()) else st.integers(0, n_types)
     x = draw(arrays(np.int64, (n, n), elements=types))
     sub = draw(arrays(np.int64, n, elements=st.integers(0, n_subgraphs - 1)))
-    return TypedNetwork(x, sub, n_types, n_subgraphs)
+    return dense_network(x, sub, n_types, n_subgraphs)
 
 
 def run_main(argv):

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from builders import dense_inputs, random_instance, random_state, random_tau, refused
+from builders import (dense_inputs, dense_network, random_instance, random_state,
+                      random_tau, refused)
 
 import rsm.inference
 import rsm.medoids
@@ -118,8 +119,8 @@ class TestElbo:
                                        rtol=1e-10)
 
     def test_empty_network_bound_is_zero(self):
-        net = TypedNetwork(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
-                           n_types=1, n_subgraphs=1)
+        net = dense_network(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
+                            n_types=1, n_subgraphs=1)
         priors = PriorHyperparams.jeffreys(1, 2, 1)
         state = VariationalState(tau=np.zeros((0, 2)), chi=priors.chi0,
                                  a=priors.a0, b=priors.b0, xi=priors.xi0)
@@ -156,8 +157,8 @@ class TestEStepProperties:
     def test_uniform_without_edges_and_symmetric_mixing(self):
         # with no edge terms and a constant chi row, all scores tie, so the
         # softmax is exactly uniform
-        net = TypedNetwork(np.zeros((6, 6), dtype=int), np.zeros(6, dtype=int),
-                           n_types=2, n_subgraphs=1)
+        net = dense_network(np.zeros((6, 6), dtype=int), np.zeros(6, dtype=int),
+                            n_types=2, n_subgraphs=1)
         state = VariationalState(tau=random_tau(np.random.default_rng(0), 6, 3),
                                  chi=[[2.0, 2.0, 2.0]], a=[[1.0]], b=[[30.0]],
                                  xi=np.full((3, 3, 2), 0.5))
@@ -233,15 +234,15 @@ class TestFitSingle:
         x = np.array([[0, 1, 0],
                       [2, 0, 5],
                       [1, 0, 0]])
-        with refused("edge type 5 at (1, 2) outside 0..2"):
-            TypedNetwork(x, [0, 0, 0], n_types=2, n_subgraphs=1)
+        with refused("edge type 5 at (1, 2) outside 1..2"):
+            dense_network(x, [0, 0, 0], n_types=2, n_subgraphs=1)
 
     def test_rejects_negative_subgraph_label(self):
         x = np.array([[0, 1, 0],
                       [2, 0, 1],
                       [1, 0, 0]])
         with refused("subgraph label -1 at vertex 1 outside 0..1"):
-            TypedNetwork(x, [0, -1, 1], n_types=2, n_subgraphs=2)
+            dense_network(x, [0, -1, 1], n_types=2, n_subgraphs=2)
 
     def test_bound_never_decreases(self):
         rng = np.random.default_rng(15)
@@ -324,13 +325,13 @@ class TestUpdatesRejectInvalidNetworks:
     x = np.array([[0, 1, 0],
                   [2, 0, 5],
                   [1, 0, 0]])
-    type_fault = "edge type 5 at (1, 2) outside 0..2"
+    type_fault = "edge type 5 at (1, 2) outside 1..2"
     label_fault = "subgraph label -1 at vertex 1 outside 0..1"
 
     def test_presence_update(self):
         # a and b would count the type-5 edge's presence
         with refused(self.type_fault):
-            TypedNetwork(self.x, [0, 0, 1], n_types=2, n_subgraphs=2)
+            dense_network(self.x, [0, 0, 1], n_types=2, n_subgraphs=2)
 
     def test_mixing_update(self):
         with pytest.raises(ValueError, match=re.escape(
@@ -348,12 +349,12 @@ class TestUpdatesRejectInvalidNetworks:
     def test_type_update(self):
         # xi has no slot for type 5; types are checked before labels
         with refused(self.type_fault):
-            TypedNetwork(self.x, [0, -1, 1], n_types=2, n_subgraphs=2)
+            dense_network(self.x, [0, -1, 1], n_types=2, n_subgraphs=2)
 
     def test_responsibility_update(self):
         # label -1 would silently read the mixing row of subgraph S - 1
         with refused(self.label_fault):
-            TypedNetwork(np.minimum(self.x, 2), [0, -1, 1], n_types=2, n_subgraphs=2)
+            dense_network(np.minimum(self.x, 2), [0, -1, 1], n_types=2, n_subgraphs=2)
 
 
 class TestPriorsShapedForAnotherNetwork:
@@ -500,6 +501,20 @@ class TestCountConservation:
             state = VariationalState(tau=tau, chi=chi, a=a, b=b, xi=xi)
             tau = e_step(net, state)
 
+    @pytest.mark.parametrize("n_vertices", [10, 200])
+    def test_one_cluster_adds_the_exact_type_counts(self, n_vertices):
+        # at K=1 a fit's responsibilities are exactly 1.0, so the type
+        # update adds exact integers to xi0, in bits that no order of the
+        # sum, and so no number of BLAS threads, can change
+        rng = np.random.default_rng(n_vertices)
+        net = random_instance(rng, n_vertices, 2, 2, 3).network
+        priors = PriorHyperparams.jeffreys(2, 1, 3)
+        xi = m_step_pi(net, np.ones((n_vertices, 1)), priors)
+        np.testing.assert_array_equal(xi, priors.xi0 + np.bincount(net.types - 1, minlength=3))
+        state = fit(net, FitConfig(n_clusters=1, priors=priors, n_restarts=1, seed=0)).state
+        assert np.all(state.tau == 1.0)
+        np.testing.assert_array_equal(state.xi, xi)
+
 
 class TestPermutationEquivariance:
     def test_relabeling_vertices_permutes_the_answer(self):
@@ -507,10 +522,10 @@ class TestPermutationEquivariance:
         sample = demo_sample(seed=2)
         net = sample.network
         perm = rng.permutation(net.n_vertices)
-        permuted = TypedNetwork(net.edge_types[perm][:, perm],
-                                net.subgraph_of[perm],
-                                n_types=net.n_types,
-                                n_subgraphs=net.n_subgraphs)
+        permuted = dense_network(net.edge_types[perm][:, perm],
+                                 net.subgraph_of[perm],
+                                 n_types=net.n_types,
+                                 n_subgraphs=net.n_subgraphs)
         priors = PriorHyperparams.jeffreys(2, 3, 3)
         tau0 = random_tau(rng, net.n_vertices, 3)
 
@@ -540,8 +555,8 @@ class TestPermutationEquivariance:
             tau0 = np.eye(k)[rng.integers(0, k, size=n)]
         else:
             tau0 = random_tau(rng, n, k)
-        net = TypedNetwork(x, sub, n_types, n_subgraphs)
-        permuted = TypedNetwork(x[p][:, p], sub[p], n_types, n_subgraphs)
+        net = dense_network(x, sub, n_types, n_subgraphs)
+        permuted = dense_network(x[p][:, p], sub[p], n_types, n_subgraphs)
         priors = PriorHyperparams.jeffreys(n_subgraphs, k, n_types)
         options = dict(epsilon_converge=1e-10, max_iterations=30)
 
@@ -591,8 +606,8 @@ class TestFit:
                                       np.argmax(result.state.tau, axis=1))
 
     def test_rejects_invalid_network(self):
-        with refused("edge type 9 at (0, 1) outside 0..2"):
-            TypedNetwork(np.array([[0, 9], [0, 0]]), [0, 0], n_types=2, n_subgraphs=1)
+        with refused("edge type 9 at (0, 1) outside 1..2"):
+            dense_network(np.array([[0, 9], [0, 0]]), [0, 0], n_types=2, n_subgraphs=1)
 
     def test_rejects_mismatched_priors(self):
         sample = demo_sample(seed=7)
@@ -615,7 +630,7 @@ class TestFitOnRandomShapes:
     @given(dense_inputs(valid=True), st.data())
     def test_bound_and_counts(self, inputs, data):
         x, sub, n_types, n_subgraphs = inputs
-        net = TypedNetwork(x, sub, n_types=n_types, n_subgraphs=n_subgraphs)
+        net = dense_network(x, sub, n_types=n_types, n_subgraphs=n_subgraphs)
         n = net.n_vertices
         k = data.draw(st.sampled_from([k for k in range(1, 5) if k ** n <= 4096]))
         result = fit(net, FitConfig(n_clusters=k, n_restarts=2, seed=0))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 import oracles
-from builders import random_instance
+from builders import dense_network, random_instance
 
 import rsm.io
 from rsm import (
@@ -50,7 +50,7 @@ def small_net():
     x = np.array([[0, 1, 2],
                   [2, 0, 1],
                   [0, 3, 0]])
-    return TypedNetwork(x, [0, 0, 1], n_types=3, n_subgraphs=2)
+    return dense_network(x, [0, 0, 1], n_types=3, n_subgraphs=2)
 
 
 class TestNetworkFile:

@@ -21,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from builders import dense_network
+
 import rsm.inference
 from rsm import (
     FitConfig,
     PriorHyperparams,
     RestartSummary,
-    TypedNetwork,
     VariationalState,
     demo_params,
     distance_matrix,
@@ -50,7 +51,7 @@ def stacks(draw):
     types = st.just(0) if draw(st.booleans()) else st.integers(0, n_types)
     x = draw(arrays(np.int64, (n, n), elements=types))
     sub = draw(arrays(np.int64, n, elements=st.integers(0, n_subgraphs - 1)))
-    net = TypedNetwork(x, sub, n_types, n_subgraphs)
+    net = dense_network(x, sub, n_types, n_subgraphs)
     labels = arrays(np.int64, n, elements=st.integers(0, k - 1))
     starts = []
     for _ in range(draw(st.integers(1, 4))):

@@ -19,7 +19,7 @@ import rsm.medoids
 import rsm.network
 from rsm import TypedNetwork, benchmark_scenario, distance_matrix, kmedoid_init
 
-from builders import random_instance
+from builders import dense_network, random_instance
 
 
 def as_array(d):
@@ -43,7 +43,7 @@ def two_block_net(block=6):
     group = np.repeat([0, 1], block)
     x = np.where(group[:, None] == group[None, :], 1, 2)
     np.fill_diagonal(x, 0)
-    net = TypedNetwork(x, np.zeros(n, dtype=int), n_types=2, n_subgraphs=1)
+    net = dense_network(x, np.zeros(n, dtype=int), n_types=2, n_subgraphs=1)
     return net, group
 
 
@@ -58,7 +58,7 @@ def distinct_rows_net(n=5):
     """Vertex i sends type i+1 to everyone, so all distances equal n - 2."""
     x = np.tile(np.arange(1, n + 1)[:, None], (1, n))
     np.fill_diagonal(x, 0)
-    return TypedNetwork(x, np.zeros(n, dtype=int), n_types=n, n_subgraphs=1)
+    return dense_network(x, np.zeros(n, dtype=int), n_types=n, n_subgraphs=1)
 
 
 class TestInitDistance:
@@ -66,7 +66,7 @@ class TestInitDistance:
         x = np.array([[0, 1, 2],
                       [2, 0, 1],
                       [0, 3, 0]])
-        net = TypedNetwork(x, [0, 0, 0], n_types=3, n_subgraphs=1)
+        net = dense_network(x, [0, 0, 0], n_types=3, n_subgraphs=1)
         expected = np.array([[0, 1, 2],
                              [1, 0, 1],
                              [2, 1, 0]])
@@ -93,7 +93,7 @@ class TestInitDistance:
         # two disconnected vertices are at distance zero from everything
         x = np.zeros((4, 4), dtype=int)
         x[0, 1] = 1
-        net = TypedNetwork(x, [0, 0, 0, 0], n_types=2, n_subgraphs=1)
+        net = dense_network(x, [0, 0, 0, 0], n_types=2, n_subgraphs=1)
         assert np.all(as_array(distance_matrix(net)) == 0)
 
     def test_index_out_of_range(self):
@@ -200,8 +200,8 @@ class TestKmedoidInit:
                                       kmedoid_init(d, 3, seed=7))
 
     def test_empty_network(self):
-        net = TypedNetwork(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
-                           n_types=1, n_subgraphs=1)
+        net = dense_network(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
+                            n_types=1, n_subgraphs=1)
         tau = kmedoid_init(distance_matrix(net), 4, seed=0)
         assert tau.shape == (0, 4)
 
@@ -263,7 +263,7 @@ def networks(draw, max_vertices=9):
     if n:
         diagonal = draw(arrays(np.int64, n, elements=st.integers(-2, n_types + 2)))
         np.fill_diagonal(x, diagonal)
-    return TypedNetwork(x, np.zeros(n, dtype=int), n_types=n_types, n_subgraphs=1)
+    return dense_network(x, np.zeros(n, dtype=int), n_types=n_types, n_subgraphs=1)
 
 
 def loop_distances(net):
@@ -287,8 +287,8 @@ def edge_case_networks():
     """Named shapes that random draws reach only by luck."""
     def net(x, n_types):
         x = np.asarray(x, dtype=np.int64)
-        return TypedNetwork(x, np.zeros(len(x), dtype=int), n_types=n_types,
-                            n_subgraphs=1)
+        return dense_network(x, np.zeros(len(x), dtype=int), n_types=n_types,
+                             n_subgraphs=1)
 
     rng = np.random.default_rng(11)
     diagonal = rng.integers(0, 4, size=(6, 6))
@@ -374,8 +374,8 @@ class TestPrecomputedDistances:
     @given(networks(), st.booleans(), st.integers(1, 11), st.integers(0, 2 ** 32 - 1))
     def test_same_labels_as_without(self, net, no_edges, n_clusters, seed):
         if no_edges:
-            net = TypedNetwork(np.zeros((net.n_vertices,) * 2, dtype=np.int64),
-                               net.subgraph_of, net.n_types, net.n_subgraphs)
+            net = dense_network(np.zeros((net.n_vertices,) * 2, dtype=np.int64),
+                                net.subgraph_of, net.n_types, net.n_subgraphs)
         assert_same_labels_from_any_copy(as_array(distance_matrix(net)), n_clusters, seed)
 
     @pytest.mark.parametrize("name", sorted(edge_case_networks()))
@@ -406,7 +406,7 @@ def networks_of_any_density(draw, max_vertices=12, max_types=4):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = np.where(rng.random((n, n)) < density, rng.integers(1, n_types + 1, size=(n, n)), 0)
     labels = draw(arrays(np.int64, n, elements=st.integers(0, n_subgraphs - 1)))
-    return TypedNetwork(x, labels, n_types=n_types, n_subgraphs=n_subgraphs)
+    return dense_network(x, labels, n_types=n_types, n_subgraphs=n_subgraphs)
 
 
 class TestDerivedAgree:
@@ -469,7 +469,7 @@ class TestDerivedDiffer:
         rng = np.random.default_rng(n + n_types)
         x = np.where(rng.random((n, n)) < density,
                      rng.integers(1, n_types + 1, size=(n, n)), 0)
-        net = TypedNetwork(x, np.zeros(n, dtype=int), n_types=n_types, n_subgraphs=1)
+        net = dense_network(x, np.zeros(n, dtype=int), n_types=n_types, n_subgraphs=1)
         assert rsm.medoids._factors(net)[1].nnz == 0
         self.assert_matches_the_scatter(net, 2, 0)
 
@@ -532,7 +532,7 @@ class TestFactoredForm:
         # shape of the init benchmark's input: 6CE is about 0.6 N²
         rng = np.random.default_rng(0)
         x = np.where(rng.random((600, 600)) < 1 / 30, rng.integers(1, 4, size=(600, 600)), 0)
-        net = TypedNetwork(x, np.zeros(600, dtype=int), n_types=3, n_subgraphs=1)
+        net = dense_network(x, np.zeros(600, dtype=int), n_types=3, n_subgraphs=1)
         d = distance_matrix(net)
         assert isinstance(d, rsm.medoids._Factored)
         for seed in range(2):

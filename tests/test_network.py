@@ -1,11 +1,12 @@
 """Construction and validation of typed networks."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
-from builders import refused
+from builders import dense_network, refused
 
 import rsm.network
 from rsm import (
@@ -32,7 +33,7 @@ def small_net():
     x = np.array([[0, 1, 2],
                   [2, 0, 1],
                   [0, 3, 0]])
-    return TypedNetwork(x, [0, 0, 1], n_types=3, n_subgraphs=2)
+    return dense_network(x, [0, 0, 1], n_types=3, n_subgraphs=2)
 
 
 class TestTypedNetwork:
@@ -62,71 +63,50 @@ class TestTypedNetwork:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
-    def test_inputs_are_copied(self):
-        x = np.array([[0, 1], [1, 0]])
-        sub = np.array([0, 0])
-        net = TypedNetwork(x, sub, n_types=1, n_subgraphs=1)
-        x[0, 1] = 7
-        sub[0] = 3
-        assert net.edge_types[0, 1] == 1
-        assert net.subgraph_of[0] == 0
+    def test_only_from_edges_builds_a_network(self):
+        # the class has no constructor of its own, so no network can skip
+        # the checks of from_edges: not the old dense call, nor the fields
+        net = small_net()
+        fields = {f.name: getattr(net, f.name) for f in dataclasses.fields(TypedNetwork)}
+        assert "__init__" not in vars(TypedNetwork)
+        for args, kwargs in (((net.edge_types, [0, 0, 1], 3, 2), {}),
+                             (tuple(fields.values()), {}), ((), fields)):
+            with pytest.raises(TypeError, match=r"^TypedNetwork\(\) takes no arguments$"):
+                TypedNetwork(*args, **kwargs)
 
-    def test_rejects_non_square_matrix(self):
-        with pytest.raises(ValueError, match="square"):
-            TypedNetwork(np.zeros((2, 3), dtype=int), [0, 0], 1, 1)
+    def test_inputs_are_copied(self):
+        src, dst, types, sub = (np.array(v) for v in ([0, 1], [1, 0], [1, 1], [0, 0]))
+        net = TypedNetwork.from_edges(2, src, dst, types, sub, n_types=2, n_subgraphs=1)
+        for arr in (src, dst, types, sub):
+            arr[0] = 7
+        np.testing.assert_array_equal(net.edge_types, [[0, 1], [1, 0]])
+        assert net.subgraph_of[0] == 0
 
     def test_rejects_wrong_label_length(self):
         with pytest.raises(ValueError, match="length-2"):
-            TypedNetwork(np.zeros((2, 2), dtype=int), [0, 0, 0], 1, 1)
-
-    def test_rejects_fractional_edge_types(self):
-        # NaN, inf and 1e300 are refused before the integrality cast would warn
-        for value in (1.5, np.nan, np.inf, 1e300):
-            with pytest.raises(ValueError, match="edge_types must contain integers"):
-                TypedNetwork(np.array([[0.0, value], [0.0, 0.0]]), [0, 0], 2, 1)
+            dense_network(np.zeros((2, 2), dtype=int), [0, 0, 0], 1, 1)
 
     @pytest.mark.parametrize("labels", [[0, 0.7], [0, 1.9], [0, np.nan]])
     def test_rejects_fractional_subgraph_labels(self, labels):
         with pytest.raises(ValueError, match="subgraph_of must contain integers"):
-            TypedNetwork(np.zeros((2, 2), dtype=int), labels, 1, 2)
+            dense_network(np.zeros((2, 2), dtype=int), labels, 1, 2)
 
     def test_accepts_integral_floats(self):
-        net = TypedNetwork(np.array([[0.0, 2.0], [1.0, 0.0]]), [0, 0], 2, 1)
+        net = dense_network(np.array([[0.0, 2.0], [1.0, 0.0]]), [0, 0], 2, 1)
         assert net.edge_types.dtype == np.int64
         assert net.edge_types[0, 1] == 2
 
     def test_counts_must_be_positive(self):
         x = np.zeros((2, 2), dtype=int)
         with pytest.raises(ValueError, match="n_types"):
-            TypedNetwork(x, [0, 0], 0, 1)
+            dense_network(x, [0, 0], 0, 1)
         with pytest.raises(ValueError, match="n_subgraphs"):
-            TypedNetwork(x, [0, 0], 1, 0)
+            dense_network(x, [0, 0], 1, 0)
 
     def test_repr_names_sizes(self):
         text = repr(small_net())
         assert "n_vertices=3" in text
         assert "n_edges=5" in text
-
-
-class TestOffdiagonal:
-    """The network keeps only the off-diagonal entries of its input."""
-
-    def test_zeroes_diagonal_only(self):
-        net = TypedNetwork(np.array([[4, 1], [2, 9]]), [0, 0], 9, 1)
-        out = net.edge_types
-        assert out[0, 0] == 0 and out[1, 1] == 0
-        assert out[0, 1] == 1 and out[1, 0] == 2
-        assert len(net.src) == 2
-
-    def test_input_not_mutated(self):
-        x = np.array([[4, 1], [2, 9]])
-        TypedNetwork(x, [0, 0], 9, 1)
-        assert x[0, 0] == 4
-
-    def test_empty_matrix(self):
-        net = TypedNetwork(np.zeros((0, 0), dtype=int), [], 1, 1)
-        assert net.edge_types.shape == (0, 0)
-        assert net.src.shape == net.dst.shape == net.types.shape == (0,)
 
 
 class TestMemoryRule:
@@ -172,27 +152,22 @@ class TestValidateNetwork:
         assert report.violations == ()
         assert report.warnings == ()
 
-    def test_diagonal_values_are_ignored(self):
-        x = np.array([[9, 1], [0, -4]])
-        net = TypedNetwork(x, [0, 0], n_types=1, n_subgraphs=1)
-        assert validate_network(net).ok
-
     def test_edge_type_above_range_is_located(self):
         x = np.array([[0, 7], [0, 0]])
-        with refused("edge type 7 at (0, 1) outside 0..3"):
-            TypedNetwork(x, [0, 0], n_types=3, n_subgraphs=1)
+        with refused("edge type 7 at (0, 1) outside 1..3"):
+            dense_network(x, [0, 0], n_types=3, n_subgraphs=1)
 
     def test_negative_edge_type_rejected(self):
         x = np.array([[0, 0], [-2, 0]])
-        with refused("edge type -2 at (1, 0) outside 0..3"):
-            TypedNetwork(x, [0, 0], n_types=3, n_subgraphs=1)
+        with refused("edge type -2 at (1, 0) outside 1..3"):
+            dense_network(x, [0, 0], n_types=3, n_subgraphs=1)
 
     def test_subgraph_label_out_of_range(self):
         with refused("subgraph label 5 at vertex 1 outside 0..1"):
-            TypedNetwork(np.zeros((2, 2), dtype=int), [0, 5], 1, 2)
+            dense_network(np.zeros((2, 2), dtype=int), [0, 5], 1, 2)
 
     def test_empty_subgraph_warns_but_passes(self):
-        net = TypedNetwork(np.zeros((2, 2), dtype=int), [0, 0], 1, 3)
+        net = dense_network(np.zeros((2, 2), dtype=int), [0, 0], 1, 3)
         report = validate_network(net)
         assert report.ok
         assert len(report.warnings) == 2
@@ -211,8 +186,6 @@ def _sample(labels, path):
 # one in place of a length-2 vector: the name its integer refusal begins
 # with, and its refusal of another shape.
 INTEGER_VECTORS = {
-    "TypedNetwork": (lambda v, path: TypedNetwork(np.zeros((2, 2), int), v, 1, 2),
-                     "subgraph_of", "subgraph_of must be a length-2 vector"),
     "from_edges.src": (lambda v, path: TypedNetwork.from_edges(3, v, [2, 0], [1, 1],
                                                                [0, 0, 0], 1, 1),
                        "src", "src, dst and types must be equal-length vectors"),
@@ -242,6 +215,7 @@ BAD_SHAPES = {"2-D": [[0, 1]], "0-d": 0}
 NOT_INT64 = {
     "fractional": [0, 0.5],
     "NaN": [0, np.nan],
+    "inf": [0, np.inf],
     "float 2**63": [0, 2.0 ** 63],
     "uint64 2**63": np.array([0, 2 ** 63], dtype=np.uint64),
 }
@@ -305,10 +279,6 @@ COUNTS = {
     "kmedoid_init.seed": (lambda v: nothing(kmedoid_init(np.zeros((3, 3)), 2, v)), "seed", 0),
     "sample_network.seed": (lambda v: nothing(sample_network(TWO_VERTICES, [0, 0], v)),
                             "seed", 0),
-    "TypedNetwork.n_types": (lambda v: TypedNetwork(np.zeros((2, 2), int), [0, 0],
-                                                    v, 1).n_types, "n_types", 1),
-    "TypedNetwork.n_subgraphs": (lambda v: TypedNetwork(np.zeros((2, 2), int), [0, 0],
-                                                        1, v).n_subgraphs, "n_subgraphs", 1),
     "from_edges.n_vertices": (lambda v: TypedNetwork.from_edges(v, [], [], [], [0, 0, 0],
                                                                 1, 1).n_vertices,
                               "n_vertices", 0),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from builders import random_instance
+from builders import dense_network, random_instance
 
 import rsm.network
 import rsm.oracle
@@ -24,7 +24,7 @@ from rsm import (
 
 def one_edge_net():
     x = np.array([[0, 1], [0, 0]])
-    return TypedNetwork(x, [0, 0], n_types=1, n_subgraphs=1)
+    return dense_network(x, [0, 0], n_types=1, n_subgraphs=1)
 
 
 class TestExactLogEvidence:
@@ -90,8 +90,8 @@ class TestExactLogEvidence:
         net = random_instance(rng, 7, 2, 2, 2).network
         priors = PriorHyperparams.jeffreys(2, 2, 2)
         perm = rng.permutation(7)
-        permuted = TypedNetwork(net.edge_types[perm][:, perm],
-                                net.subgraph_of[perm], n_types=2, n_subgraphs=2)
+        permuted = dense_network(net.edge_types[perm][:, perm],
+                                 net.subgraph_of[perm], n_types=2, n_subgraphs=2)
         np.testing.assert_allclose(exact_log_evidence(net, 2, priors),
                                    exact_log_evidence(permuted, 2, priors),
                                    rtol=1e-9)
@@ -102,16 +102,16 @@ class TestExactLogEvidence:
         net = random_instance(rng, 7, 1, 2, 2).network
         swapped_x = np.select([net.edge_types == 1, net.edge_types == 2],
                               [2, 1], default=0)
-        swapped = TypedNetwork(swapped_x, net.subgraph_of, n_types=2,
-                               n_subgraphs=1)
+        swapped = dense_network(swapped_x, net.subgraph_of, n_types=2,
+                                n_subgraphs=1)
         priors = PriorHyperparams.jeffreys(1, 2, 2)
         np.testing.assert_allclose(exact_log_evidence(net, 2, priors),
                                    exact_log_evidence(swapped, 2, priors),
                                    rtol=1e-9)
 
     def test_empty_network_evidence_is_zero(self):
-        net = TypedNetwork(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
-                           n_types=1, n_subgraphs=1)
+        net = dense_network(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
+                            n_types=1, n_subgraphs=1)
         assert exact_log_evidence(net, 2,
                                   PriorHyperparams.jeffreys(1, 2, 1)) == 0.0
 
@@ -128,8 +128,8 @@ class TestExactLogEvidence:
     def test_enumeration_past_memory_is_refused_before_enumerating(self, monkeypatch):
         # 2^3 assignments of a 3-vertex network at K=2 and C=2: one-hot
         # memberships of 8 x 3 x 2 and type counts of 8 x 2 x 2 x 2 floats
-        net = TypedNetwork(np.array([[0, 1, 0], [2, 0, 0], [0, 1, 0]]), [0, 0, 0],
-                           n_types=2, n_subgraphs=1)
+        net = dense_network(np.array([[0, 1, 0], [2, 0, 0], [0, 1, 0]]), [0, 0, 0],
+                            n_types=2, n_subgraphs=1)
         priors = PriorHyperparams.jeffreys(1, 2, 2)
         size = 8 * 8 * (3 * 2 + 2 * 2 * 2)
         monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size)
@@ -174,8 +174,8 @@ class TestExactLogEvidence:
 
 
     @pytest.mark.parametrize("edge_type, sub, message", [
-        (-1, [0, 0, 1], r"edge type -1 at \(1, 2\) outside 0..2"),
-        (5, [0, 0, 1], r"edge type 5 at \(1, 2\) outside 0..2"),
+        (-1, [0, 0, 1], r"edge type -1 at \(1, 2\) outside 1..2"),
+        (5, [0, 0, 1], r"edge type 5 at \(1, 2\) outside 1..2"),
         (2, [0, -1, 1], r"subgraph label -1 at vertex 1 outside 0..1"),
     ])
     def test_rejects_invalid_networks(self, edge_type, sub, message):
@@ -186,7 +186,7 @@ class TestExactLogEvidence:
                       [2, 0, edge_type],
                       [1, 0, 0]])
         with pytest.raises(ValueError, match="invalid network: " + message + "$"):
-            TypedNetwork(x, sub, n_types=2, n_subgraphs=2)
+            dense_network(x, sub, n_types=2, n_subgraphs=2)
 
 class TestBoundAgainstOracle:
     def test_variational_bound_stays_below_the_evidence(self):

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from builders import dense_network
+
 from rsm import (
     FitConfig,
     PriorHyperparams,
-    TypedNetwork,
     benchmark_scenario,
     demo_params,
     fit,
@@ -22,8 +23,8 @@ def demo_sample(seed=0):
 
 
 def empty_vertex_net(n_clusters_unused=None):
-    return TypedNetwork(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
-                        n_types=1, n_subgraphs=1)
+    return dense_network(np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int),
+                         n_types=1, n_subgraphs=1)
 
 
 class TestSelectK:
@@ -69,8 +70,8 @@ class TestSelectK:
         assert all(value == 0.0 for _, value in result.curve())
 
     def test_no_edge_network_prefers_one_cluster(self):
-        net = TypedNetwork(np.zeros((12, 12), dtype=int),
-                           np.zeros(12, dtype=int), n_types=2, n_subgraphs=1)
+        net = dense_network(np.zeros((12, 12), dtype=int),
+                            np.zeros(12, dtype=int), n_types=2, n_subgraphs=1)
         result = select_k(net, range(1, 5), FitConfig(n_clusters=1, seed=0))
         assert result.k_star == 1
 

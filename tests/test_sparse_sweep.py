@@ -33,10 +33,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import betaln, xlogy
 
 import oracles
+from builders import dense_network
 
 from rsm import (
     PriorHyperparams,
-    TypedNetwork,
     VariationalState,
     e_step,
     elbo,
@@ -62,7 +62,7 @@ def instances(draw):
         types = st.just(0)
     x = draw(arrays(np.int64, (n, n), elements=types))
     sub = draw(arrays(np.int64, n, elements=st.integers(0, n_subgraphs - 1)))
-    net = TypedNetwork(x, sub, n_types, n_subgraphs)
+    net = dense_network(x, sub, n_types, n_subgraphs)
     raw = draw(arrays(np.float64, (n, k), elements=st.floats(0.0, 1.0)))
     raw[np.arange(n), draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))] += 1e-3
     tau = raw / raw.sum(axis=1, keepdims=True)
@@ -216,7 +216,7 @@ class TestMemory:
         rows = np.repeat(np.arange(n), out_degree)
         x[rows, rng.integers(0, n, size=n * out_degree)] = rng.integers(
             1, n_types + 1, size=n * out_degree)
-        net = TypedNetwork(x, rng.integers(0, 2, size=n), n_types, 2)
+        net = dense_network(x, rng.integers(0, 2, size=n), n_types, 2)
         del x
         priors = PriorHyperparams.constant(2, k, n_types, 0.5)
         tau0 = np.eye(k)[rng.integers(0, k, size=n)]
