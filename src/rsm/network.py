@@ -138,8 +138,9 @@ def _row_order(keys) -> np.ndarray | None:
 class TypedNetwork:
     """A directed network whose present edges carry a categorical type.
 
-    Built only by :meth:`from_edges`; calling the class with arguments
-    raises a TypeError, so no network skips the checks.  The network keeps its
+    Built only by :meth:`from_edges`; calling the class raises a TypeError,
+    and a copy or an unpickled network is built by :meth:`from_edges` too, so
+    no network skips the checks.  The network keeps its
     edges as read-only row-major int64 arrays ``src``, ``dst`` and
     ``types``, and its labels as the read-only ``subgraph_of``; the
     :attr:`edge_types` property rebuilds the N x N matrix from them on
@@ -155,6 +156,13 @@ class TypedNetwork:
     n_vertices: int
     n_types: int
     n_subgraphs: int
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(f"{cls.__name__}() takes no arguments")
+
+    def __reduce__(self):
+        return type(self).from_edges, (self.n_vertices, self.src, self.dst, self.types,
+                                       self.subgraph_of, self.n_types, self.n_subgraphs)
 
     @classmethod
     def from_edges(cls, n_vertices: int, src, dst, types, subgraph_of,
@@ -197,7 +205,7 @@ class TypedNetwork:
             raise ValueError(f"invalid network: edge type {types[e]} at "
                              f"({src[e]}, {dst[e]}) outside 1..{n_types}")
         _refuse_outside(sub, n_subgraphs, "invalid network: subgraph label")
-        net = cls.__new__(cls)
+        net = object.__new__(cls)
         vars(net).update(src=_readonly(src), dst=_readonly(dst), types=_readonly(types),
                          subgraph_of=_readonly(sub), n_vertices=n, n_types=n_types,
                          n_subgraphs=n_subgraphs)

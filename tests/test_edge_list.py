@@ -97,7 +97,27 @@ class TestFileRoundTrip:
             np.testing.assert_array_equal(got, want)
 
 
+def same_network(a, b):
+    for name in ("src", "dst", "types", "subgraph_of"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == np.int64
+        assert not getattr(a, name).flags.writeable
+    assert (a.n_vertices, a.n_types, a.n_subgraphs) == (b.n_vertices, b.n_types,
+                                                        b.n_subgraphs)
+
+
 class TestFromEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(dense_inputs(valid=True), st.randoms(use_true_random=False))
+    def test_any_edge_order_gives_the_dense_network(self, data, random):
+        x, sub, n_types, n_subgraphs = data
+        dense = dense_network(x, sub, n_types, n_subgraphs)
+        order = list(range(len(dense.src)))
+        random.shuffle(order)
+        built = TypedNetwork.from_edges(len(x), dense.src[order], dense.dst[order],
+                                        dense.types[order], sub, n_types, n_subgraphs)
+        same_network(built, dense)
+
     def test_takes_lists(self):
         net = TypedNetwork.from_edges(3, [2, 0], [0, 1], [1, 2], [0, 0, 1], 2, 2)
         for name, want in (("src", [0, 2]), ("dst", [1, 0]), ("types", [2, 1]),

@@ -1,7 +1,9 @@
 """Construction and validation of typed networks."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
@@ -74,6 +76,27 @@ class TestTypedNetwork:
             with pytest.raises(TypeError, match=r"^TypedNetwork\(\) takes no arguments$"):
                 TypedNetwork(*args, **kwargs)
 
+    def test_a_bare_call_builds_no_network(self):
+        # not even an empty instance without fields
+        with pytest.raises(TypeError, match=r"^TypedNetwork\(\) takes no arguments$"):
+            TypedNetwork()
+
+    def test_copies_are_built_by_from_edges(self):
+        # a copy or an unpickled network is rebuilt, checked and read-only,
+        # not restored field by field into writable arrays
+        net = small_net()
+        net._type_operator
+        for other in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert type(other) is TypedNetwork and other is not net
+            for name in ("src", "dst", "types", "subgraph_of"):
+                np.testing.assert_array_equal(getattr(other, name), getattr(net, name))
+                assert getattr(other, name).dtype == np.int64
+                assert not getattr(other, name).flags.writeable
+            assert ((other.n_vertices, other.n_types, other.n_subgraphs)
+                    == (net.n_vertices, net.n_types, net.n_subgraphs))
+            np.testing.assert_array_equal(other._type_operator.toarray(),
+                                          net._type_operator.toarray())
+
     def test_inputs_are_copied(self):
         src, dst, types, sub = (np.array(v) for v in ([0, 1], [1, 0], [1, 1], [0, 0]))
         net = TypedNetwork.from_edges(2, src, dst, types, sub, n_types=2, n_subgraphs=1)
@@ -85,6 +108,12 @@ class TestTypedNetwork:
     def test_rejects_wrong_label_length(self):
         with pytest.raises(ValueError, match="length-2"):
             dense_network(np.zeros((2, 2), dtype=int), [0, 0, 0], 1, 1)
+
+    def test_rejects_fractional_edge_types(self):
+        # NaN, inf and 1e300 are refused before the integrality cast would warn
+        for value in (1.5, np.nan, np.inf, 1e300):
+            with pytest.raises(ValueError, match="^types must contain integers$"):
+                dense_network(np.array([[0.0, value], [0.0, 0.0]]), [0, 0], 2, 1)
 
     @pytest.mark.parametrize("labels", [[0, 0.7], [0, 1.9], [0, np.nan]])
     def test_rejects_fractional_subgraph_labels(self, labels):
@@ -107,6 +136,37 @@ class TestTypedNetwork:
         text = repr(small_net())
         assert "n_vertices=3" in text
         assert "n_edges=5" in text
+
+
+class TestOffdiagonal:
+    """``dense_network`` keeps only the off-diagonal nonzeros of its
+    matrix, and ``edge_types`` gives them back with a zero diagonal."""
+
+    def test_zeroes_diagonal_only(self):
+        net = dense_network(np.array([[4, 1], [2, 9]]), [0, 0], 9, 1)
+        out = net.edge_types
+        assert out[0, 0] == 0 and out[1, 1] == 0
+        assert out[0, 1] == 1 and out[1, 0] == 2
+        assert len(net.src) == 2
+
+    def test_input_not_mutated(self):
+        x = np.array([[4, 1], [2, 9]])
+        dense_network(x, [0, 0], 9, 1)
+        np.testing.assert_array_equal(x, [[4, 1], [2, 9]])
+        # int64 edges out of row-major order are sorted in a copy, and the
+        # caller's arrays stay as they were, and writable
+        src, dst, types, sub = (np.array(v, dtype=np.int64)
+                                for v in ([1, 0], [0, 1], [2, 1], [0, 0]))
+        TypedNetwork.from_edges(2, src, dst, types, sub, 2, 1)
+        for arr, want in ((src, [1, 0]), (dst, [0, 1]), (types, [2, 1]), (sub, [0, 0])):
+            np.testing.assert_array_equal(arr, want)
+            assert arr.flags.writeable
+
+    def test_empty_matrix(self):
+        net = dense_network(np.zeros((3, 3)), [0, 0, 1], 1, 2)
+        np.testing.assert_array_equal(net.edge_types, np.zeros((3, 3), dtype=np.int64))
+        assert net.src.shape == net.dst.shape == net.types.shape == (0,)
+        assert net.types.dtype == np.int64
 
 
 class TestMemoryRule:
@@ -151,6 +211,12 @@ class TestValidateNetwork:
         assert report.ok
         assert report.violations == ()
         assert report.warnings == ()
+
+    def test_diagonal_values_are_ignored(self):
+        # a diagonal entry is no edge, so its type is never checked
+        net = dense_network(np.array([[9, 1], [0, -4]]), [0, 0], n_types=1, n_subgraphs=1)
+        assert validate_network(net).ok
+        assert net.src.tolist() == [0] and net.dst.tolist() == [1]
 
     def test_edge_type_above_range_is_located(self):
         x = np.array([[0, 7], [0, 0]])
