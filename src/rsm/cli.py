@@ -15,6 +15,7 @@ an ``--epsilon`` that is not > 0), and 1 for bad inputs, files or memory.
 from __future__ import annotations
 
 import argparse
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -120,6 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str, *, directory: bool) -> None:
+    """Refuse, naming ``path``, an output that could not be written once
+    the work is done: an existing file where the directory ``fit`` writes
+    into goes, an existing directory where the CSV of ``select-k`` goes, or
+    a path whose nearest existing ancestor is a file or not writable.
+    Missing directories are made when the outputs are written."""
+    target = Path(path)
+    existing = next(p for p in (target, *target.parents) if p.exists())
+    if existing == target and target.is_dir() != directory:
+        raise ValueError(f"cannot write {path}: it is {'not ' if directory else ''}a directory")
+    if existing != target and not existing.is_dir():
+        raise ValueError(f"cannot write {path}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK):
+        raise ValueError(f"cannot write {path}: {existing} is not writable")
+
+
 def _load_validated(args) -> TypedNetwork:
     net = load_network(args.network, args.partition)
     for warning in validate_network(net).warnings:
@@ -150,6 +167,7 @@ def _fit_config(args, n_clusters: int, seed: int) -> FitConfig:
 
 
 def cmd_fit(args, parser: argparse.ArgumentParser) -> int:
+    _check_output(args.out, directory=True)
     seed = _resolve_seed(args.seed)
     net = _load_validated(args)
     if net.n_vertices == 0:
@@ -166,6 +184,7 @@ def cmd_fit(args, parser: argparse.ArgumentParser) -> int:
 def cmd_select_k(args, parser: argparse.ArgumentParser) -> int:
     if args.k_min > args.k_max:
         parser.error(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
+    _check_output(args.out, directory=False)
     seed = _resolve_seed(args.seed)
     net = _load_validated(args)
     selection = select_k(net, range(args.k_min, args.k_max + 1),

@@ -21,10 +21,10 @@ column by column, and below 8 clusters with a sum taken so too, in the
 order numpy's reduction over the last axis uses there; from 8 clusters up
 the sum is that reduction.  Each row gets the bits the reduction would
 give, at a fraction of its cost for small K.  The k-medoid discordance
-(:func:`rsm.medoids.distance_matrix`) is kept as two sparse factors, one
-of them that same operator with its rows regrouped by vertex, and becomes
-an all-pairs array only on a network dense enough for the array to be its
-cheaper form.
+(:func:`rsm.medoids.distance_matrix`) is read through that same operator,
+opᵀ Q op with a selector Q of O(N C²) entries, and becomes an all-pairs
+array only on a network dense enough for the array to be its cheaper
+form.
 
 What cannot change is computed outside the loops.  :func:`fit` builds the
 k-medoid discordance once (:func:`rsm.selection.select_k` once for
@@ -389,20 +389,30 @@ def _refuse_past_loop(net: TypedNetwork, r: int, k: int) -> None:
     """Refuse the update loop of R restarts at K on ``net`` when its arrays
     (:func:`_loop_bytes`) would not fit in physical memory."""
     n = net.n_vertices
-    _refuse_past_memory(_loop_bytes(r, n, k, net.n_types, len(net.src)),
+    _refuse_past_memory(_loop_bytes(r, n, k, net.n_types, net.n_subgraphs, len(net.src)),
                         f"the update loop of R={r} restarts on N={n} vertices at K={k}")
 
 
-def _loop_bytes(r: int, n: int, k: int, c: int, n_edges: int) -> int:
+def _loop_bytes(r: int, n: int, k: int, c: int, s: int, n_edges: int) -> int:
     """Bytes of the loop's live arrays at their peak, for R restarts on N
-    vertices, K clusters, C types and E edges: in float64, the taus, the
-    scores, their exponentials and the new taus (R N K each), the out- and
-    in-neighbour sums (2 R N C K), and their transposed copy when R > 1, and
-    about five R K K C stacks of xi (xi, the previous xi, its digamma, the
-    change and gammaln's temporaries); and the network's typed operator as
-    CSR, counted whether or not it is built yet."""
-    sums = 2 * r * n * c * k * (2 if r > 1 else 1)
-    return (8 * (4 * r * n * k + sums + 5 * r * k * k * c)
+    vertices, K clusters, C types, S subgraphs and E edges, in float64:
+
+    - the taus (R N K) and the out- and in-neighbour sums (2 R N C K);
+    - beside them, the larger of three R N K temporaries of the scores (two
+      terms and their sum, and later the scores, their exponentials and the
+      new taus, or the taus and the ``xlogy`` entropy of the bound) and,
+      when R > 1, the taus' columns side by side (R N K) and the product
+      (2 R N C K) from which the sums are copied;
+    - the N x S subgraph one-hot, and about five R K K C stacks of xi (xi,
+      the previous xi, its digamma, the change and gammaln's temporaries);
+    - 64 KiB for the other small arrays and Python objects of an iteration;
+
+    and the network's typed operator as CSR, counted whether or not it is
+    built yet.  The sums and the scores are let go once read, so no two
+    iterations' copies are live together."""
+    taus, sums = r * n * k, 2 * r * n * c * k
+    peak = taus + sums + max(3 * taus, taus + sums if r > 1 else 0)
+    return (8 * (peak + n * s + 5 * r * k * k * c) + 2 ** 16
             + _csr_bytes(2 * c * n, n, 2 * n_edges))
 
 
@@ -489,6 +499,7 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
             batch.keep(finite & ~done)
 
         batch.scores = _scores(batch.out_sums, batch.in_sums, batch.chi, batch.xi, sub)
+        batch.out_sums = batch.in_sums = None  # freed before the next sweep builds new ones
         finite = np.isfinite(batch.scores).all(axis=(1, 2))
         if not finite.all():
             leave(~finite, "failed: " + _NONFINITE_SCORES)
@@ -496,7 +507,7 @@ def _lockstep(net: TypedNetwork, taus: np.ndarray, priors: PriorHyperparams,
         if iteration == max_iterations - 1:
             leave(np.ones(len(batch.restarts), dtype=bool), "max_iterations")
             break
-        batch.taus = _normalize_scores(batch.scores)
+        batch.taus, batch.scores = _normalize_scores(batch.scores), None
         previous_chi, previous_xi = batch.chi, batch.xi
 
     return tuple(states), tuple(records)

@@ -439,7 +439,8 @@ def write_result_bundle(out_dir, result: FitResult, config: FitConfig) -> dict[s
 
 def write_k_curve(path, selection: SelectionResult) -> None:
     """One ``k,best_elbo,n_restarts_converged`` CSV row per candidate K
-    that has a fit, in increasing K."""
+    that has a fit, in increasing K.  Missing parent directories are made."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     lines = ["k,best_elbo,n_restarts_converged"]
     for k, best in selection.curve():
         n_conv = sum(r.converged for r in selection.per_k[k].restarts)

@@ -8,13 +8,14 @@ nothing, so the measure only reacts to differently-typed shared connections.
 The discordance depends on the network alone, so :func:`kmedoid_init` takes
 it as its input: :func:`rsm.inference.fit` builds it once with
 :func:`distance_matrix` for every restart, and
-:func:`rsm.selection.select_k` once for every candidate K.  It is the
-product of two sparse factors, ``agree`` and ``differ``, both the network's
-typed operator (:attr:`~rsm.network.TypedNetwork._type_operator`, which the
-VB-EM sweep reads too) with its rows regrouped, in the operator's order
-within a row.  On a sparse network it stays that product, which
-:func:`kmedoid_init` reads only through products with thin matrices, so
-memory and time grow with the edge count.
+:func:`rsm.selection.select_k` once for every candidate K.  It is a product
+through the network's typed operator
+(:attr:`~rsm.network.TypedNetwork._type_operator`, which the VB-EM sweep
+reads too): D = opᵀ Q op, where Q gives each row of a (half, vertex) group
+of the operator's C type rows the sum of the group's other C - 1 rows.  On
+a sparse network it stays that product, which :func:`kmedoid_init` reads
+only through products with thin matrices, so time grows with the edge count
+and nothing but Q, of O(N C²) entries, is held beside the operator.
 Only on a network dense enough for the all-pairs array to be the cheaper
 form is it multiplied out.
 
@@ -22,8 +23,6 @@ The k-medoid loop has one exit: its first repeated (centers, assignment) state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy  # scipy.sparse loads on first use, not at `import rsm`
@@ -36,103 +35,133 @@ from .network import TypedNetwork, _count, _csr_bytes, _index_dtype, _refuse_pas
 MAX_MEDOID_ROUNDS = 50
 
 
-@dataclass(frozen=True)
 class _Factored:
-    """The discordance as the product ``agree @ differ`` of its two sparse
-    factors, never multiplied out: ``d @ v`` is ``agree @ (differ @ v)``,
-    and :meth:`toarray` forms the all-pairs array."""
+    """The discordance as the product ``opᵀ (others (op v))``, never
+    multiplied out: ``op`` is the network's typed operator, held, not
+    copied, and ``others`` the (2 N C)-square selector I ⊗ (J - I), whose
+    row (half, v, t) sums the operator's rows (half, v, c), c != t.
+    :meth:`toarray` forms the all-pairs array."""
 
-    agree: scipy.sparse.csr_array
-    differ: scipy.sparse.csr_array
+    def __init__(self, op: scipy.sparse.csr_array, n_types: int):
+        self.op, self.n_types = op, n_types
+        self.op_t = op.T  # a view of the same arrays
+        self.others = _others(op.shape[1], n_types)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.agree.shape[0], self.differ.shape[1]
+        return self.op.shape[1], self.op.shape[1]
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.agree @ (self.differ @ v)
+        return self.op_t @ (self.others @ (self.op @ v))
 
     def toarray(self) -> np.ndarray:
-        return (self.agree @ self.differ).toarray()
+        return _array(self.op, self.n_types)
 
 
 def _keeps_factors(n_vertices: int, n_edges: int, n_types: int) -> bool:
-    """Whether the discordance stays factored: when the factors' 2CE
-    nonzeros, at about three times the cost of a dense entry, are fewer
-    than the N² entries of the array (BENCH_discordance.json)."""
+    """Whether the discordance stays factored: when 6CE < N².  Each product
+    through the operator reads its 2E entries twice and the selector's
+    2NC(C - 1) once, where the array reads N² entries; the rule, measured
+    for an older form that read 2CE entries per product
+    (BENCH_discordance.json), is kept so that no network changes form."""
     return 6 * n_types * n_edges < n_vertices * n_vertices
 
 
-def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
-    """All-pairs discordance, as two sparse factors or as a float64 array.
+def _block_width(n: int, c: int) -> int:
+    """Columns per block of :func:`_array`, so that a block's temporaries,
+    8 (2C + 4) N bytes per column, stay within the array's 8N² bytes
+    wherever N >= 2C + 4."""
+    return max(1, n // (2 * c + 4))
 
-    With one feature per (type, vertex) for out-neighbours and one for
-    in-neighbours, ``agree`` (a row per vertex, a column per feature) marks
-    each vertex's own features and ``differ`` (a row per feature, a column
-    per vertex) the same features under each of the other C - 1 types, so
-    ``agree @ differ`` counts the shared out- and in-neighbours whose edge
-    types differ.  Both factors regroup the rows of the network's
-    :attr:`~rsm.network.TypedNetwork._type_operator`, in its order within a
-    row, so this call builds that operator if nothing has yet, and the
-    network keeps it.  The factors hold 2E and 2E(C - 1) ones; nothing
-    cancels, so every entry is an exact integer of at most 2(N - 2).
+
+def distance_matrix(net: TypedNetwork) -> _Factored | np.ndarray:
+    """All-pairs discordance, as a product through the network's typed
+    operator or as a float64 array.
+
+    Let ``op`` be the network's
+    :attr:`~rsm.network.TypedNetwork._type_operator`, whose rows (half, v, t)
+    hold vertex v's out-neighbours (half 0) and in-neighbours (half 1) of
+    type t, and Q the selector that replaces each row of a (half, v) group
+    by the sum of the group's rows of the other C - 1 types.  Then
+    D = opᵀ Q op counts the shared out- and in-neighbours whose edge types
+    differ.  This call builds the operator if nothing has yet, and the
+    network keeps it.  Nothing cancels, so every entry is an exact integer
+    of at most 2(N - 2), and every product adds exact integers.
 
     A network with 6CE < N² is sparse enough that products through the
-    factors cost less than through the array; it gets a private product
+    operator cost less than through the array; it gets a private product
     object with ``shape``, ``d @ v`` and ``toarray()``, which
-    :func:`kmedoid_init` reads.  Any other network gets the all-pairs
-    float64 array ``(agree @ differ).toarray()``.  The bytes of the chosen
-    form are counted before anything is allocated: the operator, as CSR,
-    whether or not the network holds it already; the two factors; and for
-    the array, the sparse product and the array too.  A ValueError naming N
-    and that size refuses a form that would not fit in the machine's
-    physical memory.
+    :func:`kmedoid_init` reads.  It holds the operator and Q, 2NC(C - 1)
+    ones, and nothing that grows with E.  Any other network gets the
+    all-pairs float64 array, built a block of columns at a time
+    (:func:`_array`).  The bytes of the chosen form are counted before
+    anything is allocated: the operator, as CSR, whether or not the network
+    holds it already; and Q, or the array and one block's temporaries.  A
+    ValueError naming N and that size refuses a form that would not fit in
+    the machine's physical memory.
     """
     n, c, e = net.n_vertices, net.n_types, len(net.src)
     factored = _keeps_factors(n, e, c)
-    size = (_csr_bytes(2 * c * n, n, 2 * e) + _csr_bytes(n, 2 * c * n, 2 * e)
-            + _csr_bytes(2 * c * n, n, 2 * e * (c - 1)))
-    if not factored:
-        # the product, as CSR with at most N² entries, and the array
-        size += _csr_bytes(n, n, n * n) + 8 * n * n
+    size = _csr_bytes(2 * c * n, n, 2 * e)
+    if factored:
+        size += _csr_bytes(2 * c * n, 2 * c * n, 2 * c * n * (c - 1))
+    else:
+        size += 8 * n * n + 8 * (2 * c + 4) * n * _block_width(n, c)
     _refuse_past_memory(size, f"the discordance matrix of a {n}-vertex network")
-    d = _Factored(*_factors(net))
-    return d if factored else d.toarray()
+    if factored:
+        return _Factored(net._type_operator, c)
+    return _array(net._type_operator, c)
 
 
-def _factors(net: TypedNetwork) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
-    """``agree`` and ``differ``, both regrouped from the rows (half, v, t)
-    of the network's typed operator, t counted from 0.
+def _others(n: int, c: int) -> scipy.sparse.csr_array:
+    """The selector I_{2N} ⊗ (J - I)_C as CSR: row (half, v, t) holds a 1
+    in the columns (half, v, c), c != t, in ascending order, with 32-bit
+    indices where the sizes allow."""
+    rows = 2 * n * c
+    index = _index_dtype(rows, rows, rows * (c - 1))
+    other_types = np.array([[u for u in range(c) if u != t] for t in range(c)],
+                           dtype=index).reshape(c, c - 1)
+    indices = (np.arange(0, rows, c, dtype=index)[:, None, None] + other_types).ravel()
+    indptr = np.arange(rows + 1, dtype=index) * (c - 1)
+    return scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(rows, rows))
 
-    Row i of ``agree`` is the operator's 2C rows (half, i, t) side by side,
-    row (half, i, t) in the columns (half C + t) N to (half C + t + 1) N.
-    Row (block C + t) N + v of ``differ`` joins the other half's rows
-    (v, c), c != t, in the operator's order, so its columns ascend within
-    each type but not across them: for block 0, the h with an edge h -> v
-    of a type other than t, and for block 1, the j with an edge v -> j.
-    Both keep 32-bit indices where the sizes allow.
-    """
-    n, c, op = net.n_vertices, net.n_types, net._type_operator
-    by_vertex = np.arange(2 * c * n).reshape(2, n, c).transpose(1, 0, 2).ravel()
-    rows = op[by_vertex]
-    rows.indices += np.repeat(np.tile(np.arange(2 * c) * n, n), np.diff(rows.indptr))
-    agree = scipy.sparse.csr_array((rows.data, rows.indices, rows.indptr[::2 * c].copy()),
-                                   shape=(n, 2 * c * n))
 
-    sizes = np.diff(op.indptr).reshape(2, n, c)
-    index = _index_dtype(2 * c * n, n, op.nnz * (c - 1))
-    indptr = np.zeros(2 * c * n + 1, dtype=index)
-    others = sizes.sum(axis=2, keepdims=True) - sizes  # (half, v, t): entries of types != t
-    np.cumsum(others[::-1].transpose(0, 2, 1), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=index)
-    for block, half in enumerate((1, 0)):
-        ends = op.indices[op.indptr[half * c * n]:op.indptr[(half + 1) * c * n]]
-        typed = np.repeat(np.tile(np.arange(c), n), sizes[half].ravel())
-        for t in range(c):
-            row = (block * c + t) * n
-            indices[indptr[row]:indptr[row + n]] = ends[typed != t]
-    differ = scipy.sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(2 * c * n, n))
-    return agree, differ
+def _array(op: scipy.sparse.csr_array, c: int) -> np.ndarray:
+    """The all-pairs discordance opᵀ Q op as a float64 array, a block of
+    :func:`_block_width` columns J at a time: ``opᵀ @ y`` with y = Q op[:, J]
+    written dense, in one buffer that every block reuses."""
+    n, op_t = op.shape[1], op.T
+    d = np.empty((n, n))
+    width = _block_width(n, c)
+    buffer = np.empty(2 * n * c * width)
+    for start in range(0, n, width):
+        b = min(width, n - start)
+        y = buffer[:2 * n * c * b].reshape(2, n, c, b)
+        y.fill(0.0)
+        for half in (0, 1):
+            _scatter_others(y, op, half, start)
+        d[:, start:start + b] = op_t @ y.reshape(2 * n * c, b)
+    return d
+
+
+def _scatter_others(y: np.ndarray, op: scipy.sparse.csr_array, half: int, start: int) -> None:
+    """Write into the zeroed y, shaped (2, N, C, b), the entries of
+    Q op[:, J] that come from the operator's rows (half, j, t) of the
+    vertices j in J = start .. start + b - 1.
+
+    Entry ((1 - half, x, u), j) of op[:, J] is the operator's entry
+    ((half, j, u), x), so each entry ((half, j, t), x) of those rows puts
+    ones across the C types of row group (1 - half, x), in y's column
+    j - start, less its own type t.
+    The index temporaries, four of at most bN entries each, are freed on
+    return."""
+    _, n, c, b = y.shape
+    first = (half * n + start) * c
+    ptr = op.indptr[first:first + b * c + 1]
+    x = op.indices[ptr[0]:ptr[-1]].astype(np.intp)
+    j, t = np.divmod(np.repeat(np.arange(b * c), ptr[1:] - ptr[:-1]), c)
+    y[1 - half, x, :, j] = 1.0
+    y[1 - half, x, t, j] = 0.0
 
 
 def kmedoid_init(distances, n_clusters: int, seed: int) -> np.ndarray:

@@ -235,11 +235,11 @@ class TypedNetwork:
         an N x K tau is, read as 2 x N x (C K), the sums over out-neighbours
         and over in-neighbours.  Within a row the columns ascend, as in two
         separate operators, so each sum adds the same terms in the same
-        order.  The VB-EM updates of :mod:`rsm.inference` read it, and the
-        k-medoid discordance of :mod:`rsm.medoids` regroups its rows into its
-        two factors.  It holds 2E float64 ones with their column indices, and
-        2 N C + 1 row pointers, indexed in 32 bits where the sizes allow:
-        5.3 MB at E = 200 000, N = 20 000 and C = 3.
+        order.  The VB-EM updates of :mod:`rsm.inference` read it, and so
+        does the k-medoid discordance of :mod:`rsm.medoids`, opᵀ Q op, which
+        holds no copy of it.  It holds 2E float64 ones with their column
+        indices, and 2 N C + 1 row pointers, indexed in 32 bits where the
+        sizes allow: 5.3 MB at E = 200 000, N = 20 000 and C = 3.
         """
         n, c, types = self.n_vertices, self.n_types, self.types - 1
         index = _index_dtype(2 * c * n, n, 2 * len(types))

@@ -56,8 +56,9 @@ def select_k(net: TypedNetwork, k_values, config: FitConfig) -> SelectionResult:
 
     The update loop of the largest K, the largest of them, is checked
     against physical memory first, before anything is built or drawn.  The
-    network's discordance (:func:`~rsm.medoids.distance_matrix`, two sparse
-    factors or, on a dense network, an all-pairs array) is then built once,
+    network's discordance (:func:`~rsm.medoids.distance_matrix`, a product
+    through the network's typed operator or, on a dense network, an
+    all-pairs array) is then built once,
     here; every K's restarts pass it to :func:`~rsm.medoids.kmedoid_init`.
     """
     ks = sorted({_count(k, "n_clusters") for k in k_values})

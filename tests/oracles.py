@@ -13,9 +13,10 @@ before the sweep moved to sparse neighbour sums.  It shares the unchanged
 bound and mixing and presence updates with the package, so it checks the
 sparse ``xi`` update and responsibility sweep alone.
 
-:func:`agree_scatter` and :func:`differ_scatter` are the k-medoid
-discordance's two factors as they were written before they were regrouped
-from the network's typed operator: scattered from the edge list.
+:func:`agree_scatter` and :func:`differ_scatter` are the two factors the
+k-medoid discordance was once held as, scattered from the edge list; their
+product is the reference for every product through the network's typed
+operator.
 
 :func:`structured_scenario` expands a structured scenario into its
 tables and subgraph labels entry by entry, to check
@@ -401,10 +402,9 @@ def neighbour_sums_loop(net, tau):
 
 
 def agree_scatter(net):
-    """The discordance's ``agree`` factor (N x 2 C N) as
-    ``rsm.medoids._factors`` wrote it before it regrouped the network's
-    typed operator: CSR scattered straight from the row-major edge list and
-    its column-major order, with int64 indices.
+    """The discordance's former ``agree`` factor (N x 2 C N): CSR
+    scattered straight from the row-major edge list and its column-major
+    order, with int64 indices.
 
     Row i holds, for each out-edge i -> j of type t, column (t - 1) N + j,
     in edge-list order, then for each in-edge h -> i of type t, column
@@ -428,10 +428,9 @@ def agree_scatter(net):
 
 
 def differ_scatter(net):
-    """The discordance's ``differ`` factor (2 C N x N) as
-    ``rsm.medoids._factors`` wrote it before it regrouped the network's
-    typed operator: CSR written straight from the row-major edge list and
-    its stable order by destination.
+    """The discordance's former ``differ`` factor (2 C N x N): CSR
+    written straight from the row-major edge list and its stable order by
+    destination.
 
     Row (t - 1) N + j holds the h with an edge h -> j whose type is not t,
     and row (C + t - 1) N + h the j with an edge h -> j whose type is not

@@ -390,10 +390,10 @@ class TestFitCommand:
 
     def test_network_too_large_for_memory_exits_one(self, tmp_path, capsys, monkeypatch):
         # the update loop of 5 restarts at K=3 on these 10 vertices and 5
-        # edges takes 18 284 bytes (tests/test_inference.py::TestLoopMemory),
+        # edges takes 81 500 bytes (tests/test_inference.py::TestLoopMemory),
         # more than their discordance; with one byte less of memory the fit
         # is refused before anything is built
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 18283)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 81499)
         network = tmp_path / "network.txt"
         partition = tmp_path / "partition.txt"
         network.write_text("rsm v1 N=10 S=1 C=2\n1 2 1\n3 2 2\n4 5 1\n5 6 2\n6 4 2\n")
@@ -404,7 +404,7 @@ class TestFitCommand:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: the update loop of R=5 restarts on N=10 vertices at K=3 takes "
-            "0.0 GiB (18284 bytes), more than the 0.0 GiB of physical memory\n")
+            "0.0 GiB (81500 bytes), more than the 0.0 GiB of physical memory\n")
         assert not (tmp_path / "run").exists()
 
     def test_network_without_vertices_is_refused_before_any_write(self, tmp_path, capsys):
@@ -489,6 +489,59 @@ class TestSelectKCommand:
                   str(partition), "--k-min", "4", "--k-max", "2",
                   "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
+
+
+class TestOutputPaths:
+    """``fit`` and ``select-k`` refuse an output they could not write
+    before they load the network, naming the path; ``select-k`` makes its
+    CSV's missing directories, as ``fit`` makes its output directory."""
+
+    @staticmethod
+    def run(command, tmp_path, out, *options):
+        # the input files do not exist: a refusal of the output comes first
+        return main([command, "--network", str(tmp_path / "missing.txt"),
+                     "--partition", str(tmp_path / "missing.txt"), *options,
+                     "--seed", "0", "--out", str(out)])
+
+    @pytest.mark.parametrize("command, options, kind", [
+        ("fit", ["--k", "2"], "file"),
+        ("fit", ["--k", "2"], "under_file"),
+        ("select-k", ["--k-max", "2"], "directory"),
+        ("select-k", ["--k-max", "2"], "under_file"),
+    ])
+    def test_refused_before_the_network_is_read(self, tmp_path, capsys, command, options,
+                                                kind):
+        (tmp_path / "taken").write_text("x\n")
+        (tmp_path / "folder").mkdir()
+        out, reason = {
+            "file": (tmp_path / "taken", "it is not a directory"),
+            "under_file": (tmp_path / "taken" / "more" / "c.csv",
+                           f"{tmp_path / 'taken'} is not a directory"),
+            "directory": (tmp_path / "folder", "it is a directory"),
+        }[kind]
+        assert self.run(command, tmp_path, out, *options) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert (tmp_path / "taken").read_text() == "x\n"
+
+    def test_select_k_makes_the_missing_directories(self, tmp_path, capsys):
+        network, partition = write_benchmark_data(tmp_path)
+        out = tmp_path / "dir" / "missing" / "c.csv"
+        assert main(["select-k", "--network", str(network), "--partition", str(partition),
+                     "--k-max", "2", "--restarts", "1", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "k,best_elbo,n_restarts_converged"
+
+    def test_existing_outputs_are_written_over(self, tmp_path, capsys):
+        network, partition = write_benchmark_data(tmp_path)
+        inputs = ["--network", str(network), "--partition", str(partition),
+                  "--restarts", "1", "--seed", "0"]
+        (tmp_path / "run").mkdir()
+        (tmp_path / "c.csv").write_text("old\n")
+        assert main(["fit", *inputs, "--k", "2", "--out", str(tmp_path / "run")]) == 0
+        assert main(["select-k", *inputs, "--k-max", "2",
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        assert (tmp_path / "run" / "labels.txt").exists()
+        assert (tmp_path / "c.csv").read_text() != "old\n"
 
 
 class TestEvalCommand:

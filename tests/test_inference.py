@@ -6,6 +6,7 @@ vectorized code and the reference share no numerical plumbing.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ import rsm.network
 from rsm import (
     FitConfig,
     PriorHyperparams,
+    RsmParams,
     TypedNetwork,
     VariationalState,
     adjusted_rand_index,
@@ -261,13 +263,17 @@ class TestLoopMemory:
     draw a start."""
 
     @staticmethod
-    def loop_bytes(r, n, k, c, e):
-        # float64 taus, scores, exponentials and new taus; the out- and
-        # in-neighbour sums, with their transposed copy when R > 1; five xi
-        # stacks; and the typed operator as CSR: 2E float64 values with
-        # int32 column indices, and 2CN + 1 int32 row pointers
-        return (8 * (4 * r * n * k + 2 * r * n * c * k * (1 + (r > 1))
-                     + 5 * r * k * k * c) + 12 * 2 * e + 4 * (2 * c * n + 1))
+    def loop_bytes(r, n, k, c, s, e):
+        # float64: the taus and the out- and in-neighbour sums; beside them
+        # three R N K temporaries of the scores or, when R > 1, the taus'
+        # columns side by side and the product the sums are copied from; the
+        # N x S one-hot; five xi stacks; 64 KiB of small arrays; and the
+        # typed operator as CSR: 2E float64 values with int32 column indices,
+        # and 2CN + 1 int32 row pointers
+        taus, sums = r * n * k, 2 * r * n * c * k
+        peak = taus + sums + max(3 * taus, taus + sums if r > 1 else 0)
+        return (8 * (peak + n * s + 5 * r * k * k * c) + 2 ** 16
+                + 12 * 2 * e + 4 * (2 * c * n + 1))
 
     @staticmethod
     def unreachable(*args, **kwargs):
@@ -281,7 +287,7 @@ class TestLoopMemory:
         starts = np.stack([kmedoid_init(distance_matrix(net), 3, seed=r)
                            for r in range(n_restarts)])
         tau0 = starts if n_restarts > 1 else starts[0]
-        size = self.loop_bytes(n_restarts, 30, 3, 3, len(net.src))
+        size = self.loop_bytes(n_restarts, 30, 3, 3, 2, len(net.src))
         monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", size)
         fit_single(net, tau0, priors, max_iterations=2)
 
@@ -297,11 +303,37 @@ class TestLoopMemory:
                     "memory")):
                 fit_single(refused_net, tau0, priors, max_iterations=2)
 
+    @pytest.mark.parametrize("n_restarts", [1, 5])
+    def test_the_peak_stays_under_the_count(self, n_restarts):
+        # the sweep benchmark's shape: 3 x 1000 vertices, about 30 000
+        # edges, three types and K=3, with the operator built before the
+        # loop, as fit builds it with the discordance
+        params = RsmParams(alpha=np.full((3, 3), 1 / 3),
+                           gamma=np.where(np.eye(3, dtype=bool), 0.006, 0.002),
+                           pi=np.full((3, 3, 3), 1 / 3))
+        net = sample_network(params, np.repeat([0, 1, 2], 1000), 3).network
+        operator = net._type_operator
+        rng = np.random.default_rng(0)
+        starts = np.eye(3)[rng.integers(0, 3, size=(n_restarts, 3000))]
+        tau0 = starts if n_restarts > 1 else starts[0]
+        priors = PriorHyperparams.jeffreys(3, 3, 3)
+        fit_single(net, tau0, priors, max_iterations=1)  # loads scipy.special
+        tracemalloc.start()
+        try:
+            fit_single(net, tau0, priors, max_iterations=5, epsilon_converge=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (operator.data, operator.indices, operator.indptr))
+        counted = rsm.inference._loop_bytes(n_restarts, 3000, 3, 3, 3, len(net.src)) - held
+        assert counted == self.loop_bytes(n_restarts, 3000, 3, 3, 3, len(net.src)) - held
+        assert peak < counted
+
     @pytest.mark.parametrize("entry", ["fit", "select_k"])
     def test_fit_and_select_k_are_refused_before_any_work(self, monkeypatch, entry):
         # select_k checks the loop of its largest K, the largest loop
         net = demo_sample().network
-        size = self.loop_bytes(5, 30, 4, 3, len(net.src))
+        size = self.loop_bytes(5, 30, 4, 3, 2, len(net.src))
         for module, name in ((rsm.medoids, "distance_matrix"),
                              (rsm.inference, "kmedoid_init"),
                              (rsm.inference, "fit_single")):

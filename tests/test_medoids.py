@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis.extra.numpy import arrays
 import oracles
 import rsm.medoids
 import rsm.network
-from rsm import TypedNetwork, benchmark_scenario, distance_matrix, kmedoid_init
+from rsm import (RsmParams, TypedNetwork, benchmark_scenario, distance_matrix,
+                 kmedoid_init, sample_network)
 
 from builders import dense_network, random_instance
 
@@ -28,8 +30,9 @@ def as_array(d):
 
 
 def factored(net):
-    """The network's discordance as its factors, whatever the branch rule."""
-    return rsm.medoids._Factored(*rsm.medoids._factors(net))
+    """The network's discordance as a product through its typed operator,
+    whatever the branch rule."""
+    return rsm.medoids._Factored(net._type_operator, net.n_types)
 
 
 def two_block_net(block=6):
@@ -117,53 +120,53 @@ class TestMemoryRefusal:
     network holds it already, so a refusal does not depend on which call
     came first."""
 
-    def test_the_factors_count_their_values_and_indices(self, monkeypatch):
-        # N=10, C=2, E=5 keeps the factors (6CE = 60 < N² = 100).  The
+    def test_the_product_counts_the_operator_and_the_selector(self, monkeypatch):
+        # N=10, C=2, E=5 keeps the product (6CE = 60 < N² = 100).  The
         # operator: 2E = 10 values and int32 indices and 2CN + 1 = 41 row
-        # pointers, 12 * 10 + 4 * 41 = 284 bytes; agree: 10 entries and 11
-        # row pointers, 12 * 10 + 4 * 11 = 164 bytes; differ: 2E(C - 1) = 10
-        # entries and 41 row pointers, 284 bytes
+        # pointers, 12 * 10 + 4 * 41 = 284 bytes; the selector: 2CN(C - 1)
+        # = 40 entries and 41 row pointers, 12 * 40 + 4 * 41 = 644 bytes
         for built in (False, True):
             net = sparse_net()
             if built:
                 net._type_operator
-            monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 731)
+            monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 927)
             with pytest.raises(ValueError, match=re.escape(
                     "the discordance matrix of a 10-vertex network takes 0.0 GiB "
-                    "(732 bytes), more than the 0.0 GiB of physical memory")):
+                    "(928 bytes), more than the 0.0 GiB of physical memory")):
                 distance_matrix(net)
-            monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 732)
+            monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 928)
             assert isinstance(distance_matrix(net), rsm.medoids._Factored)
 
-    def test_the_array_counts_the_product_and_the_array_too(self, monkeypatch):
+    def test_the_array_counts_one_block_of_temporaries_too(self, monkeypatch):
         # N=10, C=10, E=90 takes the array.  The operator: 12 * 180 + 4 *
-        # 201 = 2964 bytes; agree: 12 * 180 + 4 * 11 = 2204; differ: 12 *
-        # 1620 + 4 * 201 = 20244; their product as CSR with at most N²
-        # entries, 12 * 100 + 4 * 11 = 1244; the array 800
+        # 201 = 2964 bytes; the array 800; one block of one column (N < 2C
+        # + 4), 8 (2C + 4) N = 1920
         net = distinct_rows_net(10)
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 27456)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 5684)
         assert isinstance(distance_matrix(net), np.ndarray)
-        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 27455)
+        monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 5683)
         with pytest.raises(ValueError, match=re.escape(
                 "the discordance matrix of a 10-vertex network takes 0.0 GiB "
-                "(27456 bytes), more than the 0.0 GiB of physical memory")):
+                "(5684 bytes), more than the 0.0 GiB of physical memory")):
             distance_matrix(net)
 
     @pytest.mark.parametrize("net", [sparse_net(), distinct_rows_net(10)],
-                             ids=["factors", "array"])
+                             ids=["product", "array"])
     def test_refuses_before_building_anything(self, monkeypatch, net):
-        def unreachable(net):
-            raise AssertionError("the factors were built past the guard")
+        def unreachable(*args):
+            raise AssertionError("the discordance was built past the guard")
 
-        monkeypatch.setattr(rsm.medoids, "_factors", unreachable)
+        for name in ("_others", "_array"):
+            monkeypatch.setattr(rsm.medoids, name, unreachable)
         monkeypatch.setattr(TypedNetwork._type_operator, "func", unreachable)
         monkeypatch.setattr(rsm.network, "PHYSICAL_MEMORY", 100)
         with pytest.raises(ValueError, match="more than the 0.0 GiB of physical memory"):
             distance_matrix(net)
 
-    def test_a_sparse_network_too_large_for_the_array_keeps_its_factors(self, monkeypatch):
-        # as an array, 100 000 vertices would take 20 N² bytes, 186 GiB;
-        # the factors of two edges take 2.0 MB
+    def test_a_sparse_network_too_large_for_the_array_keeps_the_product(self, monkeypatch):
+        # as an array, 100 000 vertices would take 16 N² bytes with one
+        # block's temporaries, 149 GiB; the operator of two edges and the
+        # selector take 8.0 MB
         n = 100_000
         net = TypedNetwork.from_edges(n, [0, 2], [1, 1], [1, 2], np.zeros(n, dtype=int),
                                       n_types=2, n_subgraphs=1)
@@ -409,59 +412,32 @@ def networks_of_any_density(draw, max_vertices=12, max_types=4):
     return dense_network(x, labels, n_types=n_types, n_subgraphs=n_subgraphs)
 
 
-class TestDerivedAgree:
-    """``agree``, the network's typed operator with its rows regrouped by
-    vertex, is the matrix that the edge-list scatter of
-    ``oracles.agree_scatter`` builds, and the discordance in either form
-    multiplies as that reference's factors do.  Every product adds exact
-    integers, so the order of the columns within a row does not show."""
+class TestProductThroughTheOperator:
+    """The discordance in either form multiplies as the product of the
+    edge-list scatters ``oracles.agree_scatter`` and
+    ``oracles.differ_scatter``, the two factors it was once held as.  Every
+    product adds exact integers, so the order of the terms does not show."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(networks_of_any_density(max_vertices=10, max_types=6), st.integers(1, 3),
-           st.integers(0, 2 ** 32 - 1))
-    def test_matches_the_scatter(self, net, width, seed):
-        reference = oracles.agree_scatter(net)
-        agree, differ = rsm.medoids._factors(net)
-        assert agree.shape == reference.shape
-        assert agree.indices.dtype == agree.indptr.dtype == np.int32
-        assert (agree != reference).nnz == 0
-        v = np.random.default_rng(seed).integers(0, 2, size=(net.n_vertices, width))
-        expected = reference @ (differ @ v.astype(np.float64))
+    @staticmethod
+    def assert_multiplies_as_the_scatters(net, width, seed):
+        v = np.random.default_rng(seed).integers(-5, 6, size=(net.n_vertices, width))
+        v = v.astype(np.float64)
+        expected = oracles.agree_scatter(net) @ (oracles.differ_scatter(net) @ v)
         for keep in (True, False):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(rsm.medoids, "_keeps_factors", lambda *_: keep)
                 d = distance_matrix(net)
             assert isinstance(d, rsm.medoids._Factored) is keep
-            np.testing.assert_array_equal(d @ v.astype(np.float64), expected)
-
-
-class TestDerivedDiffer:
-    """``differ``, each row joining one vertex's operator rows of the other
-    half under the other types, holds the entries that the edge-list
-    scatter of ``oracles.differ_scatter`` writes, and multiplies as it does.
-    Its columns ascend within a type only; every product adds exact
-    integers, so that order does not show."""
-
-    @staticmethod
-    def assert_matches_the_scatter(net, width, seed):
-        reference = oracles.differ_scatter(net)
-        differ = rsm.medoids._factors(net)[1]
-        assert differ.shape == reference.shape
-        assert differ.indices.dtype == differ.indptr.dtype == np.int32
-        np.testing.assert_array_equal(differ.indptr, reference.indptr)
-        assert (differ != reference).nnz == 0
-        v = np.random.default_rng(seed).integers(0, 2, size=(net.n_vertices, width))
-        np.testing.assert_array_equal(differ @ v.astype(np.float64),
-                                      reference @ v.astype(np.float64))
+            np.testing.assert_array_equal(d @ v, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(networks_of_any_density(max_vertices=10, max_types=6), st.integers(1, 3),
            st.integers(0, 2 ** 32 - 1))
-    def test_matches_the_scatter(self, net, width, seed):
-        self.assert_matches_the_scatter(net, width, seed)
+    def test_matches_the_scatters(self, net, width, seed):
+        self.assert_multiplies_as_the_scatters(net, width, seed)
 
     @pytest.mark.parametrize("n,n_types,density", [
-        (6, 1, 0.5),  # one type: every row of differ is empty
+        (6, 1, 0.5),  # one type: no shared neighbour differs
         (6, 3, 0.0),  # no edges
         (0, 2, 0.0),  # no vertices
     ])
@@ -470,14 +446,63 @@ class TestDerivedDiffer:
         x = np.where(rng.random((n, n)) < density,
                      rng.integers(1, n_types + 1, size=(n, n)), 0)
         net = dense_network(x, np.zeros(n, dtype=int), n_types=n_types, n_subgraphs=1)
-        assert rsm.medoids._factors(net)[1].nnz == 0
-        self.assert_matches_the_scatter(net, 2, 0)
+        self.assert_multiplies_as_the_scatters(net, 2, 0)
+
+    @pytest.mark.parametrize("n,n_types", [(0, 2), (1, 1), (4, 1), (5, 3), (3, 6)])
+    def test_the_selector_is_the_kronecker_product(self, n, n_types):
+        # each (half, vertex) group's rows, one per type, sum the group's
+        # rows of the other types
+        others = rsm.medoids._others(n, n_types)
+        expected = np.kron(np.eye(2 * n), np.ones((n_types, n_types)) - np.eye(n_types))
+        assert others.indices.dtype == others.indptr.dtype == np.int32
+        np.testing.assert_array_equal(others.toarray(), expected.reshape(others.shape))
+
+
+def random_edges(rng, n, n_edges, n_types):
+    """A network of ``n_edges`` distinct random edges on n vertices."""
+    pair = rng.choice(n * (n - 1), size=n_edges, replace=False)
+    src, dst = np.divmod(pair, n - 1)
+    dst += dst >= src
+    return TypedNetwork.from_edges(n, src, dst, rng.integers(1, n_types + 1, size=n_edges),
+                                   np.zeros(n, dtype=int), n_types, 1)
+
+
+class TestHeldBytes:
+    """The product form holds the network's own operator, not a copy, and
+    a selector of 2NC(C - 1) entries: nothing that grows with E."""
+
+    @staticmethod
+    def held(net):
+        net._type_operator
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rsm.medoids, "_keeps_factors", lambda *_: True)
+            tracemalloc.start()
+            try:
+                d = distance_matrix(net)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert d.op is net._type_operator
+        return held
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(20, 80), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_ten_times_the_edges_hold_no_more(self, n, n_types, seed):
+        rng = np.random.default_rng(seed)
+        few = self.held(random_edges(rng, n, n, n_types))
+        many = self.held(random_edges(rng, n, 10 * n, n_types))
+        selector = rsm.network._csr_bytes(2 * n * n_types, 2 * n * n_types,
+                                          2 * n * n_types * (n_types - 1))
+        # a few hundred bytes of Python objects ride along
+        assert many <= few + 256
+        assert many <= selector + 4096
 
 
 # sha256 of the bytes of every k-medoid start of the 24 paper networks,
 # kmedoid_init(distance_matrix(benchmark_scenario(s, r).network), K, seed)
 # for s = 1..3, r = 0..7, K = 1..6 and seed = 0..4, in that order: 720
-# starts, as the discordance factors scattered from the edge list gave them.
+# starts, as the discordance factors scattered from the edge list gave them,
+# and as the array built through the typed operator gives them.
 PAPER_STARTS = "5b942e33989a9b930d5cab0765c8da5f4299e685458f0bd644f211d3372a6578"
 
 
@@ -492,9 +517,38 @@ def test_the_paper_starts_are_pinned():
     assert digest.hexdigest() == PAPER_STARTS
 
 
+def sparse_planted(n_vertices, seed):
+    """A planted network of two subgraphs, three clusters and three types,
+    with about six out-edges per vertex: 6CE is about 108 N < N² from
+    N = 109 up, so its discordance keeps the product form."""
+    pi = np.where(np.eye(3, dtype=bool)[:, :, None], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8])
+    params = RsmParams(alpha=np.full((2, 3), 1 / 3), gamma=np.full((2, 2), 6 / n_vertices),
+                       pi=pi)
+    return sample_network(params, np.arange(n_vertices) % 2, seed).network
+
+
+# sha256 of the bytes of every k-medoid start on four sparse_planted networks,
+# (N, seed) = (200, 0), (200, 1), (500, 2) and (1000, 3), at K = 1..6 and
+# seed = 0..4, in that order: 120 starts, all from the product form, as the
+# two stored factors gave them.
+PRODUCT_STARTS = "e136d3a0fbed808b5068801f411ea5780bc3c6d3c4fe6cb3c31826f67ab4a899"
+
+
+def test_the_product_form_starts_are_pinned():
+    digest = hashlib.sha256()
+    for n_vertices, network_seed in ((200, 0), (200, 1), (500, 2), (1000, 3)):
+        d = distance_matrix(sparse_planted(n_vertices, network_seed))
+        assert isinstance(d, rsm.medoids._Factored)
+        for n_clusters in range(1, 7):
+            for seed in range(5):
+                digest.update(kmedoid_init(d, n_clusters, seed).tobytes())
+    assert digest.hexdigest() == PRODUCT_STARTS
+
+
 class TestFactoredForm:
-    """The factors multiply out to the loop reference's counts, and
-    ``kmedoid_init`` gives one labelling from every form of them."""
+    """The product through the operator multiplies out to the loop
+    reference's counts, and ``kmedoid_init`` gives one labelling from every
+    form of it."""
 
     @settings(max_examples=150, deadline=None)
     @given(networks_of_any_density(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
@@ -527,7 +581,7 @@ class TestFactoredForm:
         net = benchmark_scenario(1, 0).network
         assert isinstance(distance_matrix(net), np.ndarray)
 
-    def test_a_sparse_network_keeps_its_factors(self):
+    def test_a_sparse_network_keeps_the_product(self):
         # 600 vertices with about 20 out-edges each and three types, the
         # shape of the init benchmark's input: 6CE is about 0.6 N²
         rng = np.random.default_rng(0)
